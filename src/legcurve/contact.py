@@ -6,7 +6,8 @@ contact structure: the pullback of dy - p dx is a unit multiple of
 dy - p dx.  Writing that identity out gives three scalar equations;
 ``verify_contact`` checks them and returns the unit, and
 ``solve_contact`` integrates them to recover a full transformation
-from the data (alpha, beta at p = 0) that determines it.
+from the data (alpha, beta at p = 0) that determines it.  All
+coefficients are rational.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ from .oracle import realize_order
 X_MONO = (1, 0, 0)
 Y_MONO = (0, 1, 0)
 P_MONO = (0, 0, 1)
-
-
-def _ratio(num, den):
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num, den)
-    return num * den ** -1
 
 
 class ContactMap:
@@ -95,7 +90,7 @@ def homothety(n: int, m: int, lam, mu) -> ContactMap:
     return ContactMap(
         Germ(w, {X_MONO: lam - 1}, math.inf),
         Germ(w, {Y_MONO: mu - 1}, math.inf),
-        Germ(w, {P_MONO: _ratio(mu, lam) - 1}, math.inf),
+        Germ(w, {P_MONO: Fraction(mu, lam) - 1}, math.inf),
     )
 
 
@@ -327,7 +322,7 @@ def classify(phi: ContactMap) -> Classification:
     lam = 1 + phi.alpha.coeffs.get(X_MONO, 0)
     mu = 1 + phi.beta.coeffs.get(Y_MONO, 0)
     rho = 1 + phi.gamma.coeffs.get(P_MONO, 0)
-    scaling = not extras and bool(lam) and bool(mu) and rho == _ratio(mu, lam)
+    scaling = not extras and bool(lam) and bool(mu) and rho == Fraction(mu, lam)
     return Classification(
         triangular=triangular,
         tangent_to_identity=tangent,
@@ -364,7 +359,7 @@ def decompose_triangular(phi: ContactMap) -> TriangularDecomposition:
     if not lam or not mu:
         raise ContactDefectError("degenerate linear part; not a contact transformation")
     scaling = homothety(n, m, lam, mu)
-    unscaled = compose(homothety(n, m, _ratio(1, lam), _ratio(1, mu)), phi)
+    unscaled = compose(homothety(n, m, Fraction(1, lam), Fraction(1, mu)), phi)
     b = unscaled.alpha.coefficient(P_MONO)
     shear = linear_symplectic(n, m, 1, b, 0, 1)
     tangent = compose(linear_symplectic_inverse(n, m, 1, b, 0, 1), unscaled)
@@ -403,11 +398,7 @@ def act_on_curve(phi: ContactMap, curve: PlaneCurveGerm) -> PlaneCurveGerm:
         )
     lead = x_new.coefficient(n)
     if lead != 1:
-        if not isinstance(lead, (int, Fraction)):
-            raise ValidationError(
-                f"cannot renormalize: leading coefficient {lead!r} is not rational"
-            )
-        eta = rational_nth_root(Fraction(lead), n)
+        eta = rational_nth_root(lead, n)
         if eta is None:
             raise ValidationError(
                 f"cannot renormalize: {lead} admits no exact rational root of degree {n}"

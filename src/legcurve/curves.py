@@ -1,8 +1,8 @@
 """Plane curve germs x = t^n, y = sum a_i t^i and their conormal lifts.
 
-Coefficients are exact scalars; the y-series is known below the curve's
-``accuracy``.  The conormal lift adds the derivative coordinate
-p = dy/dx, whose order along the curve is m - n.
+Coefficients are exact rationals (``int`` or ``Fraction``); the y-series
+is known below the curve's ``accuracy``.  The conormal lift adds the
+derivative coordinate p = dy/dx, whose order along the curve is m - n.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InsufficientPrecisionError, ValidationError
+from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
 from .series import Accuracy, TruncatedSeries, series_compose, series_nth_root, series_reverse
 
 
@@ -28,6 +28,9 @@ class PlaneCurveGerm:
     def __init__(self, n: int, coefficients: Mapping[int, object], accuracy: Accuracy | None = None):
         if n < 2:
             raise ValidationError(f"multiplicity n must be at least 2, got {n}")
+        for c in coefficients.values():
+            if not isinstance(c, (int, Fraction)):
+                raise ValidationError(f"coefficient {c!r} is not rational")
         cleaned = {e: c for e, c in coefficients.items() if c}
         if not cleaned:
             raise ValidationError("curve needs at least one non-zero y-coefficient")
@@ -95,8 +98,7 @@ class PlaneCurveGerm:
         """The derivative coordinate p = (dy/dt)/(dx/dt) along the curve."""
         n = self.n
         acc = self.accuracy if self.accuracy == math.inf else self.accuracy - n
-        coeffs = {e - n: Fraction(e, n) * c if isinstance(c, (int, Fraction)) else c * Fraction(e, n)
-                  for e, c in self.coefficients.items()}
+        coeffs = {e - n: Fraction(e, n) * c for e, c in self.coefficients.items()}
         return TruncatedSeries(coeffs, acc)
 
     def triple(self) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
@@ -141,7 +143,13 @@ def rescale_parameter(series: TruncatedSeries, eta) -> TruncatedSeries:
 
 def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) -> PlaneCurveGerm:
     """Normalize a parametrized plane curve (x(t), y(t)) with ord x = n and
-    unit leading coefficient back to the chart x = s^n."""
+    unit leading coefficient back to the chart x = s^n.
+
+    The new parameter is s = t*u(t)^(1/n) for x = t^n*u(t), and t(s) is
+    its reversal.  One exact check covers both steps: x(t(s)) = s^n with
+    [s^1] t(s) = 1 holds only when t(s) reverses t*u(t)^(1/n) for the
+    root with constant term 1.
+    """
     if x_series.order_lower_bound() > n or x_series.coefficient(n) != 1:
         raise ValidationError("x-series must have order n with leading coefficient 1")
     if x_series.order() != n:
@@ -153,9 +161,10 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
         new_y = y_series
     else:
         t_of_s = series_reverse(s_of_t)
-        new_y = series_compose(y_series, t_of_s)
         x_back = series_compose(x_series, t_of_s)
-        assert x_back.agrees_with(TruncatedSeries.monomial(n, 1)), "reparametrization failed"
+        if t_of_s.coefficient(1) != 1 or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
+            raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
+        new_y = series_compose(y_series, t_of_s)
     return curve_from_y_series(n, new_y)
 
 
@@ -163,17 +172,22 @@ def integer_nth_root(value: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer, or None."""
     if value < 0:
         return None
-    if value in (0, 1):
+    if value < 2:
         return value
-    root = round(value ** (1.0 / n))
-    for candidate in (root - 1, root, root + 1):
-        if candidate >= 0 and candidate ** n == value:
-            return candidate
-    return None
+    # integer Newton iteration, decreasing from an upper bound to floor(value^(1/n))
+    root = 1 << -(-value.bit_length() // n)
+    while True:
+        step = ((n - 1) * root + value // root ** (n - 1)) // n
+        if step >= root:
+            break
+        root = step
+    return root if root ** n == value else None
 
 
-def rational_nth_root(value: Fraction, n: int) -> Fraction | None:
+def rational_nth_root(value: int | Fraction, n: int) -> Fraction | None:
     """Exact rational n-th root with positive sign convention, or None."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"{value!r} is not rational; no rational root of degree {n}")
     value = Fraction(value)
     negative = value < 0
     if negative and n % 2 == 0:

@@ -12,6 +12,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ContactDefectError
+
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     # Dense low-to-high coefficient lists; den must be non-zero.
@@ -52,8 +54,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             den = [Fraction(c) for c in cyclotomic_polynomial(d)]
             num, rem = _poly_divmod(num, den)
-            assert not rem, "x^n - 1 must be divisible by every proper cyclotomic factor"
-    assert num[-1] == 1
+            if rem:
+                raise ContactDefectError(f"x^{n} - 1 is not divisible by Phi_{d}")
+    if num[-1] != 1:
+        raise ContactDefectError(f"Phi_{n} is not monic")
     return tuple(int(c) for c in num)
 
 

@@ -11,6 +11,7 @@ offending path inside the document.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .curves import PlaneCurveGerm
@@ -19,7 +20,7 @@ from .expressions import format_scalar, parse_scalar
 
 
 def curve_to_document(curve: PlaneCurveGerm) -> dict:
-    if curve.accuracy == float("inf"):
+    if curve.accuracy == math.inf:
         raise ValidationError("documents need a finite precision; truncate the curve first")
     return {
         "n": curve.n,

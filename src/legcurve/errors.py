@@ -26,4 +26,5 @@ class NotRealizableError(LegcurveError):
 
 
 class ContactDefectError(LegcurveError):
-    """A constructed map failed the contact identity or an a-posteriori check."""
+    """A constructed map failed the contact identity, or a construction
+    failed an a-posteriori check."""

@@ -4,7 +4,8 @@ The variables carry positive integer weights; for a curve of type (n, m)
 these are the orders (n, m, m-n) of x, y and the derivative coordinate p
 along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
-coefficients for monomials of weighted valuation below ``accuracy``.
+rational coefficients for monomials of weighted valuation below
+``accuracy``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy, reciprocal
+from .series import Accuracy, TruncatedSeries, _check_accuracy
 
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
@@ -246,10 +247,10 @@ def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
         raise ValidationError("germ vanishes at the origin; it is not a unit")
     rest = g - Germ.constant(g.weights, c0, g.accuracy)
     if rest.is_zero():
-        return Germ.constant(g.weights, reciprocal(c0), acc)
+        return Germ.constant(g.weights, Fraction(1, c0), acc)
     if acc == math.inf:
         raise ValidationError("inverting a non-constant unit needs a finite accuracy; truncate first")
-    inv_c0 = reciprocal(c0)
+    inv_c0 = Fraction(1, c0)
     w = rest.scale(-inv_c0).truncate(acc)
     result = Germ.constant(g.weights, 1, acc)
     power = Germ.constant(g.weights, 1, acc)
@@ -269,13 +270,9 @@ def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
 # -- substitution -------------------------------------------------------------
 
 
-def _substitution_accuracy(
-    g: Germ,
-    values,   # three series-or-germ objects already substituted for x, y, p
-    orders,   # lower bounds for their orders/valuations
-    accs,     # their accuracies
-) -> Accuracy:
-    """Conservative accuracy for g(values); orders measured in the target grading."""
+def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
+    """Conservative accuracy for g at three values with the given order lower
+    bounds and accuracies, measured in the target grading."""
     ratios = []
     for w, v in zip(g.weights, orders):
         if v != math.inf:
@@ -296,6 +293,28 @@ def _substitution_accuracy(
     return min(candidates)
 
 
+def _substitute(g: Germ, values, orders, one):
+    """g(values) in the ring of ``values``, whose unit element is ``one``."""
+    acc = _substitution_accuracy(g, orders, tuple(v.accuracy for v in values))
+    result = one.scale(0).truncate(acc)
+    powers = [{0: one} for _ in range(3)]
+
+    def power(idx: int, e: int):
+        cache = powers[idx]
+        while e not in cache:
+            top = max(cache)
+            cache[top + 1] = (cache[top] * values[idx]).truncate(acc)
+        return cache[e]
+
+    for mono, coeff in g.items():
+        term = one.scale(coeff)
+        for idx in range(3):
+            if mono[idx]:
+                term = (term * power(idx, mono[idx])).truncate(acc)
+        result = result + term
+    return result.truncate(acc)
+
+
 def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
     """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
     values = (x_value, y_value, p_value)
@@ -304,27 +323,7 @@ def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
         if value.valuation_lower_bound() < 1:
             raise ValidationError("substituted germs must vanish at the origin")
     orders = tuple(v.valuation_lower_bound() for v in values)
-    accs = tuple(v.accuracy for v in values)
-    acc = _substitution_accuracy(g, values, orders, accs)
-    result = Germ.zero(g.weights, acc)
-    powers: list[dict[int, Germ]] = [
-        {0: Germ.constant(g.weights, 1)} for _ in range(3)
-    ]
-
-    def power(idx: int, e: int) -> Germ:
-        cache = powers[idx]
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = (cache[top] * values[idx]).truncate(acc)
-        return cache[e]
-
-    for mono, coeff in g.items():
-        term = Germ.constant(g.weights, coeff)
-        for idx in range(3):
-            if mono[idx]:
-                term = (term * power(idx, mono[idx])).truncate(acc)
-        result = result + term
-    return result.truncate(acc)
+    return _substitute(g, values, orders, Germ.constant(g.weights, 1))
 
 
 def evaluate_on_series(
@@ -338,24 +337,4 @@ def evaluate_on_series(
     orders = tuple(s.order_lower_bound() for s in values)
     if any(v < 1 for v in orders):
         raise ValidationError("triple components must have positive order")
-    accs = tuple(s.accuracy for s in values)
-    acc = _substitution_accuracy(g, values, orders, accs)
-    result = TruncatedSeries.zero(acc)
-    powers: list[dict[int, TruncatedSeries]] = [
-        {0: TruncatedSeries.monomial(0, 1)} for _ in range(3)
-    ]
-
-    def power(idx: int, e: int) -> TruncatedSeries:
-        cache = powers[idx]
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = (cache[top] * values[idx]).truncate(acc)
-        return cache[e]
-
-    for mono, coeff in g.items():
-        term = TruncatedSeries.monomial(0, coeff)
-        for idx in range(3):
-            if mono[idx]:
-                term = (term * power(idx, mono[idx])).truncate(acc)
-        result = result + term
-    return result.truncate(acc)
+    return _substitute(g, values, orders, TruncatedSeries.monomial(0, 1))

@@ -92,9 +92,7 @@ def normal_form(curve: PlaneCurveGerm, margin: int | None = None) -> NormalForm:
     unit = 1
     leading = working.coefficient(m)
     if leading != 1:
-        unit = (
-            Fraction(1, leading) if isinstance(leading, (int, Fraction)) else leading ** -1
-        )
+        unit = Fraction(1, leading)
         working = working.scale_y(unit)
 
     s = try_s_invariant(n, m)

@@ -3,13 +3,14 @@
 For a parametrized curve (t^n, y(t)) with derivative coordinate p the
 restriction of a monomial x^i y^j p^l is a power series in t whose order
 equals the weighted valuation n*i + m*j + (m-n)*l.  Row-reducing these
-series over the exact coefficient field yields the set of orders of all
-polynomial functions along the conormal lift, i.e. its value semigroup,
-together with explicit witnesses for each attained order.
+series over Q yields the set of orders of all polynomial functions along
+the conormal lift, i.e. its value semigroup, together with explicit
+witnesses for each attained order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .curves import PlaneCurveGerm
@@ -42,8 +43,9 @@ class ConormalOracle:
                  monomials: list[Monomial] | None = None):
         n, m = curve.n, curve.m
         if bound is None:
-            # above this everything is an order of a pure monomial in x, p
-            bound = (n - 1) * (m - n - 1)
+            # above this everything is an order of a pure monomial in x, p;
+            # at least 1, so that order 0 is counted when m = n+1
+            bound = max((n - 1) * (m - n - 1), 1)
         if curve.accuracy < bound + n:
             raise InsufficientPrecisionError(
                 f"curve accuracy {curve.accuracy} cannot certify restriction "
@@ -54,7 +56,6 @@ class ConormalOracle:
         self.weights = contact_weights(n, m)
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
-        self._power_cache: dict[tuple[str, int], TruncatedSeries] = {}
         # pivot order -> (monic series, combination of monomials)
         self.rows: dict[int, tuple[TruncatedSeries, dict[Monomial, object]]] = {}
         for mono in monomials:
@@ -65,7 +66,7 @@ class ConormalOracle:
         i, j, l = monomial
         x, y, p = self.curve.triple()
         out = TruncatedSeries.monomial(0, 1, self.bound)
-        for series, axis, e in ((x, "x", i), (y, "y", j), (p, "p", l)):
+        for series, e in ((x, i), (y, j), (p, l)):
             for _ in range(e):
                 out = out * series
         return out.truncate(self.bound)
@@ -88,7 +89,7 @@ class ConormalOracle:
             for key, value in pivot_comb.items():
                 combination[key] = combination.get(key, Fraction(0)) - factor * value
         lead = series.coefficient(order)
-        inv = Fraction(1, lead) if isinstance(lead, (int, Fraction)) else lead ** -1
+        inv = Fraction(1, lead)
         series = series.scale(inv)
         combination = {k: v * inv for k, v in combination.items() if v}
         self.rows[order] = (series, combination)
@@ -110,12 +111,6 @@ def conormal_semigroup(curve: PlaneCurveGerm, bound: int | None = None) -> Numer
     return ConormalOracle(curve, bound).semigroup()
 
 
-def _combination_to_germ(combination: dict[Monomial, object], weights) -> Germ:
-    acc = max(weights[0] * i + weights[1] * j + weights[2] * l
-              for (i, j, l) in combination) + 1
-    return Germ(weights, dict(combination), float("inf"))
-
-
 def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
     """A polynomial g in (x, y, p) whose restriction to the conormal lift is
     monic of the requested order: ι*g = t^order + higher terms.
@@ -135,17 +130,16 @@ def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
         mono = exact[0]
         i, j, l = mono
         lead = curve.coefficient(m) ** (j + l) * Fraction(m, n) ** l
-        inv = Fraction(1, lead) if isinstance(lead, (int, Fraction)) else lead ** -1
-        return Germ(weights, {mono: inv}, float("inf"))
+        return Germ(weights, {mono: Fraction(1, lead)}, math.inf)
     window_low = max(0, order - n + 1)
     near = monomials_in_valuation_range(n, m, window_low, order + 1)
     if near:
         oracle = ConormalOracle(curve, order + 1, near)
         if order in oracle.rows:
-            return _combination_to_germ(oracle.combination_for(order), weights)
+            return Germ(weights, oracle.combination_for(order), math.inf)
     oracle = ConormalOracle(curve, order + 1)
     if order in oracle.rows:
-        return _combination_to_germ(oracle.combination_for(order), weights)
+        return Germ(weights, oracle.combination_for(order), math.inf)
     raise NotRealizableError(
         f"order {order} is not the restriction order of any contact polynomial on this curve"
     )

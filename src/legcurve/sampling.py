@@ -8,6 +8,7 @@ here are exact rationals.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def random_germ(
         if value:
             coeffs[mono] = Fraction(value)
     if accuracy is None:
-        accuracy = float("inf")
+        accuracy = math.inf
     return Germ(weights, coeffs, accuracy)
 
 

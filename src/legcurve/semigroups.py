@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ContactDefectError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,12 @@ def generic_semigroup_descent(n: int, m: int) -> tuple[NumericalSemigroup, tuple
     pending = [j for j in range(conductor - 1, 0, -1) if j in plane and j % n != 0]
     steps: list[TrajectoryStep] = []
     for i in pending:
-        assert not member[i], "descent visited an order that is already realized"
+        if member[i]:
+            raise ContactDefectError(f"descent for ({n}, {m}) revisited the realized order {i}")
         nonmembers = [k for k in range(i, conductor) if not member[k]]
         count = weighted_monomial_count(i, n, m)
-        assert count >= 1, "every visited order must carry at least one monomial"
+        if count < 1:
+            raise ContactDefectError(f"descent for ({n}, {m}) reached order {i} with no monomial")
         sharp = min(count, len(nonmembers))
         omega = nonmembers[sharp - 1]
         # omega <= i+n-2 except when this block closes the semigroup up

@@ -3,6 +3,7 @@
 A series stores finitely many exact coefficients together with an
 ``accuracy`` bound N: coefficients of t^k for k < N are correct, higher
 ones are unknown.  ``math.inf`` accuracy marks exact polynomials.
+Coefficients are rationals (``int`` or ``Fraction``).
 Every operation propagates accuracy pessimistically and reading a
 coefficient at or beyond the bound raises, so precision loss is never
 silent.
@@ -12,18 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import InsufficientPrecisionError, ValidationError
 
 Accuracy = int | float  # int, or math.inf for exact data
-
-
-def reciprocal(value):
-    """1/value without drifting into floats on integer input."""
-    if isinstance(value, int):
-        return Fraction(1, value)
-    return 1 / value
 
 
 def _check_accuracy(value: Accuracy) -> Accuracy:
@@ -133,9 +127,6 @@ class TruncatedSeries:
             return TruncatedSeries({}, self.accuracy)
         return TruncatedSeries({k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
 
-    def map_coefficients(self, fn: Callable[[object], object]) -> "TruncatedSeries":
-        return TruncatedSeries({k: fn(v) for k, v in self.coeffs.items()}, self.accuracy)
-
     def shift(self, offset: int) -> "TruncatedSeries":
         """Multiply by t^offset; offset may be negative if no exponent drops below zero."""
         if self.coeffs and min(self.coeffs) + offset < 0:
@@ -227,11 +218,11 @@ def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
     if not c0:
         raise ValidationError("series has no invertible constant term")
     if f.accuracy == math.inf and set(f.coeffs) == {0}:
-        return TruncatedSeries({0: reciprocal(c0)}, math.inf)
+        return TruncatedSeries({0: Fraction(1, c0)}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("inverse of a non-constant polynomial needs a finite accuracy; truncate first")
     n = int(f.accuracy)
-    inv0 = reciprocal(c0)
+    inv0 = Fraction(1, c0)
     out: dict[int, object] = {0: inv0}
     for k in range(1, n):
         s = 0
@@ -259,7 +250,7 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     acc = int(acc)
     g = g.truncate(acc)
     g1 = g.coeffs[1]
-    h = TruncatedSeries({1: reciprocal(g1)}, 2)
+    h = TruncatedSeries({1: Fraction(1, g1)}, 2)
     precision = 2
     while precision < acc:
         precision = min(2 * precision, acc)
@@ -271,8 +262,6 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
         deriv = series_compose(g.derivative().truncate(precision), h)
         correction = residual * series_inverse_unit(deriv.truncate(precision))
         h = (h - correction).truncate(precision)
-    check = series_compose(g, h)
-    assert check.agrees_with(TruncatedSeries.monomial(1, 1)), "reversion failed to compose back"
     return h
 
 
@@ -280,7 +269,7 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """The unique n-th root with constant term 1 of a unit series f = 1 + ...
 
     Solved through the first-order relation n*f*r' = f'*r, one coefficient
-    at a time; scalars must support exact division by integers.
+    at a time.
     """
     if n < 1:
         raise ValidationError("root index must be a positive integer")
@@ -310,6 +299,4 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
         value = s * Fraction(1, n * k)
         if value:
             root[k] = value
-    result = TruncatedSeries(root, acc)
-    assert (result ** n).agrees_with(f), "n-th root failed to recompose"
-    return result
+    return TruncatedSeries(root, acc)

@@ -14,7 +14,9 @@ from legcurve.curves import (
     reparametrize,
     rescale_parameter,
 )
-from legcurve.errors import InsufficientPrecisionError, ValidationError
+import legcurve.curves
+from legcurve.cyclotomic import Cyclotomic
+from legcurve.errors import ContactDefectError, InsufficientPrecisionError, ValidationError
 from legcurve.series import TruncatedSeries
 
 
@@ -37,6 +39,10 @@ def test_constructor_validation():
         PlaneCurveGerm(3, {10: 1, 20: 1}, accuracy=18)
     with pytest.raises(ValidationError):
         PlaneCurveGerm(3, {10: 0})
+    with pytest.raises(ValidationError):
+        PlaneCurveGerm(3, {10: 1, 11: 0.5})  # coefficients must be rational
+    with pytest.raises(ValidationError):
+        PlaneCurveGerm(3, {10: 1, 11: Cyclotomic.zeta(3)})
 
 
 def test_type_and_position():
@@ -133,12 +139,45 @@ def test_reparametrize_requires_monic_order_n():
         reparametrize(TruncatedSeries({4: 1}, 20), y, 3)
 
 
+def _perturb_one(h):
+    coeffs = dict(h.coeffs)
+    coeffs[3] = coeffs.get(3, 0) + 1
+    return TruncatedSeries(coeffs, h.accuracy)
+
+
+def _perturb_last(h):
+    coeffs = dict(h.coeffs)
+    last = h.accuracy - 1
+    coeffs[last] = coeffs.get(last, 0) + Fraction(1, 7)
+    return TruncatedSeries(coeffs, h.accuracy)
+
+
+def _rotate_by_minus_one(h):
+    # h(-s) still satisfies x(h(-s)) = s^n for even n; only [s^1] exposes it
+    return TruncatedSeries({k: (-1) ** k * v for k, v in h.coeffs.items()}, h.accuracy)
+
+
+@pytest.mark.parametrize("corrupt", [_perturb_one, _perturb_last, _rotate_by_minus_one])
+def test_reparametrize_check_rejects_a_corrupted_reversal(monkeypatch, corrupt):
+    reverse = legcurve.curves.series_reverse
+    monkeypatch.setattr(legcurve.curves, "series_reverse", lambda g: corrupt(reverse(g)))
+    u = TruncatedSeries({1: 1, 2: 1}, math.inf)
+    x = (u ** 4).truncate(24)
+    y = (u ** 9).truncate(24)
+    with pytest.raises(ContactDefectError):
+        reparametrize(x, y, 4)
+
+
 def test_integer_nth_root():
     assert integer_nth_root(8, 3) == 2
     assert integer_nth_root(10 ** 30, 3) == 10 ** 10
     assert integer_nth_root(2, 2) is None
     assert integer_nth_root(0, 5) == 0
     assert integer_nth_root(1, 7) == 1
+    assert integer_nth_root(10 ** 400, 2) == 10 ** 200  # beyond float range
+    assert integer_nth_root(10 ** 400 + 1, 2) is None
+    assert integer_nth_root((10 ** 20 + 1) ** 3, 3) == 10 ** 20 + 1
+    assert integer_nth_root((10 ** 20 + 1) ** 3 - 1, 3) is None
 
 
 def test_rational_nth_root():
@@ -147,3 +186,7 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(-4), 2) is None
     assert rational_nth_root(Fraction(2), 2) is None
     assert rational_nth_root(Fraction(121, 4), 2) == Fraction(11, 2)
+    assert rational_nth_root((10 ** 20 + 1) ** 3, 3) == 10 ** 20 + 1
+    assert rational_nth_root(Fraction(-1, 10 ** 303), 101) == Fraction(-1, 1000)
+    with pytest.raises(ValidationError):
+        rational_nth_root(0.125, 3)

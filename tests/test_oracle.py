@@ -19,7 +19,7 @@ from legcurve.oracle import (
     monomials_in_valuation_range,
     realize_order,
 )
-from legcurve.semigroups import generic_semigroup, two_generator_semigroup
+from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup
 
 
 def test_monomial_enumeration():
@@ -65,6 +65,13 @@ def test_conormal_semigroup_fixtures():
     for n, coeffs, gaps in cases:
         got = conormal_semigroup(PlaneCurveGerm(n, coeffs))
         assert got.gaps == gaps, (n, coeffs)
+
+
+def test_types_with_m_equal_n_plus_one_have_no_gaps():
+    # <n, m-n> = <n, 1> contains everything, and the default bound stays positive
+    for n in (2, 3, 4):
+        curve = PlaneCurveGerm(n, {n + 1: 1, n + 2: Fraction(-2, 3)}, accuracy=n + 4)
+        assert conormal_semigroup(curve) == NumericalSemigroup(0, ())
 
 
 def test_non_generic_curve_is_two_generated():
