@@ -4,7 +4,9 @@ Subcommands: gamma, semigroup, conormal, transform, normalize,
 equivalent, verify-generic, upsilon.  Reports go to stdout and are
 byte-stable for fixed arguments; diagnostics go to stderr.  Exit codes:
 0 success, 2 invalid input, 3 non-generic curve, 4 insufficient
-precision.  Randomized commands draw trial k of a run seeded with S
+precision, 5 check failed (``upsilon`` found a counterexample or
+``verify-generic`` had a failed trial; the report is printed as usual).
+Randomized commands draw trial k of a run seeded with S
 from random.Random(S * 1000003 + k); rerunning with the same seed
 reproduces every report byte for byte.
 """
@@ -35,6 +37,7 @@ from .semigroups import (
 )
 
 Y_MONO = (0, 1, 0)
+CHECK_FAILED = 5  # exit code of a check that ran and failed
 
 
 def _emit(text: str) -> None:
@@ -285,7 +288,7 @@ def cmd_verify_generic(args) -> int:
                 ],
             }
         )
-        return 0
+        return CHECK_FAILED if failures else 0
     _emit(
         f"verify-generic ({args.n}, {args.m}): trials={args.trials} "
         f"seed={args.seed} range={args.range}"
@@ -297,7 +300,7 @@ def cmd_verify_generic(args) -> int:
             _emit(f"  a_{e} = {format_scalar(c)}")
         _emit(f"  semigroup gaps: {_format_set(actual.gaps)}")
         _emit(f"  expected gaps: {_format_set(expected.gaps)}")
-    return 0
+    return CHECK_FAILED if failures else 0
 
 
 # -- upsilon ---------------------------------------------------------------------------
@@ -382,13 +385,13 @@ def cmd_upsilon(args) -> int:
                 "counterexample": counterexample,
             }
         )
-        return 0
+        return 0 if ok else CHECK_FAILED
     _emit(f"upsilon ({args.n}, {args.m}) check={args.check}")
     _emit(f"checked: {checked}")
     _emit(f"result: {'pass' if ok else 'FAIL'}")
     if counterexample is not None:
         _emit(f"first counterexample: {json.dumps(counterexample)}")
-    return 0
+    return 0 if ok else CHECK_FAILED
 
 
 # -- wiring -----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContactDefectError
+from .errors import ContactDefectError, ValidationError
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -22,7 +22,7 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
     while den and den[-1] == 0:
         den.pop()
     if not den:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise ContactDefectError("polynomial division by zero")
     quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
     inv_lead = Fraction(1) / den[-1]
     for shift in range(len(num) - len(den), -1, -1):
@@ -48,7 +48,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     (1, -1, 1)
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValidationError("n must be positive")
     num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -71,7 +71,7 @@ class Cyclotomic:
     def __post_init__(self) -> None:
         degree = len(cyclotomic_polynomial(self.n)) - 1
         if len(self.coeffs) != degree:
-            raise ValueError(f"expected {degree} coefficients for Q(zeta_{self.n})")
+            raise ValidationError(f"expected {degree} coefficients for Q(zeta_{self.n})")
 
     @staticmethod
     def from_rational(n: int, value: Fraction | int) -> "Cyclotomic":
@@ -104,7 +104,7 @@ class Cyclotomic:
     def _coerce(self, other: object) -> "Cyclotomic | None":
         if isinstance(other, Cyclotomic):
             if other.n != self.n:
-                raise ValueError("mixed cyclotomic orders")
+                raise ValidationError("mixed cyclotomic orders")
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclotomic.from_rational(self.n, other)
@@ -163,7 +163,7 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if not self:
-            raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+            raise ValidationError("inverse of zero in a cyclotomic field")
         modulus = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
         r0, r1 = modulus, list(self.coeffs)
         while r1 and r1[-1] == 0:
@@ -189,7 +189,7 @@ class Cyclotomic:
             s0, s1 = s1, s_next
         # r1 is now the gcd, a non-zero constant since the modulus is irreducible.
         if len(r1) != 1:
-            raise ArithmeticError("cyclotomic modulus was not coprime to the element")
+            raise ContactDefectError("cyclotomic modulus was not coprime to the element")
         scale = Fraction(1) / r1[0]
         return Cyclotomic._reduce(self.n, [c * scale for c in s1])
 

@@ -15,10 +15,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy
+from .series import Accuracy, TruncatedSeries, _check_accuracy, _product
 
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
+
+
+def _add_monomials(a: Monomial, b: Monomial) -> Monomial:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def contact_weights(n: int, m: int) -> tuple[int, int, int]:
@@ -168,16 +172,7 @@ class Germ:
             self.accuracy + other.valuation_lower_bound(),
             other.accuracy + self.valuation_lower_bound(),
         )
-        out: dict[Monomial, object] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                if self.valuation_of(key) < acc:
-                    s = out.get(key, 0) + v1 * v2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        out = _product(self.coeffs, other.coeffs, acc, self.valuation_of, _add_monomials)
         return Germ(self.weights, out, acc)
 
     def __pow__(self, exponent: int) -> "Germ":

@@ -10,6 +10,7 @@ bounded by counting monomials of its weighted order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +54,8 @@ class NumericalSemigroup:
             return False
         if k >= self.conductor:
             return True
-        return k not in set(self.gaps)
+        i = bisect.bisect_left(self.gaps, k)
+        return i == len(self.gaps) or self.gaps[i] != k
 
     def members_below(self, bound: int) -> list[int]:
         gap_set = set(self.gaps)

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from legcurve import cli
 from legcurve.cli import _join_expression_flags, main
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
+from legcurve.semigroups import NumericalSemigroup
 
 
 def run(capsys, argv):
@@ -232,3 +234,64 @@ def test_upsilon_checks(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["pass"] is True and payload["checked"] == 50
+
+
+@pytest.mark.parametrize("check", ["direct-vs-closed", "mu-derivative", "det-invariance"])
+def test_upsilon_failure_exits_5(capsys, monkeypatch, check):
+    counterexample = {"index": [1, 0, 2], "k": 12}
+    for name in ("_check_direct_vs_closed", "_check_mu_derivative", "_check_det_invariance"):
+        monkeypatch.setattr(cli, name, lambda *args: (7, counterexample))
+    code, out, err = run(capsys, ["upsilon", "3", "10", "--check", check])
+    assert code == 5 and err == ""
+    assert out == (
+        f"upsilon (3, 10) check={check}\n"
+        "checked: 7\n"
+        "result: FAIL\n"
+        'first counterexample: {"index": [1, 0, 2], "k": 12}\n'
+    )
+    code, out, err = run(capsys, ["upsilon", "3", "10", "--check", check, "--json"])
+    assert code == 5 and err == ""
+    assert json.loads(out) == {
+        "schema": "legcurve/upsilon/1",
+        "n": 3,
+        "m": 10,
+        "check": check,
+        "checked": 7,
+        "pass": False,
+        "counterexample": counterexample,
+    }
+
+
+def test_upsilon_pass_json_exits_0(capsys):
+    code, out, _ = run(capsys, ["upsilon", "3", "10", "--check", "mu-derivative", "--json"])
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_verify_generic_failure_exits_5(capsys, monkeypatch):
+    argv = ["verify-generic", "3", "10", "--trials", "3", "--seed", "1"]
+    _, passing, _ = run(capsys, argv)
+    _, passing_json, _ = run(capsys, argv + ["--json"])
+    calls = []
+
+    def wrong_on_trial_1(curve):
+        calls.append(curve)
+        if len(calls) % 3 == 2:
+            return NumericalSemigroup.from_gaps([1, 2])
+        return cli.generic_semigroup_descent(3, 10)[0]
+
+    monkeypatch.setattr(cli, "conormal_semigroup", wrong_on_trial_1)
+    code, out, err = run(capsys, argv)
+    assert code == 5 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == [passing.splitlines()[0], "pass: 2/3"]
+    assert lines[2] == "trial 1 FAILED"
+    assert lines[-2:] == ["  semigroup gaps: {1, 2}", "  expected gaps: {1, 2, 4, 5, 8}"]
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 5 and err == ""
+    payload = json.loads(out)
+    assert payload["passes"] == 2
+    assert [f["trial"] for f in payload["failures"]] == [1]
+    assert payload["failures"][0]["gaps"] == [1, 2]
+    assert {k: v for k, v in payload.items() if k not in ("passes", "failures")} == {
+        k: v for k, v in json.loads(passing_json).items() if k not in ("passes", "failures")
+    }

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, ValidationError
@@ -141,3 +143,44 @@ def test_weight_mismatch_rejected():
     other = Germ(contact_weights(2, 5), {(1, 0, 0): 1}, math.inf)
     with pytest.raises(ValidationError):
         G({(1, 0, 0): 1}) + other
+
+
+# -- the product against a naive Fraction convolution -------------------------------
+
+HUGE = 10**30
+RATIONALS = st.one_of(
+    st.integers(-HUGE, HUGE),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-HUGE, HUGE)),  # integral Fraction
+)
+MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
+ACCURACIES = st.one_of(st.just(math.inf), st.integers(0, 40))
+GERMS = st.builds(G, st.dictionaries(MONOMIALS, RATIONALS, max_size=8), ACCURACIES)
+
+
+def naive_product(a, b):
+    if (not a.coeffs and a.accuracy == math.inf) or (not b.coeffs and b.accuracy == math.inf):
+        return {}, math.inf
+    acc = min(a.accuracy + b.valuation_lower_bound(), b.accuracy + a.valuation_lower_bound())
+    out = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            if sum(e * w for e, w in zip(key, W)) < acc:
+                out[key] = out.get(key, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    return {k: v for k, v in out.items() if v}, acc
+
+
+@settings(max_examples=200, deadline=None)
+@example(G({}), G({(1, 0, 0): 2}, 5))
+@example(G({(0, 0, 0): Fraction(3), (0, 1, 0): -HUGE}, 12), G({(1, 0, 0): Fraction(1, HUGE), (0, 0, 1): HUGE}))
+@example(G({(0, 0, 0): 1, (2, 0, 0): -2}, 13), G({(0, 0, 1): Fraction(-2, 3), (1, 0, 1): 7}, 11))
+@given(GERMS, GERMS)
+def test_product_matches_naive_fraction_convolution(a, b):
+    product = a * b
+    coeffs, acc = naive_product(a, b)
+    assert product.coeffs == coeffs
+    assert product.accuracy == acc
+    assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from legcurve.cyclotomic import Cyclotomic
-from legcurve.errors import ValidationError
+from legcurve import cyclotomic
+from legcurve.cyclotomic import Cyclotomic, _poly_divmod, cyclotomic_polynomial
+from legcurve.errors import ContactDefectError, ValidationError
 from legcurve.sympoly import Poly
 
 
@@ -43,8 +44,36 @@ def test_field_inverse():
 
 
 def test_inverse_of_zero_fails():
-    with pytest.raises((ValidationError, ZeroDivisionError)):
+    with pytest.raises(ValidationError):
         Cyclotomic.from_rational(4, 0).inverse()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclotomic_polynomial(0),
+        lambda: Cyclotomic(4, (Fraction(1),)),
+        lambda: Cyclotomic.zeta(3) + Cyclotomic.zeta(5),
+        lambda: Cyclotomic.zeta(6) / Cyclotomic.from_rational(6, 0),
+    ],
+    ids=["order-zero", "coefficient-count", "mixed-orders", "divide-by-zero"],
+)
+def test_bad_arguments_raise_validation_error(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_internal_division_by_zero_is_a_defect():
+    with pytest.raises(ContactDefectError):
+        _poly_divmod([Fraction(1), Fraction(1)], [Fraction(0)])
+
+
+def test_non_coprime_modulus_is_a_defect(monkeypatch):
+    # x - 1 divides the reducible x^2 - 1 put in place of Phi_4 = x^2 + 1
+    element = Cyclotomic(4, (Fraction(-1), Fraction(1)))
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda n: (-1, 0, 1))
+    with pytest.raises(ContactDefectError):
+        element.inverse()
 
 
 def test_rational_scalars_mix_in():

@@ -179,6 +179,13 @@ def test_semigroup_containers():
     assert s.genus() == 5
 
 
+@pytest.mark.parametrize("n, m", [(2, 5), (3, 10), (3, 14), (4, 11), (5, 12), (6, 25), (7, 16)])
+def test_membership_agrees_with_members_below(n, m):
+    s = generic_semigroup(n, m)
+    members = set(s.members_below(s.conductor + 3))
+    assert [k for k in range(-2, s.conductor + 3) if k in s] == sorted(members)
+
+
 def test_from_members_requires_zero():
     with pytest.raises(ValidationError):
         NumericalSemigroup.from_members([3, 6], 8)

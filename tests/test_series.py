@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve.errors import InsufficientPrecisionError, ValidationError
 from legcurve.series import (
@@ -174,3 +176,42 @@ def test_nth_root_consistency():
     f = S({0: 1, 2: -3, 3: 5}, 10)
     g = series_nth_root(f, 4)
     assert (g ** 4).agrees_with(f)
+
+
+# -- the product against a naive Fraction convolution -------------------------------
+
+HUGE = 10**30
+RATIONALS = st.one_of(
+    st.integers(-HUGE, HUGE),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-HUGE, HUGE)),  # integral Fraction
+)
+ACCURACIES = st.one_of(st.just(math.inf), st.integers(0, 14))
+SERIES = st.builds(S, st.dictionaries(st.integers(0, 12), RATIONALS, max_size=8), ACCURACIES)
+
+
+def naive_product(a, b):
+    if (not a.coeffs and a.accuracy == math.inf) or (not b.coeffs and b.accuracy == math.inf):
+        return {}, math.inf
+    acc = min(a.accuracy + b.order_lower_bound(), b.accuracy + a.order_lower_bound())
+    out = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            if k1 + k2 < acc:
+                out[k1 + k2] = out.get(k1 + k2, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    return {k: v for k, v in out.items() if v}, acc
+
+
+@settings(max_examples=200, deadline=None)
+@example(S({}), S({1: 2}, 5))
+@example(S({0: Fraction(3), 2: -HUGE}, 4), S({1: Fraction(1, HUGE), 3: HUGE}))
+@example(S({0: 1, 5: -2}, 9), S({4: Fraction(-2, 3), 6: 7}, 7))
+@given(SERIES, SERIES)
+def test_product_matches_naive_fraction_convolution(a, b):
+    product = a * b
+    coeffs, acc = naive_product(a, b)
+    assert product.coeffs == coeffs
+    assert product.accuracy == acc
+    assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())

@@ -15,3 +15,17 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_builtin_arithmetic_or_value_errors_raised():
+    # every failure is a LegcurveError subclass, which the CLI maps to an exit code
+    banned = {"ValueError", "ZeroDivisionError", "ArithmeticError"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name) and target.id in banned:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
