@@ -406,11 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--table",
-            action="store_true",
-            help="human-readable output (the default)",
-        )
 
     p = sub.add_parser("gamma", help="generic semigroup of a type (n, m)")
     p.add_argument("n", type=int)

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .sympoly import Exponents, Poly
+from .sympoly import Poly, unpack
 
 CUTOFF_CAP = 40
 DIMENSION_CAP = 6
@@ -291,9 +291,7 @@ def leading_monomial(poly: Poly) -> tuple[dict[str, int], Fraction]:
     if poly.degree_in("mu"):
         raise ValidationError("leading monomials are only taken for mu-free polynomials")
 
-    def key(e: Exponents):
-        return e[1:][::-1]
-
-    best = max(poly.terms, key=key)
-    named = {name: k for name, k in zip(poly.gens, best) if k}
+    # Packed keys compare lex from the last generator down; mu is 0 here.
+    best = max(poly.terms)
+    named = {name: k for name, k in zip(poly.gens, unpack(best, len(poly.gens))) if k}
     return named, Fraction(poly.terms[best])

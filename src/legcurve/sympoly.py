@@ -1,13 +1,27 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a mapping {exponent tuple: coefficient} over a fixed,
-ordered tuple of generator names.  This is deliberately small: ring
-operations, partial derivatives and substitution are all the symbolic
-layer requires.
+A polynomial is a mapping {packed exponents: coefficient} over a fixed,
+ordered tuple of generator names.  The exponents of a monomial are packed
+into one ``int``: generator k owns the bits [W*k, W*(k+1)), so a monomial
+product is one integer addition and the integer order of the keys is the
+lex order that reads exponents from the last generator down.  The top bit
+of each field is a guard: exponents stay below 2^(W-1), and every product
+raises ``ValidationError`` if a guard bit comes out set, so an exponent
+never carries into the next generator.  ``exponents()`` unpacks the keys
+into tuples (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).
+
+Coefficients are ``int`` or ``Fraction``; ``substitute`` keeps an
+integral value as an ``int``, so a polynomial with integer coefficients
+evaluated at integers stays in ``int`` arithmetic.  This is deliberately
+small: ring operations, partial derivatives and substitution are all the
+symbolic layer requires.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -16,26 +30,37 @@ from .errors import ValidationError
 Exponents = tuple[int, ...]
 Coefficient = Fraction | int
 
+WIDTH = 16
+FIELD = (1 << WIDTH) - 1
+EXPONENT_LIMIT = 1 << (WIDTH - 1)
+
+
+@functools.cache
+def _guard_mask(count: int) -> int:
+    return sum(EXPONENT_LIMIT << (WIDTH * k) for k in range(count))
+
+
+def unpack(key: int, count: int) -> Exponents:
+    """The exponent tuple of a packed key over ``count`` generators."""
+    return tuple((key >> (WIDTH * k)) & FIELD for k in range(count))
+
 
 class Poly:
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: tuple[str, ...], terms: Mapping[Exponents, Coefficient]):
+    def __init__(self, gens: tuple[str, ...], terms: Mapping[int, Coefficient]):
         self.gens = gens
-        self.terms: dict[Exponents, Coefficient] = {e: c for e, c in terms.items() if c}
+        self.terms: dict[int, Coefficient] = {e: c for e, c in terms.items() if c}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(gens: tuple[str, ...], value: Coefficient) -> "Poly":
-        zero = (0,) * len(gens)
-        return Poly(gens, {zero: value} if value else {})
+        return Poly(gens, {0: value} if value else {})
 
     @staticmethod
     def variable(gens: tuple[str, ...], name: str) -> "Poly":
-        exps = [0] * len(gens)
-        exps[gens.index(name)] = 1
-        return Poly(gens, {tuple(exps): 1})
+        return Poly(gens, {1 << (WIDTH * gens.index(name)): 1})
 
     # -- ring structure --------------------------------------------------
 
@@ -90,11 +115,14 @@ class Poly:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        product: dict[Exponents, Coefficient] = {}
+        product: dict[int, Coefficient] = {}
+        right = coerced.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in coerced.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                key = e1 + e2
                 product[key] = product.get(key, 0) + c1 * c2
+        if functools.reduce(operator.or_, product, 0) & _guard_mask(len(self.gens)):
+            raise ValidationError(f"an exponent reached {EXPONENT_LIMIT}, the packing limit")
         return Poly(self.gens, product)
 
     __rmul__ = __mul__
@@ -107,62 +135,67 @@ class Poly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:  # a last squaring is unused and could pass the limit
+                base = base * base
         return result
 
     # -- calculus and evaluation ------------------------------------------
 
     def diff(self, name: str) -> "Poly":
-        idx = self.gens.index(name)
-        out: dict[Exponents, Coefficient] = {}
+        shift = WIDTH * self.gens.index(name)
+        one = 1 << shift
+        out: dict[int, Coefficient] = {}
         for e, c in self.terms.items():
-            if e[idx]:
-                key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
-                out[key] = out.get(key, 0) + c * e[idx]
+            k = (e >> shift) & FIELD
+            if k:
+                out[e - one] = c * k
         return Poly(self.gens, out)
 
     def substitute(self, assignment: Mapping[str, Coefficient]) -> "Poly":
-        """Replace some generators by exact scalars; others stay symbolic."""
-        indices = {self.gens.index(name): Fraction(v) for name, v in assignment.items()}
-        out: dict[Exponents, Coefficient] = {}
+        """Replace some generators by exact scalars; others stay symbolic.
+        An integral value is used as an ``int``."""
+        shifts = {}
+        for name, v in assignment.items():
+            value = Fraction(v)
+            shifts[WIDTH * self.gens.index(name)] = value.numerator if value.denominator == 1 else value
+        keep = ~sum(FIELD << shift for shift in shifts)
+        out: dict[int, Coefficient] = {}
         for e, c in self.terms.items():
             scale: Coefficient = c
-            key = list(e)
-            for idx, value in indices.items():
-                scale = scale * value ** e[idx]
-                key[idx] = 0
-            tkey = tuple(key)
-            out[tkey] = out.get(tkey, 0) + scale
+            for shift, value in shifts.items():
+                scale = scale * value ** ((e >> shift) & FIELD)
+            key = e & keep
+            out[key] = out.get(key, 0) + scale
         return Poly(self.gens, out)
 
     def as_constant(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        zero = (0,) * len(self.gens)
-        if set(self.terms) != {zero}:
+        if set(self.terms) != {0}:
             raise ValidationError("polynomial is not constant")
-        return Fraction(self.terms[zero])
+        return Fraction(self.terms[0])
 
     def degree_in(self, name: str) -> int:
-        idx = self.gens.index(name)
-        return max((e[idx] for e in self.terms), default=0)
+        shift = WIDTH * self.gens.index(name)
+        return max(((e >> shift) & FIELD for e in self.terms), default=0)
 
     def exponents(self) -> Iterable[Exponents]:
-        return self.terms.keys()
+        """Unpacked exponent tuples, in the order of ``terms``."""
+        count = len(self.gens)
+        return [unpack(e, count) for e in self.terms]
 
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
         pieces = []
-        for e in sorted(self.terms):
+        for e, coeff in sorted(zip(self.exponents(), self.terms.values())):
             factors = []
             for name, k in zip(self.gens, e):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
                     factors.append(f"{name}^{k}")
-            coeff = self.terms[e]
             if factors:
                 head = "" if coeff == 1 else ("-" if coeff == -1 else f"{coeff}*")
                 pieces.append(head + "*".join(factors))

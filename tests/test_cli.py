@@ -37,6 +37,13 @@ def test_gamma_table(capsys):
     assert any(line.startswith("  i=7 ") for line in lines)
 
 
+def test_table_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gamma", "3", "10", "--table"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --table" in capsys.readouterr().err
+
+
 def test_gamma_json(capsys):
     code, out, err = run(capsys, ["gamma", "3", "11", "--json"])
     assert code == 0

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import curve_from_document, curve_to_document, dump_curve, load_curve
@@ -93,3 +95,30 @@ def test_document_validation_messages():
 def test_load_rejects_malformed_json():
     with pytest.raises(ValidationError, match="not valid JSON"):
         load_curve("{")
+
+
+# -- round trip on random curves ------------------------------------------------------
+
+NONZERO = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+).filter(bool)
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(n + 1, 40).filter(lambda m: math.gcd(n, m) == 1))
+    rest = draw(st.dictionaries(st.integers(m + 1, m + 20), NONZERO, max_size=8))
+    precision = draw(st.integers(max([m, *rest]) + 1, m + 25))
+    return PlaneCurveGerm(n, {m: draw(NONZERO), **rest}, precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves())
+def test_dump_then_load_returns_the_curve(curve):
+    loaded = load_curve(dump_curve(curve))
+    assert loaded.n == curve.n
+    assert loaded.coefficients == curve.coefficients
+    assert loaded.accuracy == curve.accuracy

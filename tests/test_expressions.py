@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legcurve.errors import ValidationError
 from legcurve.expressions import format_germ, format_scalar, parse_germ, parse_scalar
@@ -96,3 +98,21 @@ def test_scalar_round_trip():
     for bad in ("1.5", "1//2", " 3", "3 ", "x", "", "1/2/3", None):
         with pytest.raises(ValidationError):
             parse_scalar(bad)
+
+
+# -- round trip on random exact germs ----------------------------------------------
+
+RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+MONOMIALS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 10), (4, 11), (5, 12)]), st.dictionaries(MONOMIALS, RATIONALS, max_size=8))
+def test_format_then_parse_returns_the_germ(nm, coeffs):
+    n, m = nm
+    g = Germ(contact_weights(n, m), coeffs, math.inf)
+    assert parse_germ(format_germ(g), n, m) == g
