@@ -59,13 +59,14 @@ class NormalForm:
         return {k: self.curve.coefficient(k) for k in self.free}
 
 
-def normal_form(curve: PlaneCurveGerm, margin: int | None = None) -> NormalForm:
-    """Reduce a generic curve to its short form.
+def normal_form(curve: PlaneCurveGerm) -> NormalForm:
+    """Reduce a generic curve to its short form, working throughout at the
+    accuracy keep = max((n-1)(m-1), m+1) the short form is read at.
 
     Raises NonGenericCurveError when the conormal semigroup is not the
-    generic one, InsufficientPrecisionError when the input does not carry
-    enough coefficients (or the working margin is too small), and
-    ContactDefectError when an applied step fails its postconditions.
+    generic one, InsufficientPrecisionError when the input or the image of
+    a step is exact below keep, and ContactDefectError when an applied step
+    fails its postconditions.
     """
     n, m = curve.n, curve.m
     expected = generic_semigroup(n, m)
@@ -82,9 +83,6 @@ def normal_form(curve: PlaneCurveGerm, margin: int | None = None) -> NormalForm:
             f"normal form needs the y-coefficients below {keep}; "
             f"curve is only exact below {curve.accuracy}"
         )
-    if margin is None:
-        margin = n + m
-    working_accuracy = keep + margin
     # coefficients at or above the plane conductor sit at removable orders,
     # so dropping them stays inside the equivalence class
     working = curve.truncate(keep).as_polynomial(math.inf)
@@ -105,7 +103,7 @@ def normal_form(curve: PlaneCurveGerm, margin: int | None = None) -> NormalForm:
         coeff = working.coefficient(k)
         if not coeff:
             continue
-        phi = forget_transform(working, k, -coeff, accuracy=working_accuracy)
+        phi = forget_transform(working, k, -coeff, accuracy=keep)
         candidate = act_on_curve(phi, working)
         if candidate.equisingularity_type() != (n, m):
             raise ContactDefectError(
@@ -113,7 +111,8 @@ def normal_form(curve: PlaneCurveGerm, margin: int | None = None) -> NormalForm:
             )
         if candidate.accuracy < keep:
             raise InsufficientPrecisionError(
-                f"working precision exhausted at order {k}; retry with a larger margin"
+                f"reduction at order {k} returned a curve exact below "
+                f"{candidate.accuracy}; the short form needs accuracy {keep}"
             )
         if candidate.coefficient(k) != 0:
             raise ContactDefectError(

@@ -8,9 +8,12 @@ beta = -p^2, gamma = 0, i.e. the lift of the shear (x, p) -> (x - 2p, p).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legcurve.contact import (
     ContactMap,
@@ -31,6 +34,7 @@ from legcurve.contact import (
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import ContactDefectError, NotRealizableError, ValidationError
 from legcurve.germs import Germ, contact_weights, evaluate_on_series
+from legcurve.sampling import random_tangent_transform
 
 W = contact_weights(3, 10)
 X, Y, P = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -146,6 +150,19 @@ def test_compose_is_associative():
     left = compose(compose(a, b), c)
     right = compose(a, compose(b, c))
     assert left.agrees_with(right)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.integers(min_value=18, max_value=30), min_size=3, max_size=3),
+)
+def test_compose_is_associative_on_tangent_transforms(seed, accuracies):
+    """Unequal accuracies make the result's accuracy come from substitute,
+    so an accuracy it overstates shows up as a disagreement."""
+    rng = random.Random(seed)
+    a, b, c = (random_tangent_transform(3, 10, rng, acc) for acc in accuracies)
+    assert compose(compose(a, b), c).agrees_with(compose(a, compose(b, c)))
 
 
 def test_classify_homothety():

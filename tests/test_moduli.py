@@ -1,11 +1,18 @@
 """Normal forms, moduli coordinates, and the residual root-of-unity action."""
 
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from legcurve import moduli
+from legcurve.contact import act_on_curve
 from legcurve.curves import PlaneCurveGerm
 from legcurve.cyclotomic import Cyclotomic
+from legcurve.documents import load_curve
 from legcurve.errors import (
     InsufficientPrecisionError,
     NonGenericCurveError,
@@ -21,6 +28,26 @@ from legcurve.moduli import (
     orbit_equivalent,
     rotate_point,
 )
+from legcurve.oracle import conormal_semigroup
+from legcurve.sampling import random_curve, random_tangent_transform, trial_rng
+from legcurve.semigroups import generic_semigroup
+
+
+def short_form_accuracy(n, m):
+    return max((n - 1) * (m - 1), m + 1)
+
+
+def spy_on_steps(monkeypatch, corrupt=lambda image: image):
+    """Record every image ``normal_form`` gets from ``act_on_curve``."""
+    images = []
+
+    def spy(phi, curve):
+        image = corrupt(act_on_curve(phi, curve))
+        images.append(image)
+        return image
+
+    monkeypatch.setattr(moduli, "act_on_curve", spy)
+    return images
 
 
 def test_is_generic():
@@ -74,6 +101,60 @@ def test_normal_form_fixture_4_9():
     assert nf.steps[0].order == 10 and nf.steps[0].scale == -1
     assert nf.curve.coefficients == {9: 1, 11: Fraction(-1, 9)}
     assert nf.moduli_point() == {11: Fraction(-1, 9)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_no_reduction_step_loses_accuracy(monkeypatch, n):
+    images = spy_on_steps(monkeypatch)
+    for m in range(2 * n + 1, 3 * n + 3):
+        if math.gcd(n, m) != 1:
+            continue
+        keep = short_form_accuracy(n, m)
+        images.clear()
+        normal_form(random_curve(n, m, trial_rng(100 * n + m, 0)))
+        assert [image.accuracy for image in images] == [keep] * len(images)
+        # for n = 2 there is no removable order below the conductor
+        assert images or n == 2
+
+
+def test_a_step_that_loses_accuracy_is_reported(monkeypatch):
+    keep = short_form_accuracy(3, 10)
+    spy_on_steps(monkeypatch, lambda image: image.truncate(keep - 1))
+    curve = PlaneCurveGerm(3, {10: 1, 11: 1, 13: 2, 14: -1}, 30)
+    with pytest.raises(
+        InsufficientPrecisionError,
+        match="reduction at order 13 returned a curve exact below 17; "
+        "the short form needs accuracy 18",
+    ):
+        normal_form(curve)
+
+
+@pytest.mark.parametrize("n, m", [(3, 10), (4, 11)])
+def test_document_with_unrelated_denominators(n, m):
+    """Every coefficient below the short form's accuracy has its own pair of
+    large prime factors in the denominator, so no two denominators share a
+    factor and the products inside the reduction carry their whole lcm."""
+    keep = short_form_accuracy(n, m)
+    rng = random.Random(100 * n + m)
+    prime = 1 << 15
+    terms = []
+    for e in range(m, keep):
+        p = prime = sympy.nextprime(prime)
+        q = prime = sympy.nextprime(prime)
+        num = rng.choice((-1, 1)) * rng.randrange(1 << 29, 1 << 30)
+        terms.append({"e": e, "c": f"{num}/{p * q}"})
+    curve = load_curve(json.dumps({"n": n, "terms": terms, "precision": keep}))
+    denominators = [Fraction(c).denominator for c in curve.coefficients.values()]
+    assert len(denominators) == keep - m
+    assert math.lcm(*denominators) == math.prod(denominators)
+
+    nf = normal_form(curve)
+    assert is_short_form(nf.curve)
+    assert conormal_semigroup(nf.curve) == generic_semigroup(n, m)
+    phi = random_tangent_transform(n, m, trial_rng(100 * n + m, 1), keep)
+    image = normal_form(act_on_curve(phi, curve))
+    ok, _ = orbit_equivalent(nf.moduli_point(), image.moduli_point(), n, m)
+    assert ok
 
 
 def test_normal_form_rejects_non_generic():
