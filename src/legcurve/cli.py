@@ -3,9 +3,10 @@
 Subcommands: gamma, semigroup, conormal, transform, normalize,
 equivalent, verify-generic, upsilon.  Reports go to stdout and are
 byte-stable for fixed arguments; diagnostics go to stderr.  Exit codes:
-0 success, 2 invalid input, 3 non-generic curve, 4 insufficient
-precision, 5 check failed (``upsilon`` found a counterexample or
-``verify-generic`` had a failed trial; the report is printed as usual).
+0 success, 2 invalid input or a failed internal check, 3 non-generic
+curve, 4 insufficient precision, 5 check failed (``upsilon`` found a
+counterexample or ``verify-generic`` had a failed trial; the report is
+printed as usual).
 Randomized commands draw trial k of a run seeded with S
 from random.Random(S * 1000003 + k); rerunning with the same seed
 reproduces every report byte for byte.

@@ -64,9 +64,11 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
     accuracy keep = max((n-1)(m-1), m+1) the short form is read at.
 
     Raises NonGenericCurveError when the conormal semigroup is not the
-    generic one, InsufficientPrecisionError when the input or the image of
-    a step is exact below keep, and ContactDefectError when an applied step
-    fails its postconditions.
+    generic one, InsufficientPrecisionError when the input is exact below
+    keep, and ContactDefectError when an applied step fails its
+    postconditions, including an image exact below keep: the map is built
+    at keep from a curve truncated to keep, so no input precision cures
+    that.
     """
     n, m = curve.n, curve.m
     expected = generic_semigroup(n, m)
@@ -110,7 +112,7 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
                 f"reduction at order {k} changed the equisingularity type"
             )
         if candidate.accuracy < keep:
-            raise InsufficientPrecisionError(
+            raise ContactDefectError(
                 f"reduction at order {k} returned a curve exact below "
                 f"{candidate.accuracy}; the short form needs accuracy {keep}"
             )

@@ -6,6 +6,14 @@ equals the weighted valuation n*i + m*j + (m-n)*l.  Row-reducing these
 series over Q yields the set of orders of all polynomial functions along
 the conormal lift, i.e. its value semigroup, together with explicit
 witnesses for each attained order.
+
+Since x = t^n exactly, the restriction of x^i y^j p^l is that of y^j p^l
+shifted by n*i; each oracle caches the powers y^j p^l below its bound and
+builds each one from a smaller one with a single product.  The row
+reduction is fraction-free: a row is kept as integer numerators of its
+series and of its monomial combination over one denominator, eliminated
+by integer multiply-and-subtract with the common content divided out, and
+turned into ``Fraction`` values only when read.
 """
 
 from __future__ import annotations
@@ -14,10 +22,10 @@ import math
 from fractions import Fraction
 
 from .curves import PlaneCurveGerm
-from .errors import InsufficientPrecisionError, NotRealizableError
+from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from .germs import Germ, Monomial, contact_weights
 from .semigroups import NumericalSemigroup
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _numerators
 
 
 def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Monomial]:
@@ -36,6 +44,33 @@ def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Mo
     return [mono for _, mono in found]
 
 
+class EchelonRow:
+    """An echelon row, monic at its pivot order, as integer numerators over
+    one positive ``denominator``: the restriction series (dense, one entry
+    per exponent below the oracle bound) and the combination of monomials
+    whose restriction it is."""
+
+    __slots__ = ("numerators", "combination_numerators", "denominator")
+
+    def __init__(self, numerators: list[int], combination_numerators: dict[Monomial, int],
+                 denominator: int):
+        self.numerators = numerators
+        self.combination_numerators = combination_numerators
+        self.denominator = denominator
+
+    @property
+    def series(self) -> TruncatedSeries:
+        den = self.denominator
+        return TruncatedSeries(
+            {k: Fraction(v, den) for k, v in enumerate(self.numerators) if v}, len(self.numerators)
+        )
+
+    @property
+    def combination(self) -> dict[Monomial, Fraction]:
+        den = self.denominator
+        return {key: Fraction(v, den) for key, v in self.combination_numerators.items()}
+
+
 class ConormalOracle:
     """Echelon basis of monomial restrictions, truncated below ``bound``."""
 
@@ -46,6 +81,8 @@ class ConormalOracle:
             # above this everything is an order of a pure monomial in x, p;
             # at least 1, so that order 0 is counted when m = n+1
             bound = max((n - 1) * (m - n - 1), 1)
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+            raise ValidationError(f"oracle bound must be a positive integer, got {bound!r}")
         if curve.accuracy < bound + n:
             raise InsufficientPrecisionError(
                 f"curve accuracy {curve.accuracy} cannot certify restriction "
@@ -53,46 +90,72 @@ class ConormalOracle:
             )
         self.curve = curve
         self.bound = bound
-        self.weights = contact_weights(n, m)
+        _, y, p = curve.triple()
+        # (j, l) -> y^j p^l truncated below the bound
+        self._powers = {
+            (0, 0): TruncatedSeries.monomial(0, 1, bound),
+            (1, 0): y.truncate(bound),
+            (0, 1): p.truncate(bound),
+        }
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
-        # pivot order -> (monic series, combination of monomials)
-        self.rows: dict[int, tuple[TruncatedSeries, dict[Monomial, object]]] = {}
+        self.rows: dict[int, EchelonRow] = {}
         for mono in monomials:
             self._insert(mono)
 
+    def _power(self, j: int, l: int) -> TruncatedSeries:
+        """y^j p^l below the bound; each missing entry is one product of a
+        cached smaller power with y or p."""
+        powers, key = self._powers, (j, l)
+        missing = []
+        while (j, l) not in powers:
+            missing.append((j, l))
+            j, l = (j, l - 1) if l else (j - 1, 0)
+        for j, l in reversed(missing):
+            smaller, factor = ((j, l - 1), (0, 1)) if l else ((j - 1, 0), (1, 0))
+            powers[(j, l)] = (powers[smaller] * powers[factor]).truncate(self.bound)
+        return powers[key]
+
     def restriction(self, monomial: Monomial) -> TruncatedSeries:
-        """ι*(x^i y^j p^l) truncated below the oracle bound."""
+        """ι*(x^i y^j p^l) truncated below the oracle bound: x = t^n, so it is
+        y^j p^l shifted by n*i."""
         i, j, l = monomial
-        x, y, p = self.curve.triple()
-        out = TruncatedSeries.monomial(0, 1, self.bound)
-        for series, e in ((x, i), (y, j), (p, l)):
-            for _ in range(e):
-                out = out * series
-        return out.truncate(self.bound)
+        return self._power(j, l).shift(self.curve.n * i).truncate(self.bound)
 
     def _insert(self, mono: Monomial) -> None:
-        series = self.restriction(mono)
-        combination: dict[Monomial, object] = {mono: Fraction(1)}
-        while True:
-            if series.is_zero():
-                return
-            try:
-                order = series.order()
-            except InsufficientPrecisionError:
-                return
-            if order not in self.rows:
-                break
-            pivot_series, pivot_comb = self.rows[order]
-            factor = series.coefficient(order)
-            series = series - pivot_series.scale(factor)
-            for key, value in pivot_comb.items():
-                combination[key] = combination.get(key, Fraction(0)) - factor * value
-        lead = series.coefficient(order)
-        inv = Fraction(1, lead)
-        series = series.scale(inv)
-        combination = {k: v * inv for k, v in combination.items() if v}
-        self.rows[order] = (series, combination)
+        # the row is kept up to a non-zero rational factor, as integers:
+        # the restriction over the lcm of its denominators, then
+        # (pivot denominator) * row - (row's lead) * pivot row per step
+        den, terms = _numerators(self.restriction(mono).coeffs, int)
+        row = [0] * self.bound
+        for k, _, v in terms:
+            row[k] = v
+        combination = {mono: den}
+        order = next((k for k, a in enumerate(row) if a), None)
+        while order is not None and order in self.rows:
+            pivot = self.rows[order]
+            lead, scale = row[order], pivot.denominator
+            row = [scale * a - lead * b for a, b in zip(row, pivot.numerators)]
+            for key in combination:
+                combination[key] *= scale
+            for key, value in pivot.combination_numerators.items():
+                combination[key] = combination.get(key, 0) - lead * value
+            content = math.gcd(*row, *combination.values())
+            if content > 1:
+                row = [a // content for a in row]
+                combination = {key: v // content for key, v in combination.items()}
+            order = next((k for k in range(order + 1, self.bound) if row[k]), None)
+        if order is None:
+            return
+        lead = row[order]
+        content = math.gcd(*row, *combination.values())
+        if lead < 0:
+            content = -content
+        self.rows[order] = EchelonRow(
+            [a // content for a in row],
+            {key: v // content for key, v in combination.items() if v},
+            lead // content,
+        )
 
     def orders_below_bound(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
@@ -103,7 +166,7 @@ class ConormalOracle:
     def combination_for(self, order: int) -> dict[Monomial, object]:
         if order not in self.rows:
             raise NotRealizableError(f"no restriction of order {order} below bound {self.bound}")
-        return dict(self.rows[order][1])
+        return self.rows[order].combination
 
 
 def conormal_semigroup(curve: PlaneCurveGerm, bound: int | None = None) -> NumericalSemigroup:
@@ -122,7 +185,6 @@ def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
     """
     n, m = curve.n, curve.m
     weights = contact_weights(n, m)
-    wx, wy, wp = weights
     if order < 0:
         raise NotRealizableError("restriction orders are non-negative")
     exact = monomials_in_valuation_range(n, m, order, order + 1)

@@ -14,6 +14,7 @@ from legcurve.curves import PlaneCurveGerm
 from legcurve.cyclotomic import Cyclotomic
 from legcurve.documents import load_curve
 from legcurve.errors import (
+    ContactDefectError,
     InsufficientPrecisionError,
     NonGenericCurveError,
     ValidationError,
@@ -122,7 +123,7 @@ def test_a_step_that_loses_accuracy_is_reported(monkeypatch):
     spy_on_steps(monkeypatch, lambda image: image.truncate(keep - 1))
     curve = PlaneCurveGerm(3, {10: 1, 11: 1, 13: 2, 14: -1}, 30)
     with pytest.raises(
-        InsufficientPrecisionError,
+        ContactDefectError,
         match="reduction at order 13 returned a curve exact below 17; "
         "the short form needs accuracy 18",
     ):

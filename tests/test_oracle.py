@@ -6,12 +6,17 @@ x p = (10/3) t^10 + (11/3) t^11 leave 3 x p - 10 y = t^11, so 11 is an
 order while 8 never is.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve.curves import PlaneCurveGerm
-from legcurve.errors import InsufficientPrecisionError, NotRealizableError
+from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from legcurve.germs import evaluate_on_series
 from legcurve.oracle import (
     ConormalOracle,
@@ -19,6 +24,7 @@ from legcurve.oracle import (
     monomials_in_valuation_range,
     realize_order,
 )
+from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup
 
 
@@ -137,3 +143,141 @@ def test_realize_order_scaled_lead():
     assert dict(g.coeffs) == {(0, 0, 2): Fraction(9, 1600)}
     restricted = evaluate_on_series(g, *curve.triple())
     assert restricted.order() == 14 and restricted.coefficient(14) == 1
+
+
+@pytest.mark.parametrize("bound", [0, -1, True, 5.5, "7"])
+def test_bound_must_be_a_positive_int(bound):
+    curve = PlaneCurveGerm(3, {10: 1, 11: 1})
+    for build in (ConormalOracle, conormal_semigroup):
+        with pytest.raises(ValidationError, match=f"oracle bound must be a positive integer, got {bound!r}"):
+            build(curve, bound)
+
+
+# -- the shifted restrictions and the integer echelon against plain references -------
+
+
+def unrelated_denominator_curve(n, m, accuracy, seed):
+    """Coefficients below ``accuracy`` whose denominators are products of two
+    distinct primes above 2^15, pairwise coprime."""
+    rng = random.Random(seed)
+    prime = 1 << 15
+    coefficients = {}
+    for e in range(m, accuracy):
+        p = prime = sympy.nextprime(prime)
+        q = prime = sympy.nextprime(prime)
+        coefficients[e] = Fraction(rng.choice((-1, 1)) * rng.randrange(1 << 29, 1 << 30), p * q)
+    return PlaneCurveGerm(n, coefficients, accuracy)
+
+
+RESTRICTION_CURVES = [
+    random_curve(n, m, trial_rng(100 * n + m, 0), accuracy=(n - 1) * (m - 1) + 3 + n)
+    for n, m in [(3, 4), (3, 10), (4, 11), (5, 22)]
+] + [unrelated_denominator_curve(3, 10, 24, 310)]
+
+
+@pytest.mark.parametrize("curve", RESTRICTION_CURVES, ids=["3-4", "3-10", "4-11", "5-22", "3-10-unrelated"])
+def test_restriction_is_the_product_from_scratch(curve):
+    n, m = curve.n, curve.m
+    bound = curve.accuracy - n
+    oracle = ConormalOracle(curve, bound)
+    x, y, p = curve.triple()
+    for i, j, l in monomials_in_valuation_range(n, m, 0, bound):
+        product = (x ** i * y ** j * p ** l).truncate(bound)
+        got = oracle.restriction((i, j, l))
+        assert got.coeffs == product.coeffs, (i, j, l)
+        assert got.accuracy == product.accuracy == bound, (i, j, l)
+
+
+def reference_restriction(curve, monomial, bound):
+    """Dense Fraction coefficients of x^i y^j p^l below ``bound``, with
+    x = t^n and p = y'(t) / (n t^(n-1)), by schoolbook products."""
+    n = curve.n
+    y = [Fraction(curve.coefficients.get(e, 0)) for e in range(bound)]
+    p = [Fraction(e + n, n) * curve.coefficients.get(e + n, 0) for e in range(bound)]
+    out = [Fraction(0)] * bound
+    out[0] = Fraction(1)
+    i, j, l = monomial
+    for factor, times in ((y, j), (p, l)):
+        for _ in range(times):
+            out = [sum((out[a] * factor[k - a] for a in range(k + 1)), Fraction(0)) for k in range(bound)]
+    shift = n * i
+    return [out[k - shift] if k >= shift else Fraction(0) for k in range(bound)]
+
+
+def reference_echelon(curve, bound, monomials):
+    """Pivot order -> (monic dense series, combination), by Gaussian
+    elimination over Fraction in insertion order."""
+    rows = {}
+    for mono in monomials:
+        vector = reference_restriction(curve, mono, bound)
+        combination = {mono: Fraction(1)}
+        while True:
+            order = next((k for k, c in enumerate(vector) if c), None)
+            if order is None or order not in rows:
+                break
+            pivot, pivot_combination = rows[order]
+            factor = vector[order]
+            vector = [a - factor * b for a, b in zip(vector, pivot)]
+            for key, value in pivot_combination.items():
+                combination[key] = combination.get(key, Fraction(0)) - factor * value
+        if order is None:
+            continue
+        lead = vector[order]
+        rows[order] = ([c / lead for c in vector], {k: v / lead for k, v in combination.items() if v})
+    return rows
+
+
+HUGE = 10**30
+PRIMES = list(sympy.primerange(1 << 15, (1 << 15) + 400))
+COEFFICIENTS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-HUGE, HUGE),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.sampled_from(PRIMES)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+).filter(bool)
+
+
+@st.composite
+def oracle_inputs(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 3 * n + 2).filter(lambda m: math.gcd(n, m) == 1))
+    bound = draw(st.integers(1, (n - 1) * (m - 1) + 3))
+    accuracy = max(bound + n, m + 2)
+    coefficients = {m: draw(COEFFICIENTS)}
+    for e in draw(st.sets(st.integers(m + 1, accuracy - 1), max_size=12)):
+        coefficients[e] = draw(COEFFICIENTS)
+    curve = PlaneCurveGerm(n, coefficients, accuracy)
+    low = draw(st.one_of(st.just(0), st.integers(0, bound - 1)))
+    monomials = draw(st.permutations(monomials_in_valuation_range(n, m, low, bound)))
+    return curve, bound, monomials
+
+
+@settings(max_examples=100, deadline=None)
+@example((PlaneCurveGerm(3, {10: 1, 11: 1}, 15), 12, monomials_in_valuation_range(3, 10, 0, 12)[::-1]))
+@given(oracle_inputs())
+def test_echelon_matches_fraction_gaussian_elimination(case):
+    curve, bound, monomials = case
+    oracle = ConormalOracle(curve, bound, monomials)
+    expected = reference_echelon(curve, bound, monomials)
+    assert list(oracle.rows) == list(expected)
+    for order, (series, combination) in expected.items():
+        row = oracle.rows[order]
+        assert row.series.accuracy == bound
+        assert [row.series.coeffs.get(k, 0) for k in range(bound)] == series
+        assert all(type(v) is Fraction for v in row.series.coeffs.values())
+        assert oracle.combination_for(order) == combination
+        assert all(type(v) is Fraction for v in oracle.combination_for(order).values())
+
+
+@pytest.mark.parametrize("n, m", [(3, 10), (3, 11), (4, 11), (5, 12), (4, 9)])
+def test_witness_restricts_to_a_monic_series_of_its_order(n, m):
+    # a random curve is generic: its semigroup is known without the oracle
+    curve = random_curve(n, m, trial_rng(100 * n + m, 1))
+    bound = max((n - 1) * (m - n - 1), 1)
+    orders = [k for k in range(bound) if k in generic_semigroup(n, m)]
+    if (n, m) == (3, 10):
+        assert 11 in orders  # attained only by a combination
+    for k in orders:
+        restricted = evaluate_on_series(realize_order(curve, k), *curve.triple())
+        assert restricted.order() == k
+        assert restricted.coefficient(k) == 1
