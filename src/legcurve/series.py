@@ -7,6 +7,9 @@ Coefficients are rationals (``int`` or ``Fraction``).  Products are
 computed over integer numerators: each factor is brought to one common
 denominator, the convolution accumulates plain ``int`` products, and each
 output coefficient is divided by the product of the two denominators once.
+Composition expands the outer series about the linear part c*t of the
+inner one (Brent & Kung, J. ACM 25 (1978), section 2), so its cost falls
+with the order of the inner series' perturbation; see ``series_compose``.
 Every operation propagates accuracy pessimistically and reading a
 coefficient at or beyond the bound raises, so precision loss is never
 silent.
@@ -43,11 +46,9 @@ def _numerators(coeffs: Mapping, weight: Callable) -> tuple[int, list[tuple]]:
     return den, terms
 
 
-def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, combine: Callable) -> dict:
-    """Non-zero coefficients of weight below ``acc`` in the product of two
-    coefficient maps; ``weight`` is additive under ``combine`` of keys."""
-    den_left, left_terms = _numerators(left, weight)
-    den_right, right_terms = _numerators(right, weight)
+def _convolve(left_terms: list, right_terms: list, acc: Accuracy, combine: Callable) -> dict:
+    """Integer sums, by combined key, of the products of two weight-sorted
+    (weight, key, numerator) lists whose weights add up to less than ``acc``."""
     sums: dict = {}
     for w1, k1, v1 in left_terms:
         limit = acc - w1
@@ -56,6 +57,15 @@ def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, com
                 break
             key = combine(k1, k2)
             sums[key] = sums.get(key, 0) + v1 * v2
+    return sums
+
+
+def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, combine: Callable) -> dict:
+    """Non-zero coefficients of weight below ``acc`` in the product of two
+    coefficient maps; ``weight`` is additive under ``combine`` of keys."""
+    den_left, left_terms = _numerators(left, weight)
+    den_right, right_terms = _numerators(right, weight)
+    sums = _convolve(left_terms, right_terms, acc, combine)
     den = den_left * den_right
     return {k: v if den == 1 else Fraction(v, den) for k, v in sums.items() if v}
 
@@ -206,7 +216,20 @@ class TruncatedSeries:
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner); requires order(inner) >= 1."""
+    """outer(inner); requires order(inner) >= 1.
+
+    Writes inner = c*t + delta with v = ord(delta) >= 2 and sums the Taylor
+    expansion about c*t, outer(inner) = sum_j (D_j outer)(c*t) * delta^j,
+    where D_j outer = sum_k C(k, j) o_k t^(k-j) is the j-th divided
+    derivative (Brent & Kung, J. ACM 25 (1978), section 2).  The sum is
+    taken by Horner's rule in delta and stops once j*v reaches the result
+    accuracy N; the j-th step keeps terms below t^(N - j*v).  The cost
+    is about N/v products, so it is cheap when delta has high order and a
+    rescaling without products when delta = 0; when c = 0 it is the
+    power ladder sum_k o_k inner^k.  The arithmetic runs over integer
+    numerators with one running denominator, reduced by its content after
+    each step.
+    """
     if inner.order_lower_bound() < 1:
         raise ValidationError("inner series must have positive order")
     if not inner.coeffs:
@@ -225,21 +248,44 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         if positive:
             candidates.append(inner.accuracy + (min(positive) - 1) * v_inner)
     acc = min(candidates)
-    result = TruncatedSeries.zero(acc)
-    power = TruncatedSeries.monomial(0, 1)
-    last = 0
-    for k in sorted(outer.coeffs):
-        if acc != math.inf and k * v_inner >= acc:
-            break
-        for _ in range(k - last):
-            power = (power * inner).truncate(acc)
-        last = k
-        result = result + power.scale(outer.coeffs[k])
-    return result.truncate(acc)
+    c = Fraction(inner.coeffs.get(1, 0))
+    den_delta, delta = _numerators({k: v for k, v in inner.coeffs.items() if k != 1}, _exponent)
+    den_outer, outer_terms = _numerators(outer.coeffs, _exponent)
+    numerators = {k: a for _, k, a in outer_terms}
+    top = max(numerators, default=0)
+    v = delta[0][0] if delta else 0
+    if not delta:
+        depth = 0
+    elif acc == math.inf:
+        depth = top
+    else:
+        depth = min(top, (acc - 1) // v)
+    # c^e = lift[e] / q^top for the denominator q of c
+    lift = [c.numerator ** e * c.denominator ** (top - e) for e in range(top + 1)] if c else [1]
+    # Horner in delta; the running sum is sums / (den_outer * q^top * scale)
+    sums: dict = {}
+    scale = 1
+    for j in range(depth, -1, -1):
+        limit = acc - j * v
+        if sums:
+            sums = _convolve([(e, e, x) for e, x in sorted(sums.items()) if x], delta, limit, operator.add)
+            scale *= den_delta
+        for e in range(min(len(lift), top - j + 1, limit)):
+            a = numerators.get(j + e)
+            if a:  # the t^e coefficient of (D_j outer)(c t)
+                sums[e] = sums.get(e, 0) + math.comb(j + e, j) * a * lift[e] * scale
+        g = math.gcd(scale, *sums.values())
+        if g != 1:
+            sums = {e: x // g for e, x in sums.items()}
+            scale //= g
+    den = den_outer * c.denominator ** top * scale
+    return TruncatedSeries({e: x if den == 1 else Fraction(x, den) for e, x in sums.items() if x}, acc)
 
 
 def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a series with invertible constant term."""
+    if f.accuracy == 0:
+        raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     c0 = f.coeffs.get(0, 0)
     if not c0:
         raise ValidationError("series has no invertible constant term")
@@ -266,14 +312,16 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     """Compositional inverse h with g(h) = h(g) = t.
 
     Requires order(g) = 1 with invertible leading coefficient.  A finite
-    target accuracy must be available (from g or the argument).
+    target accuracy must be available (from g or the argument); below
+    accuracy 2 the reversal is the zero series.
     """
     if g.order_lower_bound() < 1 or 1 not in g.coeffs:
         raise ValidationError("series must have order exactly 1 to be reversed")
-    acc = g.accuracy if accuracy is None else min(g.accuracy, accuracy)
+    acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
     if acc == math.inf:
         raise ValidationError("reversal of an exact polynomial needs an explicit finite accuracy")
-    acc = int(acc)
+    if acc <= 1:
+        return TruncatedSeries.zero(acc)
     g = g.truncate(acc)
     g1 = g.coeffs[1]
     h = TruncatedSeries({1: Fraction(1, g1)}, 2)
@@ -299,6 +347,8 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """
     if n < 1:
         raise ValidationError("root index must be a positive integer")
+    if f.accuracy == 0:
+        raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     if f.coeffs.get(0, 0) != 1:
         raise ValidationError("n-th roots are only taken of unit series with constant term 1")
     if f.accuracy == math.inf and set(f.coeffs) == {0}:

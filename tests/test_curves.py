@@ -168,6 +168,17 @@ def test_reparametrize_check_rejects_a_corrupted_reversal(monkeypatch, corrupt):
         reparametrize(x, y, 4)
 
 
+@pytest.mark.parametrize("corrupt", [_perturb_one, _perturb_last])
+def test_reparametrize_check_rejects_a_corrupted_composition(monkeypatch, corrupt):
+    compose = legcurve.curves.series_compose
+    monkeypatch.setattr(legcurve.curves, "series_compose", lambda f, g: corrupt(compose(f, g)))
+    u = TruncatedSeries({1: 1, 2: 1}, math.inf)
+    x = (u ** 4).truncate(24)
+    y = (u ** 9).truncate(24)
+    with pytest.raises(ContactDefectError):
+        reparametrize(x, y, 4)
+
+
 def test_integer_nth_root():
     assert integer_nth_root(8, 3) == 2
     assert integer_nth_root(10 ** 30, 3) == 10 ** 10

@@ -125,6 +125,11 @@ def test_inverse_unit_geometric_series():
     assert (f * g).agrees_with(S({0: 1}))
 
 
+def test_inverse_unit_of_an_accuracy_zero_series_names_the_accuracy():
+    with pytest.raises(InsufficientPrecisionError, match="t\\^0"):
+        series_inverse_unit(S({}, 0))
+
+
 def test_inverse_unit_stays_exact_rational():
     g = series_inverse_unit(S({0: 2, 1: 1}, 4))
     assert g.coefficient(0) == Fraction(1, 2)
@@ -150,6 +155,22 @@ def test_reverse_requires_order_one():
         series_reverse(S({2: 1}, 5))
 
 
+@pytest.mark.parametrize("accuracy", [0, 1])
+def test_reverse_below_accuracy_two_is_zero(accuracy):
+    g = series_reverse(S({1: 2, 2: 1}), accuracy=accuracy)
+    assert g == S({}, accuracy)
+
+
+def test_reverse_at_accuracy_two_is_the_linear_inverse():
+    assert series_reverse(S({1: 2, 2: 1}), accuracy=2) == S({1: Fraction(1, 2)}, 2)
+
+
+@pytest.mark.parametrize("accuracy", [2.5, -1])
+def test_reverse_rejects_an_invalid_accuracy(accuracy):
+    with pytest.raises(ValidationError, match="accuracy"):
+        series_reverse(S({1: 2, 2: 1}), accuracy=accuracy)
+
+
 def test_nth_root_binomial_fixture():
     f = S({0: 1, 1: 1}, 4)
     g = series_nth_root(f, 3)
@@ -170,6 +191,11 @@ def test_nth_root_of_perfect_square():
 def test_nth_root_requires_unit_one():
     with pytest.raises(ValidationError):
         series_nth_root(S({0: 2}, 4), 2)
+
+
+def test_nth_root_of_an_accuracy_zero_series_names_the_accuracy():
+    with pytest.raises(InsufficientPrecisionError, match="t\\^0"):
+        series_nth_root(S({}, 0), 3)
 
 
 def test_nth_root_consistency():
@@ -215,3 +241,75 @@ def test_product_matches_naive_fraction_convolution(a, b):
     assert product.coeffs == coeffs
     assert product.accuracy == acc
     assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())
+
+
+# -- composition against a naive power ladder ---------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _coprime(numerators, offset, accuracy):
+    """A series whose t^k coefficient has the prime denominator PRIMES[offset + k]."""
+    return S({k: Fraction(x, PRIMES[offset + k]) for k, x in numerators.items()}, accuracy)
+
+
+def _split(c, delta, accuracy):
+    """The inner series c*t + delta."""
+    return S({1: c, **delta}, accuracy)
+
+
+INNER_ACCURACIES = st.one_of(st.just(math.inf), st.integers(1, 16))
+INNER = st.one_of(
+    st.builds(_split, RATIONALS, st.dictionaries(st.integers(2, 12), RATIONALS, max_size=6), INNER_ACCURACIES),
+    st.builds(_split, RATIONALS, st.dictionaries(st.integers(7, 20), RATIONALS, max_size=3), INNER_ACCURACIES),
+    st.builds(_split, st.just(0), st.dictionaries(st.integers(2, 6), RATIONALS, max_size=4), INNER_ACCURACIES),
+    st.builds(_coprime, st.dictionaries(st.integers(1, 8), st.integers(-HUGE, HUGE), max_size=5), st.just(13),
+              INNER_ACCURACIES),
+).filter(lambda inner: inner.coeffs)
+OUTER = st.one_of(
+    SERIES,
+    st.builds(_coprime, st.dictionaries(st.integers(0, 12), st.integers(-HUGE, HUGE), max_size=6), st.just(0),
+              ACCURACIES),
+)
+
+
+def naive_compose(outer, inner):
+    """sum_k o_k inner^k by a Fraction power ladder, and the accuracy it is
+    known to: min(N_outer * v, N_inner + (k0 - 1) * v) for v = ord(inner)
+    and k0 the least positive exponent of outer (or N_outer)."""
+    v = min(inner.coeffs)
+    k0 = min([k for k in outer.coeffs if k >= 1] + [outer.accuracy])
+    acc = min(outer.accuracy * v, inner.accuracy + (k0 - 1) * v)
+    out, power = {}, {0: Fraction(1)}
+    for k in range(max(outer.coeffs, default=-1) + 1):
+        if k * v >= acc:
+            break
+        for e, x in power.items():
+            out[e] = out.get(e, 0) + outer.coeffs.get(k, 0) * x
+        step = {}
+        for e1, x1 in power.items():
+            for e2, x2 in inner.coeffs.items():
+                if e1 + e2 < acc:
+                    step[e1 + e2] = step.get(e1 + e2, 0) + x1 * Fraction(x2)
+        power = step
+    return {e: x for e, x in out.items() if x}, acc
+
+
+@settings(max_examples=200, deadline=None)
+@example(S({0: 5, 1: 1, 3: 2}, 10), S({1: 3, 2: Fraction(1, 2), 5: -1}, 9))  # c != 0, constant term
+@example(S({2: 1, 4: Fraction(-1, 3)}), S({1: Fraction(-2, 3)}))  # inner exactly c*t
+@example(S({1: 1, 2: 1, 3: 1}, 7), S({2: 1, 3: 5}, 8))  # c = 0
+@example(S({1: 2, 2: -1, 5: 3}, 14), S({1: 1, 11: 7}))  # delta of high order
+@example(S({}), S({1: 1, 2: 1}, 6))  # zero outer
+@example(S({}, 4), S({1: 2, 3: 1}))
+@example(
+    S({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 5), 3: Fraction(1, 7)}),
+    S({1: Fraction(1, 11), 2: Fraction(1, 13), 4: Fraction(1, 17)}, 9),
+)  # pairwise coprime denominators
+@given(OUTER, INNER)
+def test_compose_matches_power_ladder(outer, inner):
+    composed = series_compose(outer, inner)
+    coeffs, acc = naive_compose(outer, inner)
+    assert composed.coeffs == coeffs
+    assert composed.accuracy == acc
+    assert all(type(v) in (int, Fraction) and v for v in composed.coeffs.values())
