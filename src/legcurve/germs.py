@@ -6,6 +6,18 @@ along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
 rational coefficients for monomials of weighted valuation below
 ``accuracy``.
+
+Inputs are validated where they enter: the public constructor ``Germ(...)``
+checks the weights, the accuracy and every monomial (a triple of
+non-negative ``int``s), ``Germ.coefficient`` checks the monomial it is
+asked for, and ``truncate`` checks its accuracy.  The arithmetic (``-``,
+``+``, ``scale``, ``truncate``, ``*``, ``partial``, ``p_parts``) builds its
+results with the private ``Germ._trusted``, which skips those checks because
+its keys come from germs that passed them; it only drops zero values and
+monomials at or above the accuracy.  Products look each monomial up in the
+module table ``_MONOMIALS``, so equal monomials of different products share
+one key tuple.  The table holds exponent triples only, so it is bounded by
+the number of distinct monomials that products produce.
 """
 
 from __future__ import annotations
@@ -20,9 +32,17 @@ from .series import Accuracy, TruncatedSeries, _check_accuracy, _product
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
 
+# monomial -> the one key tuple that every product containing it uses
+_MONOMIALS: dict[Monomial, Monomial] = {}
+
 
 def _add_monomials(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _check_monomial(mono) -> None:
+    if not (isinstance(mono, tuple) and len(mono) == 3 and all(type(e) is int and e >= 0 for e in mono)):
+        raise ValidationError(f"monomial must be a triple of non-negative integers, got {mono!r}")
 
 
 def contact_weights(n: int, m: int) -> tuple[int, int, int]:
@@ -41,15 +61,28 @@ class Germ:
         self.accuracy = _check_accuracy(accuracy)
         self.coeffs: dict[Monomial, object] = {}
         for mono, value in coeffs.items():
-            if any(e < 0 for e in mono):
-                raise ValidationError(f"negative exponent in monomial {mono}")
+            _check_monomial(mono)
             if value and self.valuation_of(mono) < accuracy:
                 self.coeffs[mono] = value
+
+    @staticmethod
+    def _trusted(weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy) -> "Germ":
+        """A germ from already valid weights, accuracy and monomials: keeps
+        the non-zero values of weighted valuation below ``accuracy``."""
+        g = object.__new__(Germ)
+        g.weights = weights
+        g.accuracy = accuracy
+        w0, w1, w2 = weights
+        g.coeffs = {
+            k: v for k, v in coeffs.items() if v and k[0] * w0 + k[1] * w1 + k[2] * w2 < accuracy
+        }
+        return g
 
     # -- structure ---------------------------------------------------------
 
     def valuation_of(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        w = self.weights
+        return mono[0] * w[0] + mono[1] * w[1] + mono[2] * w[2]
 
     @staticmethod
     def zero(weights: tuple[int, int, int], accuracy: Accuracy = math.inf) -> "Germ":
@@ -66,6 +99,7 @@ class Germ:
         return Germ(weights, {tuple(mono): 1}, accuracy)
 
     def coefficient(self, mono: Monomial):
+        _check_monomial(mono)
         if self.valuation_of(mono) >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of {mono} has weighted order >= accuracy {self.accuracy}"
@@ -78,10 +112,8 @@ class Germ:
         return self.accuracy
 
     def valuation(self) -> Accuracy:
-        if self.coeffs:
-            return min(self.valuation_of(mono) for mono in self.coeffs)
-        if self.accuracy == math.inf:
-            return math.inf
+        if self.coeffs or self.accuracy == math.inf:
+            return self.valuation_lower_bound()
         raise InsufficientPrecisionError("germ vanishes to stated accuracy; valuation unknown")
 
     def is_zero(self) -> bool:
@@ -134,10 +166,10 @@ class Germ:
     # -- arithmetic ----------------------------------------------------------
 
     def truncate(self, accuracy: Accuracy) -> "Germ":
-        return Germ(self.weights, self.coeffs, min(self.accuracy, accuracy))
+        return Germ._trusted(self.weights, self.coeffs, min(self.accuracy, _check_accuracy(accuracy)))
 
     def __neg__(self) -> "Germ":
-        return Germ(self.weights, {k: -v for k, v in self.coeffs.items()}, self.accuracy)
+        return Germ._trusted(self.weights, {k: -v for k, v in self.coeffs.items()}, self.accuracy)
 
     def __add__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
@@ -150,15 +182,15 @@ class Germ:
                 merged[k] = s
             else:
                 merged.pop(k, None)
-        return Germ(self.weights, merged, min(self.accuracy, other.accuracy))
+        return Germ._trusted(self.weights, merged, min(self.accuracy, other.accuracy))
 
     def __sub__(self, other: "Germ") -> "Germ":
         return self + (-other)
 
     def scale(self, scalar) -> "Germ":
         if not scalar:
-            return Germ(self.weights, {}, self.accuracy)
-        return Germ(self.weights, {k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
+            return Germ._trusted(self.weights, {}, self.accuracy)
+        return Germ._trusted(self.weights, {k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
 
     def __mul__(self, other: "Germ") -> "Germ":
         if not isinstance(other, Germ):
@@ -173,7 +205,8 @@ class Germ:
             other.accuracy + self.valuation_lower_bound(),
         )
         out = _product(self.coeffs, other.coeffs, acc, self.valuation_of, _add_monomials)
-        return Germ(self.weights, out, acc)
+        shared = _MONOMIALS.setdefault
+        return Germ._trusted(self.weights, {shared(k, k): v for k, v in out.items()}, acc)
 
     def __pow__(self, exponent: int) -> "Germ":
         if exponent < 0:
@@ -190,14 +223,14 @@ class Germ:
     def partial(self, axis: str) -> "Germ":
         idx = AXES.index(axis)
         weight = self.weights[idx]
-        acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy - weight, 0)
+        acc = max(self.accuracy - weight, 0)
         out: dict[Monomial, object] = {}
         for mono, value in self.coeffs.items():
             if mono[idx]:
                 key = list(mono)
                 key[idx] -= 1
                 out[tuple(key)] = mono[idx] * value
-        return Germ(self.weights, out, acc)
+        return Germ._trusted(self.weights, out, acc)
 
     # -- p-power decomposition (used by the Cauchy solver) --------------------
 
@@ -207,14 +240,10 @@ class Germ:
         parts: dict[int, dict[Monomial, object]] = {}
         for (i, j, l), value in self.coeffs.items():
             parts.setdefault(l, {})[(i, j, 0)] = value
-        out: dict[int, Germ] = {}
         degrees = set(parts)
         if self.accuracy != math.inf:
-            degrees |= set(range(0, int(self.accuracy) // wp + 1))
-        for l in degrees:
-            acc = self.accuracy if self.accuracy == math.inf else self.accuracy - l * wp
-            out[l] = Germ(self.weights, parts.get(l, {}), max(acc, 0) if acc != math.inf else acc)
-        return out
+            degrees |= set(range(self.accuracy // wp + 1))
+        return {l: Germ._trusted(self.weights, parts.get(l, {}), self.accuracy - l * wp) for l in degrees}
 
     @staticmethod
     def from_p_parts(weights: tuple[int, int, int], parts: Mapping[int, "Germ"]) -> "Germ":
@@ -222,8 +251,7 @@ class Germ:
         coeffs: dict[Monomial, object] = {}
         acc: Accuracy = math.inf
         for l, part in parts.items():
-            part_acc = part.accuracy if part.accuracy == math.inf else part.accuracy + l * wp
-            acc = min(acc, part_acc)
+            acc = min(acc, part.accuracy + l * wp)
             for (i, j, zero), value in part.coeffs.items():
                 if zero:
                     raise ValidationError("p-part germs must not contain p")

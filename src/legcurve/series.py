@@ -315,6 +315,10 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     target accuracy must be available (from g or the argument); below
     accuracy 2 the reversal is the zero series.
     """
+    if g.accuracy <= 1 and not g.coeffs:
+        raise InsufficientPrecisionError(
+            f"series is only exact below t^{g.accuracy}; its t^1 coefficient is unknown"
+        )
     if g.order_lower_bound() < 1 or 1 not in g.coeffs:
         raise ValidationError("series must have order exactly 1 to be reversed")
     acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, ValidationError
 from legcurve.germs import (
+    AXES,
     Germ,
     contact_weights,
     evaluate_on_series,
@@ -184,3 +185,74 @@ def test_product_matches_naive_fraction_convolution(a, b):
     assert product.coeffs == coeffs
     assert product.accuracy == acc
     assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())
+
+
+# -- the trusted arithmetic path against the public constructor ----------------------
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [(1, 0), (1, 0, 0, 2), (1.5, 0, 0), (Fraction(1), 0, 0), (True, 0, 0), (-1, 0, 0), "xyp"],
+    ids=["pair", "quadruple", "float", "fraction", "bool", "negative", "string"],
+)
+def test_malformed_monomials_are_rejected(mono):
+    with pytest.raises(ValidationError, match="monomial"):
+        G({mono: 1})
+    with pytest.raises(ValidationError, match="monomial"):
+        G({(1, 0, 0): 1}).coefficient(mono)
+
+
+@pytest.mark.parametrize("accuracy", [math.inf, 2, 20])
+@pytest.mark.parametrize("bad", [2.5, -1])
+def test_truncate_rejects_an_invalid_accuracy(bad, accuracy):
+    with pytest.raises(ValidationError, match="accuracy"):
+        G({(0, 0, 0): 1}, accuracy).truncate(bad)
+
+
+def test_products_share_monomial_keys():
+    a = G({(1, 0, 0): 2}) * G({(0, 1, 1): 3})
+    b = G({(1, 1, 0): 5}) * G({(0, 0, 1): 7})
+    (key_a,), (key_b,) = a.coeffs, b.coeffs
+    assert key_a == (1, 1, 1)
+    assert key_a is key_b
+
+
+def summed(a, b, sign):
+    out = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, 0) + sign * v
+    return out
+
+
+def partial_coeffs(g, idx):
+    out = {}
+    for mono, v in g.coeffs.items():
+        if mono[idx]:
+            key = list(mono)
+            key[idx] -= 1
+            out[tuple(key)] = mono[idx] * v
+    return out
+
+
+SCALARS = st.one_of(st.just(0), RATIONALS)
+
+
+@settings(max_examples=150, deadline=None)
+@example(G({}), G({}, 9), 0, 0)
+@example(G({(0, 0, 0): HUGE, (1, 0, 1): Fraction(1, 3)}, 17), G({(1, 0, 1): Fraction(-1, 3)}), Fraction(1, HUGE), 10)
+@given(GERMS, GERMS, SCALARS, ACCURACIES)
+def test_trusted_results_equal_the_public_constructor(a, b, scalar, cut):
+    assert -a == G({k: -v for k, v in a.coeffs.items()}, a.accuracy)
+    assert a + b == G(summed(a, b, 1), min(a.accuracy, b.accuracy))
+    assert a - b == G(summed(a, b, -1), min(a.accuracy, b.accuracy))
+    assert a.scale(scalar) == G({k: scalar * v for k, v in a.coeffs.items()}, a.accuracy)
+    assert a.truncate(cut) == G(a.coeffs, min(a.accuracy, cut))
+    assert a * b == G(*naive_product(a, b))
+    for idx, axis in enumerate(AXES):
+        acc = a.accuracy if a.accuracy == math.inf else max(a.accuracy - W[idx], 0)
+        assert a.partial(axis) == G(partial_coeffs(a, idx), acc)
+    parts = a.p_parts()
+    for l, part in parts.items():
+        acc = a.accuracy if a.accuracy == math.inf else max(a.accuracy - l * W[2], 0)
+        assert part == G({(i, j, 0): v for (i, j, e), v in a.coeffs.items() if e == l}, acc)
+    assert set(parts) >= {l for (_, _, l) in a.coeffs}

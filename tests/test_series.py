@@ -156,6 +156,18 @@ def test_reverse_requires_order_one():
 
 
 @pytest.mark.parametrize("accuracy", [0, 1])
+def test_reverse_of_an_unknown_linear_term_names_the_accuracy(accuracy):
+    with pytest.raises(InsufficientPrecisionError, match=f"exact below t\\^{accuracy}"):
+        series_reverse(S({}, accuracy))
+
+
+@pytest.mark.parametrize("series", [S({}, 3), S({2: 1}), S({0: 1}, 1)], ids=["zero-to-3", "t^2", "constant"])
+def test_reverse_of_a_known_wrong_order_is_a_validation_error(series):
+    with pytest.raises(ValidationError, match="order exactly 1"):
+        series_reverse(series)
+
+
+@pytest.mark.parametrize("accuracy", [0, 1])
 def test_reverse_below_accuracy_two_is_zero(accuracy):
     g = series_reverse(S({1: 2, 2: 1}), accuracy=accuracy)
     assert g == S({}, accuracy)
