@@ -28,6 +28,7 @@ from .errors import (
 from .contact import act_on_curve, solve_contact
 from .expansion import ExpansionContext, determinant
 from .expressions import format_scalar, parse_germ
+from .germs import monomials_in_valuation_range
 from .moduli import equivalent_curves, normal_form
 from .oracle import conormal_semigroup
 from .sampling import random_curve, trial_rng
@@ -62,10 +63,6 @@ def _read_curve(path: str):
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
     return load_curve(text)
-
-
-def _strongly_generic(n: int, m: int) -> bool:
-    return m >= 2 * n + 1
 
 
 # -- gamma -----------------------------------------------------------------------
@@ -120,7 +117,7 @@ def cmd_semigroup(args) -> int:
     semigroup = conormal_semigroup(curve)
     n, m = curve.n, curve.m
     generic = None
-    if _strongly_generic(n, m):
+    if curve.in_strong_generic_position():
         generic = semigroup == generic_semigroup_descent(n, m)[0]
     if args.json:
         _emit_json(
@@ -310,18 +307,11 @@ def cmd_verify_generic(args) -> int:
 def _upsilon_indices(ctx: ExpansionContext, need_x: bool = False):
     """Monomial indices with non-negative entries and valuation below the
     cutoff; need_x restricts to i >= 1 and l >= 1 for the derivative check."""
-    n, m = ctx.n, ctx.m
-    wp = m - n
-    bound = ctx.cutoff - 1
-    out = []
-    for l in range(bound // wp + 1):
-        for j in range((bound - wp * l) // m + 1):
-            rest = bound - m * j - wp * l
-            for i in range(rest // n + 1):
-                if need_x and (i < 1 or l < 1):
-                    continue
-                out.append((i, j, l))
-    return sorted(out)
+    return sorted(
+        (i, j, l)
+        for i, j, l in monomials_in_valuation_range(ctx.n, ctx.m, 0, ctx.cutoff)
+        if not need_x or (i >= 1 and l >= 1)
+    )
 
 
 def _check_direct_vs_closed(ctx: ExpansionContext):

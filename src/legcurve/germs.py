@@ -10,14 +10,16 @@ rational coefficients for monomials of weighted valuation below
 Inputs are validated where they enter: the public constructor ``Germ(...)``
 checks the weights, the accuracy and every monomial (a triple of
 non-negative ``int``s), ``Germ.coefficient`` checks the monomial it is
-asked for, and ``truncate`` checks its accuracy.  The arithmetic (``-``,
-``+``, ``scale``, ``truncate``, ``*``, ``partial``, ``p_parts``) builds its
-results with the private ``Germ._trusted``, which skips those checks because
-its keys come from germs that passed them; it only drops zero values and
-monomials at or above the accuracy.  Products look each monomial up in the
-module table ``_MONOMIALS``, so equal monomials of different products share
-one key tuple.  The table holds exponent triples only, so it is bounded by
-the number of distinct monomials that products produce.
+asked for, and ``truncate`` checks its accuracy.  The arithmetic is the
+one ``TruncatedSeries`` uses (``series._Truncated``, keyed here by the
+weighted valuation); it builds results without re-validating keys that
+come from germs that passed those checks, and filters only in ``truncate``
+and in sums of germs of different accuracies (see ``series``).
+``partial`` and ``p_parts`` lower the accuracy by exactly the weight they
+take off each monomial, so they need no filter either.  Products look each
+monomial up in the table ``_Truncated._KEYS``, so equal monomials of
+different products share one key tuple; the table holds keys only, so it
+is bounded by the number of distinct monomials that products produce.
 """
 
 from __future__ import annotations
@@ -27,17 +29,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy, _product
+from .series import Accuracy, TruncatedSeries, _check_accuracy, _Truncated
 
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
-
-# monomial -> the one key tuple that every product containing it uses
-_MONOMIALS: dict[Monomial, Monomial] = {}
-
-
-def _add_monomials(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _check_monomial(mono) -> None:
@@ -51,8 +46,25 @@ def contact_weights(n: int, m: int) -> tuple[int, int, int]:
     return (n, m, m - n)
 
 
-class Germ:
-    __slots__ = ("weights", "coeffs", "accuracy")
+def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Monomial]:
+    """All (i, j, l) with low <= n*i + m*j + (m-n)*l < high, sorted by
+    (valuation, i, j, l)."""
+    wx, wy, wp = contact_weights(n, m)
+    found = []
+    for j in range(high // wy + 1):
+        for l in range((high - wy * j) // wp + 1):
+            base = wy * j + wp * l
+            # i from ceil((low - base) / wx) while the valuation stays below high
+            for i in range(max(0, -((base - low) // wx)), (high - 1 - base) // wx + 1):
+                found.append((base + wx * i, (i, j, l)))
+    found.sort()
+    return [mono for _, mono in found]
+
+
+class Germ(_Truncated):
+    __slots__ = ("weights",)
+
+    _ONE = (0, 0, 0)
 
     def __init__(self, weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy):
         if len(weights) != 3 or any(w <= 0 for w in weights):
@@ -65,24 +77,17 @@ class Germ:
             if value and self.valuation_of(mono) < accuracy:
                 self.coeffs[mono] = value
 
-    @staticmethod
-    def _trusted(weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy) -> "Germ":
-        """A germ from already valid weights, accuracy and monomials: keeps
-        the non-zero values of weighted valuation below ``accuracy``."""
-        g = object.__new__(Germ)
-        g.weights = weights
-        g.accuracy = accuracy
-        w0, w1, w2 = weights
-        g.coeffs = {
-            k: v for k, v in coeffs.items() if v and k[0] * w0 + k[1] * w1 + k[2] * w2 < accuracy
-        }
-        return g
-
     # -- structure ---------------------------------------------------------
 
     def valuation_of(self, mono: Monomial) -> int:
         w = self.weights
         return mono[0] * w[0] + mono[1] * w[1] + mono[2] * w[2]
+
+    _weight = valuation_of
+
+    @staticmethod
+    def _combine(a: Monomial, b: Monomial) -> Monomial:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
     @staticmethod
     def zero(weights: tuple[int, int, int], accuracy: Accuracy = math.inf) -> "Germ":
@@ -106,45 +111,18 @@ class Germ:
             )
         return self.coeffs.get(mono, 0)
 
-    def valuation_lower_bound(self) -> Accuracy:
-        if self.coeffs:
-            return min(self.valuation_of(mono) for mono in self.coeffs)
-        return self.accuracy
+    valuation_lower_bound = _Truncated._weight_lower_bound
 
     def valuation(self) -> Accuracy:
         if self.coeffs or self.accuracy == math.inf:
             return self.valuation_lower_bound()
         raise InsufficientPrecisionError("germ vanishes to stated accuracy; valuation unknown")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def in_maximal_ideal(self) -> bool:
         """True when the germ vanishes at the origin."""
         if self.accuracy <= 0:
             raise InsufficientPrecisionError("accuracy 0 germ: value at origin unknown")
         return (0, 0, 0) not in self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (self.valuation_of(kv[0]), kv[0]))
-
-    def agrees_with(self, other: "Germ") -> bool:
-        self._check_compatible(other)
-        bound = min(self.accuracy, other.accuracy)
-        keys = {k for k in self.coeffs if self.valuation_of(k) < bound}
-        keys |= {k for k in other.coeffs if other.valuation_of(k) < bound}
-        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return (
-            self.weights == other.weights
-            and self.coeffs == other.coeffs
-            and self.accuracy == other.accuracy
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         def fmt(mono: Monomial, value) -> str:
@@ -159,66 +137,7 @@ class Germ:
         acc = "inf" if self.accuracy == math.inf else str(self.accuracy)
         return f"Germ({body}; accuracy={acc})"
 
-    def _check_compatible(self, other: "Germ") -> None:
-        if self.weights != other.weights:
-            raise ValidationError("germs live in differently weighted rings")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def truncate(self, accuracy: Accuracy) -> "Germ":
-        return Germ._trusted(self.weights, self.coeffs, min(self.accuracy, _check_accuracy(accuracy)))
-
-    def __neg__(self) -> "Germ":
-        return Germ._trusted(self.weights, {k: -v for k, v in self.coeffs.items()}, self.accuracy)
-
-    def __add__(self, other: "Germ") -> "Germ":
-        if not isinstance(other, Germ):
-            return NotImplemented
-        self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = merged.get(k, 0) + v
-            if s:
-                merged[k] = s
-            else:
-                merged.pop(k, None)
-        return Germ._trusted(self.weights, merged, min(self.accuracy, other.accuracy))
-
-    def __sub__(self, other: "Germ") -> "Germ":
-        return self + (-other)
-
-    def scale(self, scalar) -> "Germ":
-        if not scalar:
-            return Germ._trusted(self.weights, {}, self.accuracy)
-        return Germ._trusted(self.weights, {k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
-
-    def __mul__(self, other: "Germ") -> "Germ":
-        if not isinstance(other, Germ):
-            return NotImplemented
-        self._check_compatible(other)
-        if (not self.coeffs and self.accuracy == math.inf) or (
-            not other.coeffs and other.accuracy == math.inf
-        ):
-            return Germ.zero(self.weights)
-        acc = min(
-            self.accuracy + other.valuation_lower_bound(),
-            other.accuracy + self.valuation_lower_bound(),
-        )
-        out = _product(self.coeffs, other.coeffs, acc, self.valuation_of, _add_monomials)
-        shared = _MONOMIALS.setdefault
-        return Germ._trusted(self.weights, {shared(k, k): v for k, v in out.items()}, acc)
-
-    def __pow__(self, exponent: int) -> "Germ":
-        if exponent < 0:
-            raise ValidationError("negative germ powers are not supported")
-        result = Germ.constant(self.weights, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+    # -- operations of germs ---------------------------------------------------
 
     def partial(self, axis: str) -> "Germ":
         idx = AXES.index(axis)
@@ -230,7 +149,7 @@ class Germ:
                 key = list(mono)
                 key[idx] -= 1
                 out[tuple(key)] = mono[idx] * value
-        return Germ._trusted(self.weights, out, acc)
+        return self._unchecked(out, acc)
 
     # -- p-power decomposition (used by the Cauchy solver) --------------------
 
@@ -243,7 +162,7 @@ class Germ:
         degrees = set(parts)
         if self.accuracy != math.inf:
             degrees |= set(range(self.accuracy // wp + 1))
-        return {l: Germ._trusted(self.weights, parts.get(l, {}), self.accuracy - l * wp) for l in degrees}
+        return {l: self._unchecked(parts.get(l, {}), self.accuracy - l * wp) for l in degrees}
 
     @staticmethod
     def from_p_parts(weights: tuple[int, int, int], parts: Mapping[int, "Germ"]) -> "Germ":
@@ -342,7 +261,7 @@ def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
     """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
     values = (x_value, y_value, p_value)
     for value in values:
-        g._check_compatible(value)
+        g._check_ring(value)
         if value.valuation_lower_bound() < 1:
             raise ValidationError("substituted germs must vanish at the origin")
     orders = tuple(v.valuation_lower_bound() for v in values)

@@ -23,25 +23,9 @@ from fractions import Fraction
 
 from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
-from .germs import Germ, Monomial, contact_weights
+from .germs import Germ, Monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
 from .series import TruncatedSeries, _numerators
-
-
-def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Monomial]:
-    """All (i, j, l) with low <= n*i + m*j + (m-n)*l < high, sorted by
-    (valuation, i, j, l)."""
-    wx, wy, wp = contact_weights(n, m)
-    found = []
-    for j in range(high // wy + 1):
-        for l in range((high - wy * j) // wp + 1):
-            base = wy * j + wp * l
-            for i in range((high - 1 - base) // wx + 1):
-                v = base + wx * i
-                if low <= v < high:
-                    found.append((v, (i, j, l)))
-    found.sort()
-    return [mono for _, mono in found]
 
 
 class EchelonRow:

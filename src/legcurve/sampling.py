@@ -20,8 +20,7 @@ from .contact import (
     solve_contact,
 )
 from .curves import PlaneCurveGerm, default_accuracy
-from .germs import Germ, contact_weights
-from .oracle import monomials_in_valuation_range
+from .germs import Germ, contact_weights, monomials_in_valuation_range
 
 SEED_STRIDE = 1_000_003
 

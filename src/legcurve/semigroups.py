@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContactDefectError, ValidationError
+from .germs import monomials_in_valuation_range
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,7 @@ def two_generator_semigroup(a: int, b: int) -> NumericalSemigroup:
 def weighted_monomial_count(value: int, n: int, m: int) -> int:
     """Number of monomials x^a y^b p^c of weighted order exactly ``value``
     for the weights (n, m, m-n)."""
-    if value < 0:
-        return 0
-    count = 0
-    for b in range(value // m + 1):
-        rest_b = value - m * b
-        for c in range(rest_b // (m - n) + 1):
-            rest = rest_b - (m - n) * c
-            if rest % n == 0:
-                count += 1
-    return count
+    return len(monomials_in_valuation_range(n, m, value, value + 1))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,20 @@ with the order of the inner series' perturbation; see ``series_compose``.
 Every operation propagates accuracy pessimistically and reading a
 coefficient at or beyond the bound raises, so precision loss is never
 silent.
+
+The arithmetic of exact coefficients below an accuracy is the same for
+these series and for the germs of ``germs.py``; only the weight of a key
+differs (the exponent here, the weighted valuation there).  It is written
+once, in the private base class ``_Truncated``: negation, sums, scaling,
+truncation, products, powers and comparison.  The public constructors
+validate every key and the accuracy; arithmetic results are built by
+``_Truncated._unchecked``, which keeps the dict it is given.  Results are
+filtered only where they can hold a zero value or a key at or above the
+accuracy: ``truncate`` drops the keys at or above its accuracy, and ``+``
+truncates the operand of larger accuracy and drops the sums that cancel.
+Negation, scaling by a non-zero scalar, products (``_product`` keeps only
+non-zero sums below the accuracy), shifts and derivatives map valid
+entries to valid entries, so filtering them again would only cost time.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ Accuracy = int | float  # int, or math.inf for exact data
 def _check_accuracy(value: Accuracy) -> Accuracy:
     if value == math.inf:
         return math.inf
-    if isinstance(value, int) and value >= 0:
+    if type(value) is int and value >= 0:
         return value
     raise ValidationError(f"accuracy must be a non-negative integer or infinity, got {value!r}")
 
@@ -60,29 +74,155 @@ def _convolve(left_terms: list, right_terms: list, acc: Accuracy, combine: Calla
     return sums
 
 
-def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, combine: Callable) -> dict:
+def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, combine: Callable,
+             keys: dict) -> dict:
     """Non-zero coefficients of weight below ``acc`` in the product of two
-    coefficient maps; ``weight`` is additive under ``combine`` of keys."""
+    coefficient maps; ``weight`` is additive under ``combine`` of keys.
+    Each key of the result is the one object that ``keys`` holds for it."""
     den_left, left_terms = _numerators(left, weight)
     den_right, right_terms = _numerators(right, weight)
     sums = _convolve(left_terms, right_terms, acc, combine)
     den = den_left * den_right
-    return {k: v if den == 1 else Fraction(v, den) for k, v in sums.items() if v}
+    shared = keys.setdefault
+    return {shared(k, k): v if den == 1 else Fraction(v, den) for k, v in sums.items() if v}
 
 
-def _exponent(k: int) -> int:
-    return k
+class _Truncated:
+    """Exact coefficients of the terms whose weight is below ``accuracy``.
 
+    The arithmetic that ``TruncatedSeries`` and ``germs.Germ`` share.  A
+    subclass supplies the weight of a key (``_weight``), the key of a
+    product of two terms (``_combine``), the key of the constant term
+    (``_ONE``) and, as its own ``__slots__``, the fields that fix its ring
+    (the weights of a germ): operands must agree on them, and results copy
+    them.
+    """
 
-class TruncatedSeries:
     __slots__ = ("coeffs", "accuracy")
+
+    # key -> the one key object that every product containing it uses
+    _KEYS: dict = {}
+
+    def _unchecked(self, coeffs: dict, accuracy: Accuracy):
+        """A result in the ring of ``self``, built without checks: ``coeffs``
+        must hold valid keys of weight below ``accuracy`` with non-zero
+        values only."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, getattr(self, name))
+        out.coeffs = coeffs
+        out.accuracy = accuracy
+        return out
+
+    def _check_ring(self, other: object) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        for name in type(self).__slots__:
+            if getattr(self, name) != getattr(other, name):
+                raise ValidationError(f"operands differ in their {name}")
+
+    def _weight_lower_bound(self) -> Accuracy:
+        return min(map(self._weight, self.coeffs)) if self.coeffs else self.accuracy
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def items(self):
+        """The (key, value) pairs sorted by weight, then key."""
+        weight = self._weight
+        return sorted(self.coeffs.items(), key=lambda kv: (weight(kv[0]), kv[0]))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.coeffs == other.coeffs
+            and self.accuracy == other.accuracy
+            and all(getattr(self, name) == getattr(other, name) for name in type(self).__slots__)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def agrees_with(self, other) -> bool:
+        """Equality of all coefficients below the smaller accuracy."""
+        self._check_ring(other)
+        bound = min(self.accuracy, other.accuracy)
+        return self.truncate(bound).coeffs == other.truncate(bound).coeffs
+
+    # -- arithmetic (filtered only in truncate and +; see the module docstring) --
+
+    def truncate(self, accuracy: Accuracy):
+        accuracy = _check_accuracy(accuracy)
+        if accuracy >= self.accuracy:
+            return self
+        weight = self._weight
+        return self._unchecked({k: v for k, v in self.coeffs.items() if weight(k) < accuracy}, accuracy)
+
+    def __neg__(self):
+        return self._unchecked({k: -v for k, v in self.coeffs.items()}, self.accuracy)
+
+    def __add__(self, other):
+        self._check_ring(other)
+        if self.accuracy != other.accuracy:
+            acc = min(self.accuracy, other.accuracy)
+            return self.truncate(acc) + other.truncate(acc)
+        merged = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            s = merged.get(k, 0) + v
+            if s:
+                merged[k] = s
+            else:
+                del merged[k]
+        return self._unchecked(merged, self.accuracy)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._unchecked({}, self.accuracy)
+        return self._unchecked({k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
+
+    def __mul__(self, other):
+        self._check_ring(other)
+        if (not self.coeffs and self.accuracy == math.inf) or (
+            not other.coeffs and other.accuracy == math.inf
+        ):
+            return self._unchecked({}, math.inf)
+        acc = min(
+            self.accuracy + other._weight_lower_bound(),
+            other.accuracy + self._weight_lower_bound(),
+        )
+        out = _product(self.coeffs, other.coeffs, acc, self._weight, self._combine, self._KEYS)
+        return self._unchecked(out, acc)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValidationError("negative powers are not supported")
+        result = self._unchecked({self._ONE: 1}, math.inf)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+
+class TruncatedSeries(_Truncated):
+    __slots__ = ()
+
+    # the weight of t^k is k
+    _weight = int
+    _combine = operator.add
+    _ONE = 0
 
     def __init__(self, coeffs: Mapping[int, object], accuracy: Accuracy):
         self.accuracy = _check_accuracy(accuracy)
         self.coeffs: dict[int, object] = {}
         for k, v in coeffs.items():
-            if k < 0:
-                raise ValidationError(f"negative exponent {k}")
+            if type(k) is not int or k < 0:
+                raise ValidationError(f"exponent must be a non-negative integer, got {k!r}")
             if k < self.accuracy and v:
                 self.coeffs[k] = v
 
@@ -107,109 +247,33 @@ class TruncatedSeries:
 
     def order(self) -> Accuracy:
         """Exact order of the series; infinity for the exact zero series."""
-        if self.coeffs:
-            return min(self.coeffs)
-        if self.accuracy == math.inf:
-            return math.inf
+        if self.coeffs or self.accuracy == math.inf:
+            return self.order_lower_bound()
         raise InsufficientPrecisionError(
             f"series vanishes below t^{self.accuracy}; its order cannot be certified"
         )
 
-    def order_lower_bound(self) -> Accuracy:
-        return min(self.coeffs) if self.coeffs else self.accuracy
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_coefficient(self):
-        return self.coeffs[min(self.coeffs)]
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.accuracy == other.accuracy
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Equality of all coefficients below the smaller accuracy."""
-        bound = min(self.accuracy, other.accuracy)
-        keys = {k for k in self.coeffs if k < bound} | {k for k in other.coeffs if k < bound}
-        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys)
+    order_lower_bound = _Truncated._weight_lower_bound
 
     def __repr__(self) -> str:
         terms = [f"{v!r}*t^{k}" for k, v in self.items()]
         acc = "inf" if self.accuracy == math.inf else str(self.accuracy)
         return f"TruncatedSeries({' + '.join(terms) or '0'}; accuracy={acc})"
 
-    # -- basic arithmetic --------------------------------------------------
-
-    def truncate(self, accuracy: Accuracy) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs, min(self.accuracy, accuracy))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries({k: -v for k, v in self.coeffs.items()}, self.accuracy)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = merged.get(k, 0) + v
-            if s:
-                merged[k] = s
-            else:
-                merged.pop(k, None)
-        return TruncatedSeries(merged, min(self.accuracy, other.accuracy))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def scale(self, scalar) -> "TruncatedSeries":
-        if not scalar:
-            return TruncatedSeries({}, self.accuracy)
-        return TruncatedSeries({k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
+    # -- operations of series --------------------------------------------------
 
     def shift(self, offset: int) -> "TruncatedSeries":
         """Multiply by t^offset; offset may be negative if no exponent drops below zero."""
+        if type(offset) is not int:
+            raise ValidationError(f"shift offset must be an integer, got {offset!r}")
         if self.coeffs and min(self.coeffs) + offset < 0:
             raise ValidationError("shift would create negative exponents")
         acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy + offset, 0)
-        return TruncatedSeries({k + offset: v for k, v in self.coeffs.items()}, acc)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if (not self.coeffs and self.accuracy == math.inf) or (
-            not other.coeffs and other.accuracy == math.inf
-        ):
-            return TruncatedSeries({}, math.inf)
-        acc = min(
-            self.accuracy + other.order_lower_bound(),
-            other.accuracy + self.order_lower_bound(),
-        )
-        if acc != math.inf:
-            acc = int(acc)
-        return TruncatedSeries(_product(self.coeffs, other.coeffs, acc, _exponent, operator.add), acc)
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValidationError("negative series powers are not supported")
-        result = TruncatedSeries.monomial(0, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return self._unchecked({k + offset: v for k, v in self.coeffs.items()}, acc)
 
     def derivative(self) -> "TruncatedSeries":
         acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy - 1, 0)
-        return TruncatedSeries({k - 1: k * v for k, v in self.coeffs.items() if k}, acc)
+        return self._unchecked({k - 1: k * v for k, v in self.coeffs.items() if k}, acc)
 
 
 # -- composition and inversion ---------------------------------------------
@@ -249,8 +313,8 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
             candidates.append(inner.accuracy + (min(positive) - 1) * v_inner)
     acc = min(candidates)
     c = Fraction(inner.coeffs.get(1, 0))
-    den_delta, delta = _numerators({k: v for k, v in inner.coeffs.items() if k != 1}, _exponent)
-    den_outer, outer_terms = _numerators(outer.coeffs, _exponent)
+    den_delta, delta = _numerators({k: v for k, v in inner.coeffs.items() if k != 1}, int)
+    den_outer, outer_terms = _numerators(outer.coeffs, int)
     numerators = {k: a for _, k, a in outer_terms}
     top = max(numerators, default=0)
     v = delta[0][0] if delta else 0

@@ -17,6 +17,7 @@ from legcurve.germs import (
     invert_unit,
     substitute,
 )
+from legcurve.series import TruncatedSeries
 
 W = contact_weights(3, 10)
 
@@ -144,6 +145,18 @@ def test_weight_mismatch_rejected():
     other = Germ(contact_weights(2, 5), {(1, 0, 0): 1}, math.inf)
     with pytest.raises(ValidationError):
         G({(1, 0, 0): 1}) + other
+    with pytest.raises(ValidationError):
+        G({(1, 0, 0): 1}) * other
+    assert G({(1, 0, 0): 1}) != other
+
+
+def test_germs_and_series_do_not_mix():
+    germ, series = G({(0, 0, 0): 1}), TruncatedSeries({0: 1}, math.inf)
+    with pytest.raises(TypeError):
+        germ + series
+    with pytest.raises(TypeError):
+        series * germ
+    assert germ != series
 
 
 # -- the product against a naive Fraction convolution -------------------------------
@@ -187,7 +200,7 @@ def test_product_matches_naive_fraction_convolution(a, b):
     assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())
 
 
-# -- the trusted arithmetic path against the public constructor ----------------------
+# -- the unchecked arithmetic path against the public constructor -------------------
 
 
 @pytest.mark.parametrize(
@@ -203,10 +216,15 @@ def test_malformed_monomials_are_rejected(mono):
 
 
 @pytest.mark.parametrize("accuracy", [math.inf, 2, 20])
-@pytest.mark.parametrize("bad", [2.5, -1])
+@pytest.mark.parametrize("bad", [2.5, -1, True])
 def test_truncate_rejects_an_invalid_accuracy(bad, accuracy):
+    for value in (G({(0, 0, 0): 1}, accuracy), TruncatedSeries({0: 1}, accuracy)):
+        with pytest.raises(ValidationError, match="accuracy"):
+            value.truncate(bad)
     with pytest.raises(ValidationError, match="accuracy"):
-        G({(0, 0, 0): 1}, accuracy).truncate(bad)
+        G({(0, 0, 0): 1}, bad)
+    with pytest.raises(ValidationError, match="accuracy"):
+        TruncatedSeries({0: 1}, bad)
 
 
 def test_products_share_monomial_keys():

@@ -31,6 +31,16 @@ def test_constructor_rejects_negative_exponents():
         S({-1: 1})
 
 
+@pytest.mark.parametrize(
+    "exponent",
+    [1.5, 3.0, Fraction(1), True, -1, "1", (1,)],
+    ids=["float", "integral-float", "fraction", "bool", "negative", "string", "tuple"],
+)
+def test_malformed_exponents_are_rejected(exponent):
+    with pytest.raises(ValidationError, match="exponent"):
+        S({exponent: 2, 0: 1}, 4)
+
+
 def test_coefficient_and_order():
     f = S({2: 5, 7: -1}, 9)
     assert f.coefficient(2) == 5
@@ -253,6 +263,39 @@ def test_product_matches_naive_fraction_convolution(a, b):
     assert product.coeffs == coeffs
     assert product.accuracy == acc
     assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())
+
+
+# -- the unchecked arithmetic path against the public constructor -------------------
+
+
+def summed(a, b, sign):
+    out = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, 0) + sign * v
+    return out
+
+
+def lowered(accuracy, by):
+    return accuracy if accuracy == math.inf else max(accuracy - by, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@example(S({}), S({}, 9), 0, 0, 0)
+@example(S({0: HUGE, 3: Fraction(1, 3)}, 7), S({3: Fraction(-1, 3)}), Fraction(1, HUGE), 5, -3)
+@given(SERIES, SERIES, st.one_of(st.just(0), RATIONALS), ACCURACIES, st.integers(-4, 6))
+def test_unchecked_results_equal_the_public_constructor(a, b, scalar, cut, offset):
+    assert -a == S({k: -v for k, v in a.coeffs.items()}, a.accuracy)
+    assert a + b == S(summed(a, b, 1), min(a.accuracy, b.accuracy))
+    assert a - b == S(summed(a, b, -1), min(a.accuracy, b.accuracy))
+    assert a.scale(scalar) == S({k: scalar * v for k, v in a.coeffs.items()}, a.accuracy)
+    assert a.truncate(cut) == S(a.coeffs, min(a.accuracy, cut))
+    assert a * b == S(*naive_product(a, b))
+    if a.coeffs and min(a.coeffs) + offset < 0:
+        with pytest.raises(ValidationError):
+            a.shift(offset)
+    else:
+        assert a.shift(offset) == S({k + offset: v for k, v in a.coeffs.items()}, lowered(a.accuracy, -offset))
+    assert a.derivative() == S({k - 1: k * v for k, v in a.coeffs.items() if k}, lowered(a.accuracy, 1))
 
 
 # -- composition against a naive power ladder ---------------------------------------
