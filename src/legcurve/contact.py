@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import PlaneCurveGerm, rational_nth_root, reparametrize, rescale_parameter
+from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, ValidationError
 from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
@@ -375,12 +375,12 @@ def decompose_triangular(phi: ContactMap) -> TriangularDecomposition:
 
 
 def act_on_curve(phi: ContactMap, curve: PlaneCurveGerm) -> PlaneCurveGerm:
-    """Transform the curve and renormalize back to the chart x = t^n.
+    """The image of the curve under the map, back in the chart x = t^n.
 
-    The conormal lift of the image is reparametrized so its x-coordinate
-    is again t^n with coefficient 1; this requires the transformed
-    x-series to keep order n and its leading coefficient to admit an
-    exact rational n-th root.
+    Restricts x + alpha and y + beta to the conormal lift of the curve and
+    hands the moved pair to ``reparametrize``, which renormalizes it: the
+    moved x-series must keep order n, and its leading coefficient must
+    admit an exact rational n-th root.
     """
     n, m = curve.n, curve.m
     if phi.weights != contact_weights(n, m):
@@ -390,21 +390,6 @@ def act_on_curve(phi: ContactMap, curve: PlaneCurveGerm) -> PlaneCurveGerm:
     X, Y, P = curve.triple()
     x_new = X + evaluate_on_series(phi.alpha, X, Y, P)
     y_new = Y + evaluate_on_series(phi.beta, X, Y, P)
-    order = x_new.order()
-    if order != n:
-        raise ValidationError(
-            f"transformed x-coordinate has order {order}, not {n}; "
-            "the image leaves the chart x = t^n"
-        )
-    lead = x_new.coefficient(n)
-    if lead != 1:
-        eta = rational_nth_root(lead, n)
-        if eta is None:
-            raise ValidationError(
-                f"cannot renormalize: {lead} admits no exact rational root of degree {n}"
-            )
-        x_new = rescale_parameter(x_new, eta)
-        y_new = rescale_parameter(y_new, eta)
     return reparametrize(x_new, y_new, n)
 
 

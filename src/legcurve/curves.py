@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, series_compose, series_nth_root, series_reverse
+from .series import Accuracy, TruncatedSeries, _check_accuracy, series_compose, series_nth_root, series_reverse
 
 
 def default_accuracy(n: int, m: int) -> int:
@@ -26,12 +26,12 @@ class PlaneCurveGerm:
     __slots__ = ("n", "coefficients", "accuracy")
 
     def __init__(self, n: int, coefficients: Mapping[int, object], accuracy: Accuracy | None = None):
-        if n < 2:
-            raise ValidationError(f"multiplicity n must be at least 2, got {n}")
+        if type(n) is not int or n < 2:
+            raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
         for c in coefficients.values():
             if not isinstance(c, (int, Fraction)):
                 raise ValidationError(f"coefficient {c!r} is not rational")
-        cleaned = {e: c for e, c in coefficients.items() if c}
+        cleaned = TruncatedSeries(coefficients, math.inf).coeffs  # checks the exponents, drops zeros
         if not cleaned:
             raise ValidationError("curve needs at least one non-zero y-coefficient")
         m = min(cleaned)
@@ -39,8 +39,7 @@ class PlaneCurveGerm:
             raise ValidationError(f"y-order m = {m} must exceed n = {n}")
         if math.gcd(n, m) != 1:
             raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
-        if accuracy is None:
-            accuracy = default_accuracy(n, m)
+        accuracy = default_accuracy(n, m) if accuracy is None else _check_accuracy(accuracy)
         if accuracy <= m:
             raise ValidationError("accuracy must exceed the y-order m")
         if any(e >= accuracy for e in cleaned):
@@ -136,33 +135,35 @@ def curve_from_y_series(n: int, series: TruncatedSeries) -> PlaneCurveGerm:
     return PlaneCurveGerm(n, dict(series.coeffs), series.accuracy)
 
 
-def rescale_parameter(series: TruncatedSeries, eta) -> TruncatedSeries:
-    """Substitute t -> t/eta, i.e. multiply the coefficient of t^k by eta^-k."""
-    return TruncatedSeries({k: v * eta ** (-k) for k, v in series.coeffs.items()}, series.accuracy)
-
-
 def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) -> PlaneCurveGerm:
-    """Normalize a parametrized plane curve (x(t), y(t)) with ord x = n and
-    unit leading coefficient back to the chart x = s^n.
+    """Bring a moved curve (x(t), y(t)) back to the chart x = s^n.
 
-    The new parameter is s = t*u(t)^(1/n) for x = t^n*u(t), and t(s) is
-    its reversal.  One exact check covers both steps: x(t(s)) = s^n with
-    [s^1] t(s) = 1 holds only when t(s) reverses t*u(t)^(1/n) for the
-    root with constant term 1.
+    x must have order n and a leading coefficient c with a rational n-th
+    root eta, else ``ValidationError``.  The new parameter is
+    s = eta*t*(x/(c*t^n))^(1/n), and the result is y(t(s)) for the reversal
+    t(s); when x = c*t^n to its accuracy, s = eta*t and t(s) = t/eta are
+    exact.  One explicit check covers the root, the rescale and the
+    reversal: x(t(s)) = s^n with [s^1] t(s) = 1/eta holds only when t(s)
+    reverses s(t) for the root with constant term 1.
     """
-    if x_series.order_lower_bound() > n or x_series.coefficient(n) != 1:
-        raise ValidationError("x-series must have order n with leading coefficient 1")
-    if x_series.order() != n:
-        raise ValidationError("x-series must have order exactly n")
-    unit = x_series.shift(-n)
-    root = series_nth_root(unit, n) if unit.coeffs != {0: 1} else unit
-    s_of_t = TruncatedSeries.monomial(1, 1) * root
+    order = x_series.order()
+    if order != n:
+        raise ValidationError(
+            f"transformed x-coordinate has order {order}, not {n}; the image leaves the chart x = t^n"
+        )
+    lead = x_series.coeffs[n]
+    eta = rational_nth_root(lead, n)
+    if eta is None:
+        raise ValidationError(f"cannot renormalize: {lead} admits no exact rational root of degree {n}")
+    unit = x_series.shift(-n).scale(Fraction(1, lead))
+    root = series_nth_root(unit, n) if unit.coeffs != {0: 1} else TruncatedSeries.monomial(0, 1)
+    s_of_t = TruncatedSeries.monomial(1, eta) * root
     if s_of_t.coeffs == {1: 1}:
         new_y = y_series
     else:
         t_of_s = series_reverse(s_of_t)
         x_back = series_compose(x_series, t_of_s)
-        if t_of_s.coefficient(1) != 1 or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
+        if t_of_s.coefficient(1) != 1 / eta or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
             raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
         new_y = series_compose(y_series, t_of_s)
     return curve_from_y_series(n, new_y)

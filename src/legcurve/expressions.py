@@ -164,13 +164,10 @@ def parse_scalar(text: str) -> Fraction:
 
 def format_germ(germ: Germ) -> str:
     """Canonical rendering: terms by increasing weighted order, then exponents."""
-    if germ.is_zero() and germ.accuracy == math.inf:
-        return "0"
-    items = sorted(germ.items(), key=lambda item: (germ.valuation_of(item[0]), item[0]))
-    if not items:
+    if germ.is_zero():
         return "0"
     out = []
-    for mono, coeff in items:
+    for mono, coeff in germ.items():
         body = _format_monomial(mono)
         magnitude = coeff if coeff > 0 else -coeff
         if not body:

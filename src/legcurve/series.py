@@ -49,6 +49,12 @@ def _check_accuracy(value: Accuracy) -> Accuracy:
     raise ValidationError(f"accuracy must be a non-negative integer or infinity, got {value!r}")
 
 
+def _check_exponent(k) -> int:
+    if type(k) is not int or k < 0:
+        raise ValidationError(f"exponent must be a non-negative integer, got {k!r}")
+    return k
+
+
 def _numerators(coeffs: Mapping, weight: Callable) -> tuple[int, list[tuple]]:
     """The common denominator of the values and the (weight, key, numerator)
     triples over it, sorted by weight."""
@@ -221,9 +227,7 @@ class TruncatedSeries(_Truncated):
         self.accuracy = _check_accuracy(accuracy)
         self.coeffs: dict[int, object] = {}
         for k, v in coeffs.items():
-            if type(k) is not int or k < 0:
-                raise ValidationError(f"exponent must be a non-negative integer, got {k!r}")
-            if k < self.accuracy and v:
+            if _check_exponent(k) < self.accuracy and v:
                 self.coeffs[k] = v
 
     # -- constructors ----------------------------------------------------
@@ -239,7 +243,7 @@ class TruncatedSeries(_Truncated):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, k: int):
-        if k >= self.accuracy:
+        if _check_exponent(k) >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of t^{k} requested but series is only exact below t^{self.accuracy}"
             )
@@ -347,7 +351,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
 
 
 def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a series with invertible constant term."""
+    """Multiplicative inverse (f/c0)^(-1)/c0 of a series with invertible constant term c0."""
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     c0 = f.coeffs.get(0, 0)
@@ -357,27 +361,17 @@ def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
         return TruncatedSeries({0: Fraction(1, c0)}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("inverse of a non-constant polynomial needs a finite accuracy; truncate first")
-    n = int(f.accuracy)
     inv0 = Fraction(1, c0)
-    out: dict[int, object] = {0: inv0}
-    for k in range(1, n):
-        s = 0
-        for i, fi in f.coeffs.items():
-            if 1 <= i <= k:
-                term = out.get(k - i, 0)
-                if term:
-                    s = s + fi * term
-        if s:
-            out[k] = -inv0 * s
-    return TruncatedSeries(out, n)
+    return _unit_power(f.scale(inv0), -1).scale(inv0)
 
 
 def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> TruncatedSeries:
     """Compositional inverse h with g(h) = h(g) = t.
 
-    Requires order(g) = 1 with invertible leading coefficient.  A finite
-    target accuracy must be available (from g or the argument); below
-    accuracy 2 the reversal is the zero series.
+    Requires order(g) = 1 with invertible leading coefficient.  An exact
+    c*t reverses to the exact t/c; any other g needs a finite target
+    accuracy (from g or the argument), and below accuracy 2 the reversal
+    is the zero series.
     """
     if g.accuracy <= 1 and not g.coeffs:
         raise InsufficientPrecisionError(
@@ -387,6 +381,8 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
         raise ValidationError("series must have order exactly 1 to be reversed")
     acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
     if acc == math.inf:
+        if len(g.coeffs) == 1:
+            return TruncatedSeries({1: Fraction(1, g.coeffs[1])}, math.inf)
         raise ValidationError("reversal of an exact polynomial needs an explicit finite accuracy")
     if acc <= 1:
         return TruncatedSeries.zero(acc)
@@ -408,13 +404,11 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
 
 
 def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """The unique n-th root with constant term 1 of a unit series f = 1 + ...
-
-    Solved through the first-order relation n*f*r' = f'*r, one coefficient
-    at a time.
-    """
-    if n < 1:
-        raise ValidationError("root index must be a positive integer")
+    """The n-th root f^(1/n) with constant term 1 of a unit series
+    f = 1 + ..., by ``_unit_power``; an exact f other than 1 must be
+    truncated first."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"root index must be a positive integer, got {n!r}")
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     if f.coeffs.get(0, 0) != 1:
@@ -423,24 +417,32 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
         return TruncatedSeries({0: 1}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("root of a non-trivial polynomial needs a finite accuracy; truncate first")
+    return _unit_power(f, Fraction(1, n))
+
+
+def _unit_power(f: TruncatedSeries, alpha) -> TruncatedSeries:
+    """w = f^alpha for f = 1 + ... of finite accuracy and rational alpha, by
+    k w_k = sum_(i=1..k) ((alpha+1) i - k) f_i w_(k-i), w_0 = 1: the t^(k-1)
+    coefficients of f*w' = alpha*f'*w (Knuth, TAOCP Vol. 2, section 4.7).
+    With f_i = a_i/D over one denominator D, each w_j computed so far is
+    b_j/b_0 for coprime integers b_0, b_1, ...
+    """
     acc = int(f.accuracy)
-    root: dict[int, object] = {0: 1}
-    fprime = {k - 1: k * v for k, v in f.coeffs.items() if k}
+    den, terms = _numerators(f.coeffs, int)
+    terms = [(i, a) for i, _, a in terms if i]
+    p, q = (alpha + 1).as_integer_ratio()
+    b = [1]
     for k in range(1, acc):
-        # coefficient of t^(k-1) in f'*r - n*f*r' using only known root terms
         s = 0
-        for i, fv in fprime.items():
-            term = root.get(k - 1 - i, 0)
-            if term:
-                s = s + fv * term
-        for i, fv in f.coeffs.items():
-            if i >= 1:
-                j = k - i
-                if 1 <= j < k:
-                    term = root.get(j, 0)
-                    if term:
-                        s = s - fv * (n * j) * term
-        value = s * Fraction(1, n * k)
-        if value:
-            root[k] = value
-    return TruncatedSeries(root, acc)
+        for i, a in terms:
+            if i > k:
+                break
+            s += (p * i - q * k) * a * b[k - i]
+        # w_k = s/(q k D b_0); over that denominator the numerators have
+        # content gcd(s, q k D), as b_0, ..., b_(k-1) are coprime
+        step = q * k * den
+        g = math.gcd(s, step)
+        if g != step:
+            b = [x * (step // g) for x in b]
+        b.append(s // g)
+    return TruncatedSeries({k: Fraction(x, b[0]) for k, x in enumerate(b) if x}, acc)

@@ -12,7 +12,6 @@ from legcurve.curves import (
     integer_nth_root,
     rational_nth_root,
     reparametrize,
-    rescale_parameter,
 )
 import legcurve.curves
 from legcurve.cyclotomic import Cyclotomic
@@ -43,6 +42,18 @@ def test_constructor_validation():
         PlaneCurveGerm(3, {10: 1, 11: 0.5})  # coefficients must be rational
     with pytest.raises(ValidationError):
         PlaneCurveGerm(3, {10: 1, 11: Cyclotomic.zeta(3)})
+    with pytest.raises(ValidationError, match="exponent"):
+        PlaneCurveGerm(3, {10.5: 1})
+    with pytest.raises(ValidationError, match="exponent"):
+        PlaneCurveGerm(3, {True: 1, 10: 1})
+    with pytest.raises(ValidationError, match="multiplicity"):
+        PlaneCurveGerm(3.0, {10: 1})
+    with pytest.raises(ValidationError, match="multiplicity"):
+        PlaneCurveGerm(True, {3: 1})
+    with pytest.raises(ValidationError, match="accuracy"):
+        PlaneCurveGerm(3, {10: 1}, 20.5)
+    with pytest.raises(ValidationError, match="accuracy"):
+        PlaneCurveGerm(3, {10: 1}, True)
 
 
 def test_type_and_position():
@@ -108,12 +119,6 @@ def test_curve_from_y_series_round_trip():
     assert again == c
 
 
-def test_rescale_parameter():
-    f = TruncatedSeries({3: 1, 4: 2}, 6)
-    g = rescale_parameter(f, 2)
-    assert dict(g.items()) == {3: Fraction(1, 8), 4: Fraction(1, 8)}
-
-
 def test_reparametrize_identity_chart():
     y = TruncatedSeries({10: 1, 11: 5}, 18)
     c = reparametrize(TruncatedSeries.monomial(3, 1), y, 3)
@@ -134,9 +139,38 @@ def test_reparametrize_round_trip():
 def test_reparametrize_requires_monic_order_n():
     y = TruncatedSeries({10: 1}, 18)
     with pytest.raises(ValidationError):
-        reparametrize(TruncatedSeries({3: 2}, 20), y, 3)
+        reparametrize(TruncatedSeries({3: 2}, 20), y, 3)  # 2 has no rational cube root
     with pytest.raises(ValidationError):
         reparametrize(TruncatedSeries({4: 1}, 20), y, 3)
+
+
+def _rescaled(series, eta):
+    """series(t/eta), coefficient by coefficient."""
+    return TruncatedSeries({k: Fraction(v) / eta ** k for k, v in series.coeffs.items()}, series.accuracy)
+
+
+@pytest.mark.parametrize(
+    "n, eta, accuracy",
+    [(3, -2, 24), (3, Fraction(-1, 2), 24), (4, Fraction(2, 3), 24), (5, Fraction(-3, 7), math.inf)],
+    ids=["negative", "negative-fraction", "fraction", "exact-lead"],
+)
+def test_reparametrize_rescales_a_leading_coefficient(n, eta, accuracy):
+    # x = c*t^n*u(t) with c = eta^n; rescaling t -> t/eta by hand first gives the same curve
+    c = eta ** n
+    assert rational_nth_root(c, n) == eta
+    u = TruncatedSeries({0: 1} if accuracy == math.inf else {0: 1, 1: 1, 3: Fraction(2, 5)}, math.inf)
+    x = (TruncatedSeries.monomial(n, c) * u).truncate(accuracy)
+    y = TruncatedSeries({n + 1: 1, n + 2: Fraction(-1, 3), n + 4: 5}, n + 10)
+    by_hand = reparametrize(_rescaled(x, eta), _rescaled(y, eta), n)
+    assert reparametrize(x, y, n) == by_hand
+    assert by_hand.coefficient(n + 1) == Fraction(1, eta ** (n + 1))
+
+
+@pytest.mark.parametrize("n, lead", [(3, 2), (2, -4), (4, Fraction(1, 8))])
+def test_reparametrize_rejects_a_leading_coefficient_without_a_rational_root(n, lead):
+    y = TruncatedSeries({n + 1: 1}, n + 8)
+    with pytest.raises(ValidationError, match="rational root"):
+        reparametrize(TruncatedSeries({n: lead, n + 1: 1}, 20), y, n)
 
 
 def _perturb_one(h):
@@ -163,6 +197,17 @@ def test_reparametrize_check_rejects_a_corrupted_reversal(monkeypatch, corrupt):
     monkeypatch.setattr(legcurve.curves, "series_reverse", lambda g: corrupt(reverse(g)))
     u = TruncatedSeries({1: 1, 2: 1}, math.inf)
     x = (u ** 4).truncate(24)
+    y = (u ** 9).truncate(24)
+    with pytest.raises(ContactDefectError):
+        reparametrize(x, y, 4)
+
+
+def test_reparametrize_check_rejects_a_rotated_reversal_of_a_rescaled_curve(monkeypatch):
+    # with x = 16*t^4*u(t), t(s) has [s^1] = 1/2; t(-s) still gives x = s^4
+    reverse = legcurve.curves.series_reverse
+    monkeypatch.setattr(legcurve.curves, "series_reverse", lambda g: _rotate_by_minus_one(reverse(g)))
+    u = TruncatedSeries({1: 1, 2: 1}, math.inf)
+    x = (u ** 4).truncate(24).scale(16)
     y = (u ** 9).truncate(24)
     with pytest.raises(ContactDefectError):
         reparametrize(x, y, 4)

@@ -39,6 +39,8 @@ def test_constructor_rejects_negative_exponents():
 def test_malformed_exponents_are_rejected(exponent):
     with pytest.raises(ValidationError, match="exponent"):
         S({exponent: 2, 0: 1}, 4)
+    with pytest.raises(ValidationError, match="exponent"):
+        S({0: 1, 2: 3}, 4).coefficient(exponent)
 
 
 def test_coefficient_and_order():
@@ -183,6 +185,16 @@ def test_reverse_below_accuracy_two_is_zero(accuracy):
     assert g == S({}, accuracy)
 
 
+@pytest.mark.parametrize("c", [1, -3, Fraction(-2, 3), Fraction(10**30, 7)])
+def test_reverse_of_an_exact_linear_series_is_exact(c):
+    assert series_reverse(S({1: c})) == S({1: Fraction(1, c)}, math.inf)
+
+
+def test_reverse_of_an_exact_nonlinear_series_needs_an_accuracy():
+    with pytest.raises(ValidationError, match="finite accuracy"):
+        series_reverse(S({1: 2, 2: 1}))
+
+
 def test_reverse_at_accuracy_two_is_the_linear_inverse():
     assert series_reverse(S({1: 2, 2: 1}), accuracy=2) == S({1: Fraction(1, 2)}, 2)
 
@@ -224,6 +236,16 @@ def test_nth_root_consistency():
     f = S({0: 1, 2: -3, 3: 5}, 10)
     g = series_nth_root(f, 4)
     assert (g ** 4).agrees_with(f)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [2.5, 2.0, Fraction(2), True, False, 0, -1, "2"],
+    ids=["float", "integral-float", "fraction", "true", "false", "zero", "negative", "string"],
+)
+def test_nth_root_rejects_a_malformed_index(index):
+    with pytest.raises(ValidationError, match="root index"):
+        series_nth_root(S({0: 1, 1: 1}, 4), index)
 
 
 # -- the product against a naive Fraction convolution -------------------------------
@@ -368,3 +390,42 @@ def test_compose_matches_power_ladder(outer, inner):
     assert composed.coeffs == coeffs
     assert composed.accuracy == acc
     assert all(type(v) in (int, Fraction) and v for v in composed.coeffs.values())
+
+
+# -- roots and inverses against their defining identities ---------------------------
+
+UNIT_VALUES = st.one_of(
+    st.integers(-HUGE, HUGE),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+DISTINCT_PRIMES = PRIMES + (101, 103, 107, 109)
+
+
+@st.composite
+def units(draw, constant):
+    """c + ... at accuracy 1..30: sparse (at most 4 terms), dense, or dense
+    with the prime denominator DISTINCT_PRIMES[k - 1] at t^k."""
+    accuracy = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["sparse", "dense", "coprime"]))
+    if shape == "sparse":
+        coeffs = {k: draw(UNIT_VALUES) for k in draw(st.sets(st.integers(1, 29), max_size=4)) if k < accuracy}
+    elif shape == "dense":
+        coeffs = {k: draw(UNIT_VALUES) for k in range(1, accuracy)}
+    else:
+        coeffs = {k: Fraction(draw(st.integers(-HUGE, HUGE)), DISTINCT_PRIMES[k - 1]) for k in range(1, accuracy)}
+    return S({0: constant, **coeffs}, accuracy)
+
+
+@settings(max_examples=100, deadline=None)
+@example(S({0: 1, 1: 1}, 4), 3, S({0: -2, 1: 1}, 3))
+@example(S({0: 1, 29: HUGE}, 30), 7, S({0: Fraction(1, HUGE), 1: HUGE}, 30))
+@example(S({0: 1}, 1), 1, S({0: 5}, 1))
+@given(units(1), st.integers(1, 7), RATIONALS.filter(bool).flatmap(units))
+def test_roots_and_inverses_satisfy_their_defining_identities(f, n, g):
+    root = series_nth_root(f, n)
+    assert root.accuracy == f.accuracy and root.coefficient(0) == 1
+    assert (root ** n).agrees_with(f)
+    inverse = series_inverse_unit(g)
+    assert inverse.accuracy == g.accuracy
+    assert (inverse * g).agrees_with(S({0: 1}))
