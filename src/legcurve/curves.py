@@ -29,7 +29,7 @@ class PlaneCurveGerm:
         if type(n) is not int or n < 2:
             raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
         for c in coefficients.values():
-            if not isinstance(c, (int, Fraction)):
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
                 raise ValidationError(f"coefficient {c!r} is not rational")
         cleaned = TruncatedSeries(coefficients, math.inf).coeffs  # checks the exponents, drops zeros
         if not cleaned:

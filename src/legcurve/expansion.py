@@ -12,15 +12,22 @@ J = (i, j, l); negative i is allowed whenever no negative t-exponent
 survives.  Determinants of the arithmetic families (q+l, N-l, l), l = 0..N
 turn out not to depend on mu, which is what makes them usable as
 curve-genericity certificates.
+
+A context memoizes each truncated power y^j p~^l by (j, l, bound), each
+built from the one a factor lower by one convolution.  The closed form
+shares none of that: each multiset alpha of indices gives one a-monomial
+times an integer polynomial in mu built in ``int`` lists, and distinct
+alphas give distinct monomials, so an entry is their disjoint union.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .sympoly import Poly, unpack
+from .sympoly import Poly, pack, unpack
 
 CUTOFF_CAP = 40
 DIMENSION_CAP = 6
@@ -35,14 +42,14 @@ class ExpansionContext:
         if cutoff <= m:
             raise ValidationError("cutoff must exceed m so at least a_m is present")
         if cutoff > CUTOFF_CAP:
-            raise ValidationError(
-                f"cutoff {cutoff} exceeds the symbolic layer cap {CUTOFF_CAP}"
-            )
-        self.n = n
-        self.m = m
-        self.cutoff = cutoff
+            raise ValidationError(f"cutoff {cutoff} exceeds the symbolic layer cap {CUTOFF_CAP}")
+        self.n, self.m, self.cutoff = n, m, cutoff
         self.gens = ("mu",) + tuple(f"a{s}" for s in range(m, cutoff))
         self._series_memo: dict[tuple[int, int, int], dict[int, Poly]] = {}
+        self._powers: dict[tuple[int, int, int], dict[int, Poly]] = {}
+        self._y, self._p = self.y_series(), self.twisted_p_series()
+        self._a_keys = {s: pack((0,) * (s - m + 1) + (1,)) for s in range(m, cutoff)}
+        self._mu_key = pack((1,))
 
     # -- building blocks ------------------------------------------------------
 
@@ -65,14 +72,25 @@ class ExpansionContext:
         }
 
     def _convolve(self, f: dict[int, Poly], g: dict[int, Poly], bound: int) -> dict[int, Poly]:
+        """The product of two t-series below ``bound``; ``g``'s exponents ascend."""
         out: dict[int, Poly] = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 e = e1 + e2
-                if e < bound:
-                    prev = out.get(e)
-                    out[e] = c1 * c2 if prev is None else prev + c1 * c2
+                if e >= bound:
+                    break
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
         return {e: c for e, c in out.items() if c}
+
+    def _power(self, j: int, l: int, bound: int) -> dict[int, Poly]:
+        """y^j p~^l below ``bound``, from the memoized power one factor lower."""
+        if j == l == 0:
+            return {0: Poly.const(self.gens, 1)}
+        if (j, l, bound) not in self._powers:
+            lower, factor = ((j, l - 1), self._p) if l else ((j - 1, 0), self._y)
+            self._powers[j, l, bound] = self._convolve(self._power(*lower, bound), factor, bound)
+        return self._powers[j, l, bound]
 
     def monomial_series(self, index: tuple[int, int, int]) -> dict[int, Poly]:
         """t-expansion of x^i y^j p~^l below the cutoff (exponent -> Poly)."""
@@ -82,11 +100,7 @@ class ExpansionContext:
         i, j, l = index
         if j < 0 or l < 0:
             raise ValidationError("y and p exponents must be non-negative")
-        bound = self.cutoff - self.n * i
-        series: dict[int, Poly] = {0: Poly.const(self.gens, 1)}
-        for factor, count in ((self.y_series(), j), (self.twisted_p_series(), l)):
-            for _ in range(count):
-                series = self._convolve(series, factor, bound)
+        series = self._power(j, l, self.cutoff - self.n * i)
         shifted = {e + self.n * i: c for e, c in series.items() if e + self.n * i < self.cutoff}
         if any(e < 0 for e in shifted):
             raise ValidationError(
@@ -100,7 +114,7 @@ class ExpansionContext:
         """Coefficient of t^k in the expansion of x^i y^j p~^l."""
         if not (0 <= k < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
-        return self.monomial_series(index).get(k, Poly.const(self.gens, 0))
+        return self.monomial_series(index).get(k) or Poly.const(self.gens, 0)
 
     def entry_closed_form(self, index: tuple[int, int, int], k: int) -> Poly:
         """Same entry through the explicit combinatorial sum.
@@ -114,64 +128,49 @@ class ExpansionContext:
         i, j, l = index
         if not (0 <= k < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
-        target = k - (i - l) * self.n
-        total = j + l
-        indices = range(self.m, self.cutoff)
-        mu = self.mu()
-        result = Poly.const(self.gens, 0)
+        if j < 0 or l < 0:
+            raise ValidationError("y and p exponents must be non-negative")
+        # the lowest term mu^l a_m^(j+l) t^(n*i + m*j + (m-n)*l) never cancels
+        if self.n * i + self.m * j + (self.m - self.n) * l < 0:
+            raise ValidationError(f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
+                                  "the negative x-power does not cancel")
         jl_factor = math.factorial(j) * math.factorial(l)
+        terms: dict[int, int] = {}
 
-        def walk(pos: int, remaining: int, weight_left: int, alpha: list[int]):
-            nonlocal result
+        def walk(s: int, remaining: int, weight_left: int, alpha: list[tuple[int, int]]):
             if remaining == 0:
-                if weight_left != 0:
-                    return
-                result = result + self._closed_form_term(alpha, l, jl_factor, mu)
+                if weight_left == 0:
+                    base = sum(count * self._a_keys[a] for a, count in alpha)
+                    for d, c in enumerate(self._twist(alpha, l, jl_factor)):
+                        if c:
+                            terms[base + d * self._mu_key] = c
                 return
-            if pos >= len(indices):
+            if not remaining * s <= weight_left <= remaining * (self.cutoff - 1):
                 return
-            s = indices[pos]
-            if weight_left < remaining * self.m:
-                return
-            max_count = min(remaining, weight_left // s) if s else remaining
-            for count in range(max_count + 1):
-                alpha.append(count)
-                walk(pos + 1, remaining - count, weight_left - count * s, alpha)
+            walk(s + 1, remaining, weight_left, alpha)
+            for count in range(1, min(remaining, weight_left // s) + 1):
+                alpha.append((s, count))
+                walk(s + 1, remaining - count, weight_left - count * s, alpha)
                 alpha.pop()
 
-        if target >= 0:
-            walk(0, total, target, [])
-        return result
+        walk(self.m, j + l, k - (i - l) * self.n, [])
+        return Poly(self.gens, terms)
 
-    def _closed_form_term(self, alpha: list[int], l: int, jl_factor: int, mu: Poly) -> Poly:
-        indices = list(range(self.m, self.m + len(alpha)))
-        base = Poly.const(self.gens, 1)
-        for s, count in zip(indices, alpha):
-            if count:
-                base = base * self.coefficient_symbol(s) ** count
-        total = Poly.const(self.gens, 0)
-
-        def pick(pos: int, left: int, gamma: list[int]):
-            nonlocal total
-            if left == 0:
-                gamma_full = gamma + [0] * (len(alpha) - len(gamma))
-                coeff = jl_factor
-                twist = Poly.const(self.gens, 1)
-                for s, a_count, g_count in zip(indices, alpha, gamma_full):
-                    coeff //= math.factorial(a_count - g_count) * math.factorial(g_count)
-                    if g_count:
-                        twist = twist * (mu + (s - self.m)) ** g_count
-                total = total + twist * coeff
-                return
-            if pos >= len(alpha):
-                return
-            for g in range(min(alpha[pos], left) + 1):
-                gamma.append(g)
-                pick(pos + 1, left - g, gamma)
-                gamma.pop()
-
-        pick(0, l, [])
-        return base * total
+    def _twist(self, alpha: list[tuple[int, int]], l: int, jl_factor: int) -> list[int]:
+        """The mu-coefficients of the sum over gamma for one multiset alpha,
+        given as (index, count) pairs with non-zero counts."""
+        twist = [0] * (l + 1)
+        for gamma in itertools.product(*(range(min(count, l) + 1) for _, count in alpha)):
+            if sum(gamma) != l:
+                continue
+            coeff, poly = jl_factor, [1]
+            for (s, count), g in zip(alpha, gamma):
+                coeff //= math.factorial(count - g) * math.factorial(g)
+                for _ in range(g):  # times (mu + s - m)
+                    poly = [low + (s - self.m) * high for low, high in zip([0] + poly, poly + [0])]
+            for d, c in enumerate(poly):
+                twist[d] += coeff * c
+        return twist
 
     # -- arithmetic families ----------------------------------------------------
 
@@ -253,7 +252,8 @@ class ExpansionContext:
 
 
 def determinant(matrix: list[list[Poly]]) -> Poly:
-    """Division-free determinant by memoized Laplace expansion."""
+    """Division-free determinant by memoized Laplace expansion along the last
+    row, so the memoized minors span the first rows."""
     d = len(matrix)
     if d == 0:
         raise ValidationError("empty determinant")
@@ -267,14 +267,13 @@ def determinant(matrix: list[list[Poly]]) -> Poly:
     def expand(cols: tuple[int, ...]) -> Poly:
         if cols in memo:
             return memo[cols]
-        row = d - len(cols)
+        row = len(cols) - 1
         total = Poly.const(gens, 0)
-        sign = 1
+        sign = -1 if row % 2 else 1
         for pos, col in enumerate(cols):
             entry = matrix[row][col]
             if entry:
-                rest = cols[:pos] + cols[pos + 1:]
-                term = entry * expand(rest)
+                term = entry * expand(cols[:pos] + cols[pos + 1:])
                 total = total + (term if sign > 0 else -term)
             sign = -sign
         memo[cols] = total

@@ -16,6 +16,10 @@ integral value as an ``int``, so a polynomial with integer coefficients
 evaluated at integers stays in ``int`` arithmetic.  This is deliberately
 small: ring operations, partial derivatives and substitution are all the
 symbolic layer requires.
+
+``Poly(gens, terms)`` validates its keys and coefficients (``bool`` is
+neither) and drops zeros.  Ring results are built unchecked: sums drop
+cancelled terms as they merge, products filter only when a zero appeared.
 """
 
 from __future__ import annotations
@@ -45,22 +49,44 @@ def unpack(key: int, count: int) -> Exponents:
     return tuple((key >> (WIDTH * k)) & FIELD for k in range(count))
 
 
+def _or_keys(keys: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, keys, 0)
+
+
+def pack(exponents: Iterable[int]) -> int:
+    """The packed key of an exponent tuple; the inverse of ``unpack``."""
+    return sum(k << (WIDTH * i) for i, k in enumerate(exponents))
+
+
 class Poly:
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: tuple[str, ...], terms: Mapping[int, Coefficient]):
+        limit, guard = 1 << (WIDTH * len(gens)), _guard_mask(len(gens))
+        for e, c in terms.items():
+            if type(e) is not int or not 0 <= e < limit or e & guard:
+                raise ValidationError(f"{e!r} is not a packed exponent key over {len(gens)} generators")
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
+                raise ValidationError(f"coefficient {c!r} is not rational")
         self.gens = gens
         self.terms: dict[int, Coefficient] = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def _unchecked(cls, gens: tuple[str, ...], terms: dict[int, Coefficient]) -> "Poly":
+        """A result whose keys are valid and whose coefficients are non-zero."""
+        poly = object.__new__(cls)
+        poly.gens, poly.terms = gens, terms
+        return poly
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(gens: tuple[str, ...], value: Coefficient) -> "Poly":
-        return Poly(gens, {0: value} if value else {})
+        return Poly(gens, {0: value})
 
     @staticmethod
     def variable(gens: tuple[str, ...], name: str) -> "Poly":
-        return Poly(gens, {1 << (WIDTH * gens.index(name)): 1})
+        return Poly._unchecked(gens, {1 << (WIDTH * gens.index(name)): 1})
 
     # -- ring structure --------------------------------------------------
 
@@ -69,8 +95,8 @@ class Poly:
             if other.gens != self.gens:
                 raise ValidationError("mixed generator tuples")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.gens, other)
+        if type(other) is not bool and isinstance(other, (int, Fraction)):
+            return Poly._unchecked(self.gens, {0: other} if other else {})
         return None
 
     def __bool__(self) -> bool:
@@ -86,7 +112,7 @@ class Poly:
         return hash((self.gens, frozenset(self.terms.items())))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.gens, {e: -c for e, c in self.terms.items()})
+        return Poly._unchecked(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: object) -> "Poly":
         coerced = self._coerce(other)
@@ -94,22 +120,20 @@ class Poly:
             return NotImplemented
         merged = dict(self.terms)
         for e, c in coerced.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return Poly(self.gens, merged)
+            merged[e] = c = merged.get(e, 0) + c
+            if not c:
+                del merged[e]
+        return Poly._unchecked(self.gens, merged)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Poly":
         coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
+        return NotImplemented if coerced is None else self + (-coerced)
 
     def __rsub__(self, other: object) -> "Poly":
         coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
+        return NotImplemented if coerced is None else coerced + (-self)
 
     def __mul__(self, other: object) -> "Poly":
         coerced = self._coerce(other)
@@ -121,16 +145,21 @@ class Poly:
             for e2, c2 in right:
                 key = e1 + e2
                 product[key] = product.get(key, 0) + c1 * c2
-        if functools.reduce(operator.or_, product, 0) & _guard_mask(len(self.gens)):
+        # Stored keys have no guard bit, so fields add without carries: if the
+        # sum of the operands' key ORs has none, no product key has one either.
+        guard = _guard_mask(len(self.gens))
+        if (_or_keys(self.terms) + _or_keys(coerced.terms)) & guard and _or_keys(product) & guard:
             raise ValidationError(f"an exponent reached {EXPONENT_LIMIT}, the packing limit")
-        return Poly(self.gens, product)
+        if not all(product.values()):
+            product = {e: c for e, c in product.items() if c}
+        return Poly._unchecked(self.gens, product)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValidationError("negative powers are not polynomials")
-        result = Poly.const(self.gens, 1)
+        result = Poly._unchecked(self.gens, {0: 1})
         base = self
         while exponent:
             if exponent & 1:
@@ -150,7 +179,7 @@ class Poly:
             k = (e >> shift) & FIELD
             if k:
                 out[e - one] = c * k
-        return Poly(self.gens, out)
+        return Poly._unchecked(self.gens, out)
 
     def substitute(self, assignment: Mapping[str, Coefficient]) -> "Poly":
         """Replace some generators by exact scalars; others stay symbolic.
@@ -167,7 +196,7 @@ class Poly:
                 scale = scale * value ** ((e >> shift) & FIELD)
             key = e & keep
             out[key] = out.get(key, 0) + scale
-        return Poly(self.gens, out)
+        return Poly._unchecked(self.gens, {e: c for e, c in out.items() if c})
 
     def as_constant(self) -> Fraction:
         if not self.terms:

@@ -40,6 +40,10 @@ def test_constructor_validation():
         PlaneCurveGerm(3, {10: 0})
     with pytest.raises(ValidationError):
         PlaneCurveGerm(3, {10: 1, 11: 0.5})  # coefficients must be rational
+    with pytest.raises(ValidationError, match="not rational"):
+        PlaneCurveGerm(3, {10: True})
+    with pytest.raises(ValidationError, match="not rational"):
+        PlaneCurveGerm(3, {10: 1, 11: False})
     with pytest.raises(ValidationError):
         PlaneCurveGerm(3, {10: 1, 11: Cyclotomic.zeta(3)})
     with pytest.raises(ValidationError, match="exponent"):

@@ -3,12 +3,19 @@
 Hand fixtures for (3, 10), cutoff 18.  The twisted series is
 p~ = mu*a10 t^7 + (mu+1)*a11 t^8 + ... so for the family (1+l, 1-l, l)
 on columns 13, 14 the matrix is [[a10, a11], [mu*a10, (mu+1)*a11]]
-with determinant a10*a11: the mu parts cancel.
+with determinant a10*a11: the mu parts cancel.  The memoized series powers
+are checked against term-by-term products in visiting orders drawn by
+hypothesis, and the closed form against an unpruned multiset enumeration.
 """
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import ValidationError
@@ -74,6 +81,120 @@ def test_closed_form_agrees_with_direct(ctx):
     for index in fam:
         for k in range(ctx.cutoff):
             assert ctx.entry(index, k) == ctx.entry_closed_form(index, k), (index, k)
+
+
+def test_closed_form_has_the_domain_of_entry(ctx):
+    for index, k in [((0, -1, 0), 10), ((0, 0, -1), 10), ((-4, 1, 0), 0), ((-4, 1, 0), 5), ((0, 1, 0), 18)]:
+        with pytest.raises(ValidationError) as direct:
+            ctx.entry(index, k)
+        with pytest.raises(ValidationError) as closed:
+            ctx.entry_closed_form(index, k)
+        assert str(closed.value) == str(direct.value)
+    for index in itertools.product(range(-6, 3), range(4), range(4)):
+        for k in range(ctx.cutoff):
+            try:
+                direct = ctx.entry(index, k)
+            except ValidationError as error:
+                with pytest.raises(ValidationError, match="negative t-exponents"):
+                    ctx.entry_closed_form(index, k)
+                assert "negative t-exponents" in str(error)
+                break
+            assert ctx.entry_closed_form(index, k) == direct, (index, k)
+
+
+# -- memoized powers against term-by-term products --------------------------------
+
+TYPES = ((3, 10), (4, 9), (3, 7))
+INDICES = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+def product_series(ctx, index):
+    """x^i y^j p~^l below the cutoff, one factor series at a time."""
+    i, j, l = index
+    mu = Poly.variable(ctx.gens, "mu")
+    y = {s: Poly.variable(ctx.gens, f"a{s}") for s in range(ctx.m, ctx.cutoff)}
+    p = {s - ctx.n: (mu + (s - ctx.m)) * y[s] for s in y}
+    series = {ctx.n * i: Poly.const(ctx.gens, 1)}
+    for factor in [y] * j + [p] * l:
+        out = {}
+        for e1, c1 in series.items():
+            for e2, c2 in factor.items():
+                if e1 + e2 < ctx.cutoff:
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        series = out
+    return {e: c for e, c in series.items() if e < ctx.cutoff and c}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TYPES), st.lists(INDICES, min_size=1, max_size=8))
+def test_memoized_series_match_fresh_contexts_and_products(nm, visits):
+    ctx = ExpansionContext(*nm)
+    for index in visits + visits[::-1]:
+        expected = product_series(ctx, index)
+        if min(expected, default=0) < 0:
+            with pytest.raises(ValidationError, match="negative t-exponents"):
+                ctx.monomial_series(index)
+            continue
+        assert ctx.monomial_series(index) == expected
+        assert ExpansionContext(*nm).monomial_series(index) == expected
+    ctx.y_series().clear()
+    ctx.twisted_p_series().clear()
+    assert ctx.monomial_series((0, 1, 1)) == product_series(ctx, (0, 1, 1))
+
+
+# -- the closed form against an unpruned enumeration --------------------------------
+
+
+def multinomial(counts):
+    return math.factorial(sum(counts.values())) // math.prod(map(math.factorial, counts.values()))
+
+
+def enumerated_entry(ctx, index, k):
+    """Every multiset of j+l indices of weighted size k, each split every way
+    into the y-factors and the twisted factors."""
+    i, j, l = index
+    mu = Poly.variable(ctx.gens, "mu")
+    total = Poly.const(ctx.gens, 0)
+    for alpha in itertools.combinations_with_replacement(range(ctx.m, ctx.cutoff), j + l):
+        if ctx.n * (i - l) + sum(alpha) != k:
+            continue
+        for twisted in set(itertools.combinations(alpha, l)):
+            gamma = Counter(twisted)
+            term = Poly.const(ctx.gens, multinomial(Counter(alpha) - gamma) * multinomial(gamma))
+            for s in alpha:
+                term = term * Poly.variable(ctx.gens, f"a{s}")
+            for s in twisted:
+                term = term * (mu + (s - ctx.m))
+            total = total + term
+    return total
+
+
+class NoSeries(Exception):
+    pass
+
+
+def refuse(*args):
+    raise NoSeries
+
+
+@settings(max_examples=80, deadline=None)
+@example((3, 7), (0, 1, 0), 11)
+@example((3, 7), (1, 0, 2), 11)
+@example((4, 9), (0, 1, 1), 23)
+@example((4, 9), (0, 2, 0), 18)
+@given(st.sampled_from(TYPES), INDICES, st.integers(0, 23))
+def test_closed_form_matches_the_unpruned_enumeration(nm, index, k):
+    ctx = ExpansionContext(*nm)
+    k %= ctx.cutoff
+    i, j, l = index
+    if ctx.n * i + ctx.m * j + (ctx.m - ctx.n) * l < 0:
+        return
+    with pytest.MonkeyPatch.context() as patch:  # the closed form builds no series
+        for name in ("monomial_series", "_convolve"):
+            patch.setattr(ExpansionContext, name, refuse)
+        closed = ctx.entry_closed_form(index, k)
+    assert closed == enumerated_entry(ctx, index, k)
+    assert all(type(c) is int for c in closed.terms.values())
 
 
 def test_mu_derivative_identity(ctx):

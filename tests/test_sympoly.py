@@ -3,6 +3,8 @@
 ``Poly`` packs the exponents of a monomial into one int.  The reference
 below keeps them as tuples, the obvious way, and every operation is
 compared on random sparse polynomials over 3 to 25 generators.
+Ring results, built unchecked, must equal what the validating public
+constructor makes of their terms, which it rejects when malformed.
 ``determinant`` is compared with sympy, ``leading_monomial`` with the
 lex key read from the highest symbol down, and the exponent guard is
 tested at its limit.
@@ -219,6 +221,64 @@ def test_integral_values_substitute_as_int():
         assert all(type(c) is int for c in coeffs)
     half = p.substitute({"mu": Fraction(1, 2)})
     assert half == a9 ** 2 * Fraction(15, 2)
+
+
+# -- unchecked results against the validating constructor ---------------------------
+
+# (a9 + a10) * (a9 - a10) cancels its cross term
+A_SUM = {(0, 1, 0): 1, (0, 0, 1): 1}
+A_DIFFERENCE = {(0, 1, 0): 1, (0, 0, 1): -1}
+
+
+def assert_well_formed(poly):
+    assert poly == Poly(poly.gens, dict(poly.terms))
+    assert all(poly.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@example((gens_of(3), A_SUM, A_DIFFERENCE), 0, 1, 2, Fraction(1, 2))
+@example((gens_of(25), {LAST: 3}, {LAST: -3}), Fraction(-2, 3), 24, 3, 0)
+@given(poly_pair(), COEFFS, st.integers(0, 24), st.integers(0, 3), VALUES)
+def test_unchecked_results_equal_the_public_constructor(pair, scalar, idx, k, value):
+    gens, f, g = pair
+    p, q = build(gens, f), build(gens, g)
+    name = gens[idx % len(gens)]
+    for result in (
+        p + q, p - q, q - p, p - p, (p + q) - q, p * q, (p + q) * (p - q), p ** k, -p,
+        p * scalar, scalar * p, p + scalar, scalar - p, p.diff(name), p.substitute({name: value}),
+    ):
+        assert_well_formed(result)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        pytest.param({-1: 2}, id="negative key"),
+        pytest.param({True: 1}, id="bool key"),
+        pytest.param({1.0: 1}, id="float key"),
+        pytest.param({1 << 15: 1}, id="guard bit"),
+        pytest.param({1 << 47: 1}, id="last guard bit"),
+        pytest.param({1 << 48: 1}, id="above the last field"),
+        pytest.param({1: 0.5}, id="float coefficient"),
+        pytest.param({1: True}, id="bool coefficient"),
+        pytest.param({1: False}, id="false coefficient"),
+    ],
+)
+def test_public_constructor_rejects_malformed_terms(terms):
+    with pytest.raises(ValidationError):
+        Poly(("mu", "a10", "a11"), terms)
+
+
+def test_public_constructor_accepts_well_formed_terms():
+    gens, top = ("mu", "a10", "a11"), (1 << 15) - 1
+    p = Poly(gens, {0: 0, top: Fraction(1, 2), top << 32: -3})
+    assert p.terms == {top: Fraction(1, 2), top << 32: -3}
+    assert list(p.exponents()) == [(top, 0, 0), (0, 0, top)]
+    for value in (0.5, True):
+        with pytest.raises(ValidationError):
+            Poly.const(gens, value)
+        with pytest.raises(TypeError):
+            value - p
 
 
 # -- determinant against sympy --------------------------------------------------------
