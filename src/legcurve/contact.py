@@ -401,7 +401,8 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     (g*scale) at p=0) and integrated to a full contact transformation.
     To first order the action changes the curve by
     y(t) -> y(t) + scale * t^order + higher terms; that first order
-    statement is checked on the conormal lift before returning.
+    statement is checked on the conormal lift below t^(order+1) before
+    returning.
     """
     if not scale:
         raise ValidationError("the added term needs a non-zero coefficient")
@@ -412,11 +413,12 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     alpha = -b.partial("p")
     beta0 = Germ(b.weights, {mo: v for mo, v in b.coeffs.items() if mo[2] == 0}, b.accuracy)
     phi = solve_contact(alpha, beta0, accuracy)
-    moved = phi.beta - Germ.variable(phi.weights, "p") * phi.alpha
-    shift = evaluate_on_series(moved, *curve.triple())
-    if shift.order() != order or shift.coefficient(order) != scale:
+    bound = order + 1
+    moved = (phi.beta - Germ.variable(phi.weights, "p") * phi.alpha).truncate(bound)
+    shift = evaluate_on_series(moved, *(s.truncate(bound) for s in curve.triple()))
+    if shift.truncate(order).coeffs or shift.coefficient(order) != scale:
         raise ContactDefectError(
-            f"the built transformation moves the curve at order {shift.order()} "
-            f"instead of {order}"
+            f"the built transformation moves the curve by {shift.items()} below t^{bound}, "
+            f"not by {scale}*t^{order}"
         )
     return phi

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .sympoly import Poly, pack, unpack
+from .sympoly import Poly, _sum_of_products, pack, unpack
 
 CUTOFF_CAP = 40
 DIMENSION_CAP = 6
@@ -73,14 +73,14 @@ class ExpansionContext:
 
     def _convolve(self, f: dict[int, Poly], g: dict[int, Poly], bound: int) -> dict[int, Poly]:
         """The product of two t-series below ``bound``; ``g``'s exponents ascend."""
-        out: dict[int, Poly] = {}
+        pairs: dict[int, list[tuple[int, Poly, Poly]]] = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 e = e1 + e2
                 if e >= bound:
                     break
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+                pairs.setdefault(e, []).append((1, c1, c2))
+        out = {e: _sum_of_products(self.gens, triples) for e, triples in pairs.items()}
         return {e: c for e, c in out.items() if c}
 
     def _power(self, j: int, l: int, bound: int) -> dict[int, Poly]:
@@ -253,7 +253,8 @@ class ExpansionContext:
 
 def determinant(matrix: list[list[Poly]]) -> Poly:
     """Division-free determinant by memoized Laplace expansion along the last
-    row, so the memoized minors span the first rows."""
+    row, so the memoized minors span the first rows.  Each minor is one call
+    of the sum-of-products kernel over its signed (entry, minor) cofactors."""
     d = len(matrix)
     if d == 0:
         raise ValidationError("empty determinant")
@@ -262,22 +263,20 @@ def determinant(matrix: list[list[Poly]]) -> Poly:
     if d > DIMENSION_CAP:
         raise ValidationError(f"determinant dimension {d} exceeds cap {DIMENSION_CAP}")
     gens = matrix[0][0].gens
+    matrix = [[matrix[0][0]._coerce(entry) for entry in row] for row in matrix]
+    if any(entry is None for row in matrix for entry in row):
+        raise ValidationError("determinant entries must be polynomials or rational scalars")
     memo: dict[tuple[int, ...], Poly] = {(): Poly.const(gens, 1)}
 
     def expand(cols: tuple[int, ...]) -> Poly:
-        if cols in memo:
-            return memo[cols]
-        row = len(cols) - 1
-        total = Poly.const(gens, 0)
-        sign = -1 if row % 2 else 1
-        for pos, col in enumerate(cols):
-            entry = matrix[row][col]
-            if entry:
-                term = entry * expand(cols[:pos] + cols[pos + 1:])
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[cols] = total
-        return total
+        if cols not in memo:
+            row = len(cols) - 1
+            memo[cols] = _sum_of_products(gens, [
+                (-1 if (row + pos) % 2 else 1, matrix[row][col], expand(cols[:pos] + cols[pos + 1:]))
+                for pos, col in enumerate(cols)
+                if matrix[row][col]
+            ])
+        return memo[cols]
 
     return expand(tuple(range(d)))
 

@@ -19,7 +19,10 @@ symbolic layer requires.
 
 ``Poly(gens, terms)`` validates its keys and coefficients (``bool`` is
 neither) and drops zeros.  Ring results are built unchecked: sums drop
-cancelled terms as they merge, products filter only when a zero appeared.
+cancelled terms as they merge.  Products and sums of products (the
+determinant's cofactors, the expansion's convolutions) go through one
+kernel, ``_sum_of_products``, which adds every term product into one dict
+and filters zeros once at the end.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def unpack(key: int, count: int) -> Exponents:
 
 def _or_keys(keys: Iterable[int]) -> int:
     return functools.reduce(operator.or_, keys, 0)
+
+
+def _shift(gens: tuple[str, ...], name: str) -> int:
+    """The bit offset of generator ``name``'s field."""
+    try:
+        return WIDTH * gens.index(name)
+    except ValueError:
+        raise ValidationError(f"{name!r} is not one of the generators {gens}") from None
 
 
 def pack(exponents: Iterable[int]) -> int:
@@ -86,7 +97,7 @@ class Poly:
 
     @staticmethod
     def variable(gens: tuple[str, ...], name: str) -> "Poly":
-        return Poly._unchecked(gens, {1 << (WIDTH * gens.index(name)): 1})
+        return Poly._unchecked(gens, {1 << _shift(gens, name): 1})
 
     # -- ring structure --------------------------------------------------
 
@@ -137,22 +148,7 @@ class Poly:
 
     def __mul__(self, other: object) -> "Poly":
         coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        product: dict[int, Coefficient] = {}
-        right = coerced.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = e1 + e2
-                product[key] = product.get(key, 0) + c1 * c2
-        # Stored keys have no guard bit, so fields add without carries: if the
-        # sum of the operands' key ORs has none, no product key has one either.
-        guard = _guard_mask(len(self.gens))
-        if (_or_keys(self.terms) + _or_keys(coerced.terms)) & guard and _or_keys(product) & guard:
-            raise ValidationError(f"an exponent reached {EXPONENT_LIMIT}, the packing limit")
-        if not all(product.values()):
-            product = {e: c for e, c in product.items() if c}
-        return Poly._unchecked(self.gens, product)
+        return NotImplemented if coerced is None else _sum_of_products(self.gens, ((1, self, coerced),))
 
     __rmul__ = __mul__
 
@@ -172,7 +168,7 @@ class Poly:
     # -- calculus and evaluation ------------------------------------------
 
     def diff(self, name: str) -> "Poly":
-        shift = WIDTH * self.gens.index(name)
+        shift = _shift(self.gens, name)
         one = 1 << shift
         out: dict[int, Coefficient] = {}
         for e, c in self.terms.items():
@@ -182,12 +178,13 @@ class Poly:
         return Poly._unchecked(self.gens, out)
 
     def substitute(self, assignment: Mapping[str, Coefficient]) -> "Poly":
-        """Replace some generators by exact scalars; others stay symbolic.
-        An integral value is used as an ``int``."""
+        """Replace some generators by exact scalars (``int`` or ``Fraction``);
+        others stay symbolic.  An integral value is used as an ``int``."""
         shifts = {}
         for name, v in assignment.items():
-            value = Fraction(v)
-            shifts[WIDTH * self.gens.index(name)] = value.numerator if value.denominator == 1 else value
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
+                raise ValidationError(f"value {v!r} for {name} is not rational")
+            shifts[_shift(self.gens, name)] = v.numerator if v.denominator == 1 else v
         keep = ~sum(FIELD << shift for shift in shifts)
         out: dict[int, Coefficient] = {}
         for e, c in self.terms.items():
@@ -206,7 +203,7 @@ class Poly:
         return Fraction(self.terms[0])
 
     def degree_in(self, name: str) -> int:
-        shift = WIDTH * self.gens.index(name)
+        shift = _shift(self.gens, name)
         return max(((e >> shift) & FIELD for e in self.terms), default=0)
 
     def exponents(self) -> Iterable[Exponents]:
@@ -231,3 +228,30 @@ class Poly:
             else:
                 pieces.append(str(coeff))
         return "Poly(" + " + ".join(pieces) + ")"
+
+
+def _sum_of_products(gens: tuple[str, ...], triples: Iterable[tuple[int, Poly, Poly]]) -> Poly:
+    """The sum of sign * left * right over (sign, left, right) triples with
+    sign = +1 or -1: every term product is added into one dict, and zeros are
+    filtered once at the end."""
+    total: dict[int, Coefficient] = {}
+    get = total.get
+    guard = _guard_mask(len(gens))
+    flagged = 0
+    for sign, left, right in triples:
+        # Stored keys have no guard bit, so fields add without carries: if the
+        # sum of the operands' key ORs has none, no product key has one either.
+        flagged |= (_or_keys(left.terms) + _or_keys(right.terms)) & guard
+        pairs = right.terms.items()
+        for e1, c1 in left.terms.items():
+            if sign < 0:
+                c1 = -c1
+            for e2, c2 in pairs:
+                key = e1 + e2
+                total[key] = get(key, 0) + c1 * c2
+    # Cancelled keys are still present, so this sees every term product's key.
+    if flagged and _or_keys(total) & guard:
+        raise ValidationError(f"an exponent reached {EXPONENT_LIMIT}, the packing limit")
+    if not all(total.values()):
+        total = {e: c for e, c in total.items() if c}
+    return Poly._unchecked(gens, total)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legcurve.contact
 from legcurve.contact import (
     ContactMap,
     act_on_curve,
@@ -268,3 +269,27 @@ def test_forget_transform_rejections():
         forget_transform(curve, 12, 0)
     with pytest.raises(NotRealizableError):
         forget_transform(curve, 11, 1)
+
+
+def _doubled(alpha, beta0, accuracy):
+    return solve_contact(alpha.scale(2), beta0.scale(2), accuracy)
+
+
+def _with_a_lower_term(alpha, beta0, accuracy):
+    return solve_contact(alpha, beta0 + Germ(beta0.weights, {(4, 0, 0): 1}, beta0.accuracy), accuracy)
+
+
+@pytest.mark.parametrize("wrong", [_doubled, _with_a_lower_term], ids=["wrong scale", "wrong order"])
+def test_forget_transform_rejects_a_wrong_map(monkeypatch, wrong):
+    monkeypatch.setattr(legcurve.contact, "solve_contact", wrong)
+    with pytest.raises(ContactDefectError):
+        forget_transform(PlaneCurveGerm(3, {10: 1, 11: 1}), 14, 2)
+
+
+def test_forget_transform_rejects_a_map_that_does_not_move_the_curve(monkeypatch):
+    def still(alpha, beta0, accuracy):
+        return solve_contact(alpha.scale(0), beta0.scale(0), accuracy)
+
+    monkeypatch.setattr(legcurve.contact, "solve_contact", still)
+    with pytest.raises(ContactDefectError, match="not by 2\\*t\\^14"):
+        forget_transform(PlaneCurveGerm(3, {10: 1, 11: 1}), 14, 2)

@@ -5,9 +5,9 @@ below keeps them as tuples, the obvious way, and every operation is
 compared on random sparse polynomials over 3 to 25 generators.
 Ring results, built unchecked, must equal what the validating public
 constructor makes of their terms, which it rejects when malformed.
-``determinant`` is compared with sympy, ``leading_monomial`` with the
-lex key read from the highest symbol down, and the exponent guard is
-tested at its limit.
+``determinant`` and the sum-of-products kernel are compared with sympy,
+``leading_monomial`` with the lex key read from the highest symbol down,
+and the exponent guard is tested at its limit.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from legcurve.errors import ValidationError
 from legcurve.expansion import determinant, leading_monomial
-from legcurve.sympoly import Poly
+from legcurve.sympoly import EXPONENT_LIMIT, Poly, _sum_of_products
 
 
 def gens_of(count):
@@ -310,6 +310,28 @@ def test_determinant_matches_sympy(rows):
     assert sp.expand(expected - to_sympy(as_ref(det))) == 0
 
 
+DET_TERMS = sparse_terms(3, SMALL, max_terms=3, max_exp=2)
+A9, A10 = {(0, 1, 0): 1}, {(0, 0, 1): Fraction(-2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@example([], False)
+@example([(1, A9, A10), (-1, A9, A10)], False)
+@example([(-1, A_SUM, A_DIFFERENCE), (1, A9, A9)], True)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), DET_TERMS, DET_TERMS), max_size=6), st.booleans())
+def test_sum_of_products_matches_sympy(triples, cancel):
+    if cancel:  # append every product again with the opposite sign
+        triples = triples + [(-sign, f, g) for sign, f, g in triples]
+    result = _sum_of_products(
+        DET_GENS, [(sign, build(DET_GENS, f), build(DET_GENS, g)) for sign, f, g in triples]
+    )
+    expected = sum((sign * to_sympy(f) * to_sympy(g) for sign, f, g in triples), sp.Integer(0))
+    assert sp.expand(expected - to_sympy(as_ref(result))) == 0
+    assert_well_formed(result)
+    if cancel:
+        assert not result
+
+
 # -- leading monomial against the old lex key -------------------------------------
 
 
@@ -365,3 +387,54 @@ def test_exponents_just_below_the_limit_work(name):
         assert list(p.terms.values()) == [1]
         assert [p.degree_in(g) for g in GUARD_GENS] == [e for e in expected[0]]
         assert list(p.diff(name).exponents()) == [tuple(k - 1 if k else 0 for k in expected[0])]
+
+
+def test_determinant_raises_at_the_limit_even_when_its_terms_cancel():
+    u = Poly.variable(GUARD_GENS, "a10") ** (EXPONENT_LIMIT - 1)
+    with pytest.raises(ValidationError, match="packing limit"):
+        determinant([[u, u], [u, u]])
+
+
+def test_determinant_rejects_mixed_generator_tuples():
+    u, v = Poly.variable(("u",), "u"), Poly.variable(("v",), "v")
+    with pytest.raises(ValidationError, match="mixed"):
+        determinant([[u, 1], [v, u]])
+
+
+@pytest.mark.parametrize("entry", [None, 0.5, True, "1"], ids=repr)
+def test_determinant_rejects_non_rational_entries(entry):
+    u = Poly.variable(("u",), "u")
+    with pytest.raises(ValidationError, match="entries"):
+        determinant([[u, entry], [entry, u]])
+
+
+def test_a_guard_bit_in_the_key_pretest_alone_does_not_raise():
+    x, half = Poly.variable(GUARD_GENS, "a10"), EXPONENT_LIMIT >> 1
+    # the operands' key ORs sum to x^EXPONENT_LIMIT, but no product reaches it
+    assert (x ** half + x ** (half - 1)) * x == x ** (half + 1) + x ** half
+    assert determinant([[x ** half + x ** (half - 1), 1], [0, x]]) == x ** (half + 1) + x ** half
+
+
+# -- generator names and substituted values ------------------------------------------
+
+NAMED = Poly.variable(GUARD_GENS, "mu") * Poly.variable(GUARD_GENS, "a10") + 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Poly.variable(GUARD_GENS, "zz"), id="variable"),
+        pytest.param(lambda: NAMED.diff("zz"), id="diff"),
+        pytest.param(lambda: NAMED.degree_in("zz"), id="degree_in"),
+        pytest.param(lambda: NAMED.substitute({"zz": 1}), id="substitute"),
+    ],
+)
+def test_unknown_generator_is_named(call):
+    with pytest.raises(ValidationError, match="'zz'"):
+        call()
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/3", True, False, None], ids=repr)
+def test_substitute_rejects_non_rational_values(value):
+    with pytest.raises(ValidationError, match="mu"):
+        NAMED.substitute({"mu": value})
