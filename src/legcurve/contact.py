@@ -196,15 +196,15 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     wp = w[2]
     if beta0.weights != w:
         raise ValidationError("alpha and beta0 live in differently weighted rings")
-    if any(mono[2] for mono in beta0.coeffs):
+    if any(mono[2] for mono in beta0.num):
         raise ValidationError("beta0 must not involve p")
     if not alpha.in_maximal_ideal() or not beta0.in_maximal_ideal():
         raise ValidationError("displacements must vanish at the origin")
-    if beta0.coeffs.get(X_MONO, 0):
+    if X_MONO in beta0.num:
         raise ValidationError(
             "beta0 has a linear x term; the contact identity forces that term to vanish"
         )
-    if 1 + beta0.coeffs.get(Y_MONO, 0) == 0:
+    if beta0._get(Y_MONO) == -1:
         raise ContactDefectError(
             "1 + d_y(beta0) vanishes at the origin; the multiplier would not be a unit"
         )
@@ -227,7 +227,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
         return a_part(s).partial("x") + a_part(s - 1).partial("y")
 
     unit = Germ.constant(w, 1) + a_part(0).partial("x")
-    if 1 + alpha.coeffs.get(X_MONO, 0) == 0:
+    if alpha._get(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     unit_inv = invert_unit(unit, target)
 
@@ -315,13 +315,13 @@ def classify(phi: ContactMap) -> Classification:
             tangent = False
             violations.append(f"the {axis} component scales the {axis} direction")
     extras = (
-        any(mo != X_MONO for mo in phi.alpha.coeffs)
-        or any(mo != Y_MONO for mo in phi.beta.coeffs)
-        or any(mo != P_MONO for mo in phi.gamma.coeffs)
+        any(mo != X_MONO for mo in phi.alpha.num)
+        or any(mo != Y_MONO for mo in phi.beta.num)
+        or any(mo != P_MONO for mo in phi.gamma.num)
     )
-    lam = 1 + phi.alpha.coeffs.get(X_MONO, 0)
-    mu = 1 + phi.beta.coeffs.get(Y_MONO, 0)
-    rho = 1 + phi.gamma.coeffs.get(P_MONO, 0)
+    lam = 1 + phi.alpha._get(X_MONO)
+    mu = 1 + phi.beta._get(Y_MONO)
+    rho = 1 + phi.gamma._get(P_MONO)
     scaling = not extras and bool(lam) and bool(mu) and rho == Fraction(mu, lam)
     return Classification(
         triangular=triangular,
@@ -411,12 +411,12 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     witness = realize_order(curve, order)
     b = witness.scale(scale)
     alpha = -b.partial("p")
-    beta0 = Germ(b.weights, {mo: v for mo, v in b.coeffs.items() if mo[2] == 0}, b.accuracy)
+    beta0 = b._reduced({mo: v for mo, v in b.num.items() if mo[2] == 0}, b.den, b.accuracy)
     phi = solve_contact(alpha, beta0, accuracy)
     bound = order + 1
     moved = (phi.beta - Germ.variable(phi.weights, "p") * phi.alpha).truncate(bound)
     shift = evaluate_on_series(moved, *(s.truncate(bound) for s in curve.triple()))
-    if shift.truncate(order).coeffs or shift.coefficient(order) != scale:
+    if shift.truncate(order).num or shift.coefficient(order) != scale:
         raise ContactDefectError(
             f"the built transformation moves the curve by {shift.items()} below t^{bound}, "
             f"not by {scale}*t^{order}"

@@ -1,8 +1,9 @@
 """Plane curve germs x = t^n, y = sum a_i t^i and their conormal lifts.
 
-Coefficients are exact rationals (``int`` or ``Fraction``); the y-series
-is known below the curve's ``accuracy``.  The conormal lift adds the
-derivative coordinate p = dy/dx, whose order along the curve is m - n.
+Coefficients are exact rationals (``int`` or ``Fraction``), kept as
+given; the y-series is known below the curve's ``accuracy``.  The conormal
+lift adds the derivative coordinate p = dy/dx, whose order along the curve
+is m - n.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy, series_compose, series_nth_root, series_reverse
+from .series import (Accuracy, TruncatedSeries, _check_accuracy, _check_exponent, series_compose,
+                     series_nth_root, series_reverse)
 
 
 def default_accuracy(n: int, m: int) -> int:
@@ -31,7 +33,7 @@ class PlaneCurveGerm:
         for c in coefficients.values():
             if type(c) is bool or not isinstance(c, (int, Fraction)):
                 raise ValidationError(f"coefficient {c!r} is not rational")
-        cleaned = TruncatedSeries(coefficients, math.inf).coeffs  # checks the exponents, drops zeros
+        cleaned = {_check_exponent(e): c for e, c in coefficients.items() if c}
         if not cleaned:
             raise ValidationError("curve needs at least one non-zero y-coefficient")
         m = min(cleaned)
@@ -91,7 +93,7 @@ class PlaneCurveGerm:
         return TruncatedSeries.monomial(self.n, 1)
 
     def y_series(self) -> TruncatedSeries:
-        return TruncatedSeries(dict(self.coefficients), self.accuracy)
+        return TruncatedSeries(self.coefficients, self.accuracy)
 
     def p_series(self) -> TruncatedSeries:
         """The derivative coordinate p = (dy/dt)/(dx/dt) along the curve."""
@@ -130,9 +132,9 @@ class PlaneCurveGerm:
 
 
 def curve_from_y_series(n: int, series: TruncatedSeries) -> PlaneCurveGerm:
-    if not series.coeffs:
+    if series.is_zero():
         raise ValidationError("the y-series vanishes to its stated accuracy")
-    return PlaneCurveGerm(n, dict(series.coeffs), series.accuracy)
+    return PlaneCurveGerm(n, series.coeffs, series.accuracy)
 
 
 def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) -> PlaneCurveGerm:
@@ -141,24 +143,29 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
     x must have order n and a leading coefficient c with a rational n-th
     root eta, else ``ValidationError``.  The new parameter is
     s = eta*t*(x/(c*t^n))^(1/n), and the result is y(t(s)) for the reversal
-    t(s); when x = c*t^n to its accuracy, s = eta*t and t(s) = t/eta are
-    exact.  One explicit check covers the root, the rescale and the
-    reversal: x(t(s)) = s^n with [s^1] t(s) = 1/eta holds only when t(s)
-    reverses s(t) for the root with constant term 1.
+    t(s); when x = c*t^n below its accuracy A, s = eta*t and t(s) = t/eta
+    are exact.  The result is exact below A - n + k0, k0 the least positive
+    exponent of y (or its accuracy): the general path's composition keeps
+    that bound, and the exact shortcut is capped at it, since an unknown
+    t^A term of x moves y(t(s)) from s^(A - n + k0) on.  One explicit check
+    covers the root, the rescale and the reversal: x(t(s)) = s^n with
+    [s^1] t(s) = 1/eta holds only when t(s) reverses s(t) for the root with
+    constant term 1.
     """
     order = x_series.order()
     if order != n:
         raise ValidationError(
             f"transformed x-coordinate has order {order}, not {n}; the image leaves the chart x = t^n"
         )
-    lead = x_series.coeffs[n]
+    lead = x_series.coefficient(n)
     eta = rational_nth_root(lead, n)
     if eta is None:
         raise ValidationError(f"cannot renormalize: {lead} admits no exact rational root of degree {n}")
-    unit = x_series.shift(-n).scale(Fraction(1, lead))
-    root = series_nth_root(unit, n) if unit.coeffs != {0: 1} else TruncatedSeries.monomial(0, 1)
+    unit = x_series.shift(-n).scale(1 / lead)
+    exact = unit.num.keys() == {0}  # x = lead*t^n below its accuracy
+    root = TruncatedSeries.monomial(0, 1) if exact else series_nth_root(unit, n)
     s_of_t = TruncatedSeries.monomial(1, eta) * root
-    if s_of_t.coeffs == {1: 1}:
+    if exact and eta == 1:
         new_y = y_series
     else:
         t_of_s = series_reverse(s_of_t)
@@ -166,6 +173,9 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
         if t_of_s.coefficient(1) != 1 / eta or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
             raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
         new_y = series_compose(y_series, t_of_s)
+    if exact:
+        k0 = min((k for k in y_series.num if k >= 1), default=y_series.accuracy)
+        new_y = new_y.truncate(x_series.accuracy - n + k0)
     return curve_from_y_series(n, new_y)
 
 

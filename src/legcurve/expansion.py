@@ -262,8 +262,11 @@ def determinant(matrix: list[list[Poly]]) -> Poly:
         raise ValidationError("matrix is not square")
     if d > DIMENSION_CAP:
         raise ValidationError(f"determinant dimension {d} exceeds cap {DIMENSION_CAP}")
-    gens = matrix[0][0].gens
-    matrix = [[matrix[0][0]._coerce(entry) for entry in row] for row in matrix]
+    first = next((entry for row in matrix for entry in row if isinstance(entry, Poly)), None)
+    if first is None:
+        raise ValidationError("determinant needs a polynomial entry to fix its generators")
+    gens = first.gens
+    matrix = [[first._coerce(entry) for entry in row] for row in matrix]
     if any(entry is None for row in matrix for entry in row):
         raise ValidationError("determinant entries must be polynomials or rational scalars")
     memo: dict[tuple[int, ...], Poly] = {(): Poly.const(gens, 1)}

@@ -5,21 +5,24 @@ these are the orders (n, m, m-n) of x, y and the derivative coordinate p
 along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
 rational coefficients for monomials of weighted valuation below
-``accuracy``.
+``accuracy``, in the form ``series`` uses: non-zero integer numerators
+``num`` over one positive denominator ``den``, with no common factor.
+Reads (``coefficient``, ``items``, ``coeffs``) return ``Fraction``s.
 
 Inputs are validated where they enter: the public constructor ``Germ(...)``
-checks the weights, the accuracy and every monomial (a triple of
-non-negative ``int``s), ``Germ.coefficient`` checks the monomial it is
-asked for, and ``truncate`` checks its accuracy.  The arithmetic is the
-one ``TruncatedSeries`` uses (``series._Truncated``, keyed here by the
-weighted valuation); it builds results without re-validating keys that
-come from germs that passed those checks, and filters only in ``truncate``
-and in sums of germs of different accuracies (see ``series``).
+checks the weights, the accuracy, every monomial (a triple of
+non-negative ``int``s) and every value (an ``int`` or a ``Fraction``, not
+a ``bool``), ``Germ.coefficient`` checks the monomial it is asked for, and
+``truncate`` checks its accuracy.  The arithmetic is the one
+``TruncatedSeries`` uses (``series._Truncated``, keyed here by the
+weighted valuation); it builds results from numerators without
+re-validating keys that come from germs that passed those checks.
 ``partial`` and ``p_parts`` lower the accuracy by exactly the weight they
-take off each monomial, so they need no filter either.  Products look each
-monomial up in the table ``_Truncated._KEYS``, so equal monomials of
-different products share one key tuple; the table holds keys only, so it
-is bounded by the number of distinct monomials that products produce.
+take off each monomial, so they keep every key valid and only divide out
+the content of their numerators.  Products look each monomial up in the
+table ``_Truncated._KEYS``, so equal monomials of different products share
+one key tuple; the table holds keys only, so it is bounded by the number
+of distinct monomials that products produce.
 """
 
 from __future__ import annotations
@@ -71,11 +74,7 @@ class Germ(_Truncated):
             raise ValidationError(f"weights must be three positive integers, got {weights!r}")
         self.weights = tuple(weights)
         self.accuracy = _check_accuracy(accuracy)
-        self.coeffs: dict[Monomial, object] = {}
-        for mono, value in coeffs.items():
-            _check_monomial(mono)
-            if value and self.valuation_of(mono) < accuracy:
-                self.coeffs[mono] = value
+        self._store(coeffs, _check_monomial)
 
     # -- structure ---------------------------------------------------------
 
@@ -103,18 +102,18 @@ class Germ(_Truncated):
         mono[AXES.index(axis)] = 1
         return Germ(weights, {tuple(mono): 1}, accuracy)
 
-    def coefficient(self, mono: Monomial):
+    def coefficient(self, mono: Monomial) -> Fraction:
         _check_monomial(mono)
         if self.valuation_of(mono) >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of {mono} has weighted order >= accuracy {self.accuracy}"
             )
-        return self.coeffs.get(mono, 0)
+        return self._get(mono)
 
     valuation_lower_bound = _Truncated._weight_lower_bound
 
     def valuation(self) -> Accuracy:
-        if self.coeffs or self.accuracy == math.inf:
+        if self.num or self.accuracy == math.inf:
             return self.valuation_lower_bound()
         raise InsufficientPrecisionError("germ vanishes to stated accuracy; valuation unknown")
 
@@ -122,7 +121,7 @@ class Germ(_Truncated):
         """True when the germ vanishes at the origin."""
         if self.accuracy <= 0:
             raise InsufficientPrecisionError("accuracy 0 germ: value at origin unknown")
-        return (0, 0, 0) not in self.coeffs
+        return (0, 0, 0) not in self.num
 
     def __repr__(self) -> str:
         def fmt(mono: Monomial, value) -> str:
@@ -143,26 +142,26 @@ class Germ(_Truncated):
         idx = AXES.index(axis)
         weight = self.weights[idx]
         acc = max(self.accuracy - weight, 0)
-        out: dict[Monomial, object] = {}
-        for mono, value in self.coeffs.items():
+        out: dict[Monomial, int] = {}
+        for mono, value in self.num.items():
             if mono[idx]:
                 key = list(mono)
                 key[idx] -= 1
                 out[tuple(key)] = mono[idx] * value
-        return self._unchecked(out, acc)
+        return self._reduced(out, self.den, acc)
 
     # -- p-power decomposition (used by the Cauchy solver) --------------------
 
     def p_parts(self) -> dict[int, "Germ"]:
         """Split into coefficients of powers of p (each a germ in x, y only)."""
         wp = self.weights[2]
-        parts: dict[int, dict[Monomial, object]] = {}
-        for (i, j, l), value in self.coeffs.items():
+        parts: dict[int, dict[Monomial, int]] = {}
+        for (i, j, l), value in self.num.items():
             parts.setdefault(l, {})[(i, j, 0)] = value
         degrees = set(parts)
         if self.accuracy != math.inf:
             degrees |= set(range(self.accuracy // wp + 1))
-        return {l: self._unchecked(parts.get(l, {}), self.accuracy - l * wp) for l in degrees}
+        return {l: self._reduced(parts.get(l, {}), self.den, self.accuracy - l * wp) for l in degrees}
 
     @staticmethod
     def from_p_parts(weights: tuple[int, int, int], parts: Mapping[int, "Germ"]) -> "Germ":
@@ -184,15 +183,15 @@ class Germ(_Truncated):
 def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
     """Inverse of a germ with invertible value at the origin."""
     acc = g.accuracy if accuracy is None else min(g.accuracy, accuracy)
-    c0 = g.coeffs.get((0, 0, 0), 0)
+    c0 = g._get((0, 0, 0))
     if not c0:
         raise ValidationError("germ vanishes at the origin; it is not a unit")
     rest = g - Germ.constant(g.weights, c0, g.accuracy)
+    inv_c0 = 1 / c0
     if rest.is_zero():
-        return Germ.constant(g.weights, Fraction(1, c0), acc)
+        return Germ.constant(g.weights, inv_c0, acc)
     if acc == math.inf:
         raise ValidationError("inverting a non-constant unit needs a finite accuracy; truncate first")
-    inv_c0 = Fraction(1, c0)
     w = rest.scale(-inv_c0).truncate(acc)
     result = Germ.constant(g.weights, 1, acc)
     power = Germ.constant(g.weights, 1, acc)
@@ -226,7 +225,7 @@ def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
             candidates.append(g.accuracy)
         else:
             candidates.append(math.ceil(g.accuracy * rho))
-    for mono in g.coeffs:
+    for mono in g.num:
         base = sum(e * v for e, v in zip(mono, orders) if v != math.inf)
         for idx in range(3):
             if mono[idx] and accs[idx] != math.inf:

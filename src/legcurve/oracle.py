@@ -25,7 +25,7 @@ from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from .germs import Germ, Monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
-from .series import TruncatedSeries, _numerators
+from .series import TruncatedSeries
 
 
 class EchelonRow:
@@ -108,13 +108,13 @@ class ConormalOracle:
 
     def _insert(self, mono: Monomial) -> None:
         # the row is kept up to a non-zero rational factor, as integers:
-        # the restriction over the lcm of its denominators, then
+        # the stored numerators of the restriction, then
         # (pivot denominator) * row - (row's lead) * pivot row per step
-        den, terms = _numerators(self.restriction(mono).coeffs, int)
+        restriction = self.restriction(mono)
         row = [0] * self.bound
-        for k, _, v in terms:
+        for k, v in restriction.num.items():
             row[k] = v
-        combination = {mono: den}
+        combination = {mono: restriction.den}
         order = next((k for k, a in enumerate(row) if a), None)
         while order is not None and order in self.rows:
             pivot = self.rows[order]

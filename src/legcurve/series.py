@@ -3,30 +3,33 @@
 A series stores finitely many exact coefficients together with an
 ``accuracy`` bound N: coefficients of t^k for k < N are correct, higher
 ones are unknown.  ``math.inf`` accuracy marks exact polynomials.
-Coefficients are rationals (``int`` or ``Fraction``).  Products are
-computed over integer numerators: each factor is brought to one common
-denominator, the convolution accumulates plain ``int`` products, and each
-output coefficient is divided by the product of the two denominators once.
-Composition expands the outer series about the linear part c*t of the
-inner one (Brent & Kung, J. ACM 25 (1978), section 2), so its cost falls
-with the order of the inner series' perturbation; see ``series_compose``.
 Every operation propagates accuracy pessimistically and reading a
 coefficient at or beyond the bound raises, so precision loss is never
 silent.
+
+The coefficients are rationals, stored as integer numerators over one
+shared denominator (Knuth, TAOCP Vol. 2, section 4.5.1): ``num`` maps each
+key to a non-zero ``int`` and ``den`` is a positive ``int``.  The stored
+form is canonical: gcd(den, *num.values()) == 1 and no key sits at or
+above the accuracy, so equal values have equal ``num`` and ``den``.  Sums,
+scalings and products are integer operations followed by one content
+``gcd``; a product is the convolution of two weight-sorted numerator
+lists over the product of the denominators.  ``Fraction``s are built only
+when a value is read: ``coefficient``, ``items`` and the read-only
+``coeffs`` return ``Fraction`` values, integral ones included.
+Composition expands the outer series about the linear part c*t of the
+inner one (Brent & Kung, J. ACM 25 (1978), section 2), so its cost falls
+with the order of the inner series' perturbation; see ``series_compose``.
 
 The arithmetic of exact coefficients below an accuracy is the same for
 these series and for the germs of ``germs.py``; only the weight of a key
 differs (the exponent here, the weighted valuation there).  It is written
 once, in the private base class ``_Truncated``: negation, sums, scaling,
 truncation, products, powers and comparison.  The public constructors
-validate every key and the accuracy; arithmetic results are built by
-``_Truncated._unchecked``, which keeps the dict it is given.  Results are
-filtered only where they can hold a zero value or a key at or above the
-accuracy: ``truncate`` drops the keys at or above its accuracy, and ``+``
-truncates the operand of larger accuracy and drops the sums that cancel.
-Negation, scaling by a non-zero scalar, products (``_product`` keeps only
-non-zero sums below the accuracy), shifts and derivatives map valid
-entries to valid entries, so filtering them again would only cost time.
+validate every key, every value (an ``int`` or a ``Fraction``, not a
+``bool``) and the accuracy; arithmetic results are built by
+``_Truncated._unchecked``, which keeps the numerators it is given, or by
+``_Truncated._reduced``, which first divides out their common content.
 """
 
 from __future__ import annotations
@@ -55,15 +58,10 @@ def _check_exponent(k) -> int:
     return k
 
 
-def _numerators(coeffs: Mapping, weight: Callable) -> tuple[int, list[tuple]]:
-    """The common denominator of the values and the (weight, key, numerator)
-    triples over it, sorted by weight."""
-    den = 1
-    for v in coeffs.values():  # math.lcm(*generator) raised normalize's peak RSS by 3 MB
-        den = math.lcm(den, v.denominator)
-    terms = [(weight(k), k, v.numerator * (den // v.denominator)) for k, v in coeffs.items()]
-    terms.sort(key=operator.itemgetter(0))
-    return den, terms
+def _check_rational(value):
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"coefficient {value!r} is not rational")
+    return value
 
 
 def _convolve(left_terms: list, right_terms: list, acc: Accuracy, combine: Callable) -> dict:
@@ -80,21 +78,9 @@ def _convolve(left_terms: list, right_terms: list, acc: Accuracy, combine: Calla
     return sums
 
 
-def _product(left: Mapping, right: Mapping, acc: Accuracy, weight: Callable, combine: Callable,
-             keys: dict) -> dict:
-    """Non-zero coefficients of weight below ``acc`` in the product of two
-    coefficient maps; ``weight`` is additive under ``combine`` of keys.
-    Each key of the result is the one object that ``keys`` holds for it."""
-    den_left, left_terms = _numerators(left, weight)
-    den_right, right_terms = _numerators(right, weight)
-    sums = _convolve(left_terms, right_terms, acc, combine)
-    den = den_left * den_right
-    shared = keys.setdefault
-    return {shared(k, k): v if den == 1 else Fraction(v, den) for k, v in sums.items() if v}
-
-
 class _Truncated:
-    """Exact coefficients of the terms whose weight is below ``accuracy``.
+    """Exact coefficients of the terms whose weight is below ``accuracy``,
+    as non-zero integer numerators ``num`` over the positive ``den``.
 
     The arithmetic that ``TruncatedSeries`` and ``germs.Germ`` share.  A
     subclass supplies the weight of a key (``_weight``), the key of a
@@ -104,21 +90,48 @@ class _Truncated:
     them.
     """
 
-    __slots__ = ("coeffs", "accuracy")
+    __slots__ = ("num", "den", "accuracy")
 
     # key -> the one key object that every product containing it uses
     _KEYS: dict = {}
 
-    def _unchecked(self, coeffs: dict, accuracy: Accuracy):
-        """A result in the ring of ``self``, built without checks: ``coeffs``
+    def _store(self, coeffs: Mapping, check_key: Callable) -> None:
+        """Set ``num`` and ``den`` from the rational values of ``coeffs``
+        (after ``accuracy`` and the ring), dropping zeros and keys of weight
+        at or above the accuracy.  Over the least common denominator the
+        numerators need no reduction: each of its prime powers divides some
+        value's denominator, and so not that value's numerator."""
+        kept = {}
+        for k, v in coeffs.items():
+            check_key(k)
+            if _check_rational(v) and self._weight(k) < self.accuracy:
+                kept[k] = v
+        den = 1
+        for v in kept.values():  # math.lcm(*generator) raised normalize's peak RSS by 3 MB
+            den = math.lcm(den, v.denominator)
+        self.num = {k: v.numerator * (den // v.denominator) for k, v in kept.items()}
+        self.den = den
+
+    def _unchecked(self, num: dict, den: int, accuracy: Accuracy):
+        """A result in the ring of ``self``, built without checks: ``num``
         must hold valid keys of weight below ``accuracy`` with non-zero
-        values only."""
+        ``int`` values, coprime as a whole to the positive ``den``."""
         out = object.__new__(type(self))
         for name in type(self).__slots__:
             setattr(out, name, getattr(self, name))
-        out.coeffs = coeffs
+        out.num = num
+        out.den = den
         out.accuracy = accuracy
         return out
+
+    def _reduced(self, num: dict, den: int, accuracy: Accuracy):
+        """``_unchecked`` after dividing ``num`` and ``den`` by their content."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        return self._unchecked(num, den, accuracy)
 
     def _check_ring(self, other: object) -> None:
         if type(other) is not type(self):
@@ -127,11 +140,28 @@ class _Truncated:
             if getattr(self, name) != getattr(other, name):
                 raise ValidationError(f"operands differ in their {name}")
 
+    def _terms(self) -> list:
+        """The (weight, key, numerator) triples, sorted by weight."""
+        weight = self._weight
+        terms = [(weight(k), k, v) for k, v in self.num.items()]
+        terms.sort(key=operator.itemgetter(0))
+        return terms
+
+    def _get(self, key) -> Fraction:
+        """The value at ``key``, 0 when absent, without a precision check."""
+        return Fraction(self.num.get(key, 0), self.den)
+
     def _weight_lower_bound(self) -> Accuracy:
-        return min(map(self._weight, self.coeffs)) if self.coeffs else self.accuracy
+        return min(map(self._weight, self.num)) if self.num else self.accuracy
+
+    @property
+    def coeffs(self) -> dict:
+        """The non-zero values as ``Fraction``s, in a new dict on each read."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def items(self):
         """The (key, value) pairs sorted by weight, then key."""
@@ -142,7 +172,8 @@ class _Truncated:
         if type(other) is not type(self):
             return NotImplemented
         return (
-            self.coeffs == other.coeffs
+            self.num == other.num
+            and self.den == other.den
             and self.accuracy == other.accuracy
             and all(getattr(self, name) == getattr(other, name) for name in type(self).__slots__)
         )
@@ -153,59 +184,67 @@ class _Truncated:
         """Equality of all coefficients below the smaller accuracy."""
         self._check_ring(other)
         bound = min(self.accuracy, other.accuracy)
-        return self.truncate(bound).coeffs == other.truncate(bound).coeffs
+        left, right = self.truncate(bound), other.truncate(bound)
+        return left.num == right.num and left.den == right.den
 
-    # -- arithmetic (filtered only in truncate and +; see the module docstring) --
+    # -- arithmetic ----------------------------------------------------------
 
     def truncate(self, accuracy: Accuracy):
         accuracy = _check_accuracy(accuracy)
         if accuracy >= self.accuracy:
             return self
         weight = self._weight
-        return self._unchecked({k: v for k, v in self.coeffs.items() if weight(k) < accuracy}, accuracy)
+        return self._reduced({k: v for k, v in self.num.items() if weight(k) < accuracy}, self.den, accuracy)
 
     def __neg__(self):
-        return self._unchecked({k: -v for k, v in self.coeffs.items()}, self.accuracy)
+        return self._unchecked({k: -v for k, v in self.num.items()}, self.den, self.accuracy)
 
     def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign: int):
+        """self + sign*other, over the lcm of the two denominators."""
         self._check_ring(other)
         if self.accuracy != other.accuracy:
             acc = min(self.accuracy, other.accuracy)
-            return self.truncate(acc) + other.truncate(acc)
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = merged.get(k, 0) + v
+            return self.truncate(acc)._sum(other.truncate(acc), sign)
+        g = math.gcd(self.den, other.den)
+        lift, other_lift = other.den // g, sign * (self.den // g)
+        merged = {k: v * lift for k, v in self.num.items()} if lift != 1 else dict(self.num)
+        for k, v in other.num.items():
+            s = merged.get(k, 0) + v * other_lift
             if s:
                 merged[k] = s
             else:
                 del merged[k]
-        return self._unchecked(merged, self.accuracy)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self._reduced(merged, self.den * lift, self.accuracy)
 
     def scale(self, scalar):
-        if not scalar:
-            return self._unchecked({}, self.accuracy)
-        return self._unchecked({k: scalar * v for k, v in self.coeffs.items()}, self.accuracy)
+        p, q = _check_rational(scalar).numerator, scalar.denominator
+        if not p:
+            return self._unchecked({}, 1, self.accuracy)
+        return self._reduced({k: p * v for k, v in self.num.items()}, q * self.den, self.accuracy)
 
     def __mul__(self, other):
         self._check_ring(other)
-        if (not self.coeffs and self.accuracy == math.inf) or (
-            not other.coeffs and other.accuracy == math.inf
-        ):
-            return self._unchecked({}, math.inf)
+        if (not self.num and self.accuracy == math.inf) or (not other.num and other.accuracy == math.inf):
+            return self._unchecked({}, 1, math.inf)
+        left, right = self._terms(), other._terms()
         acc = min(
-            self.accuracy + other._weight_lower_bound(),
-            other.accuracy + self._weight_lower_bound(),
+            self.accuracy + (right[0][0] if right else other.accuracy),
+            other.accuracy + (left[0][0] if left else self.accuracy),
         )
-        out = _product(self.coeffs, other.coeffs, acc, self._weight, self._combine, self._KEYS)
-        return self._unchecked(out, acc)
+        sums = _convolve(left, right, acc, self._combine)
+        shared = self._KEYS.setdefault
+        return self._reduced({shared(k, k): v for k, v in sums.items() if v}, self.den * other.den, acc)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValidationError("negative powers are not supported")
-        result = self._unchecked({self._ONE: 1}, math.inf)
+        result = self._unchecked({self._ONE: 1}, 1, math.inf)
         base = self
         while exponent:
             if exponent & 1:
@@ -225,10 +264,7 @@ class TruncatedSeries(_Truncated):
 
     def __init__(self, coeffs: Mapping[int, object], accuracy: Accuracy):
         self.accuracy = _check_accuracy(accuracy)
-        self.coeffs: dict[int, object] = {}
-        for k, v in coeffs.items():
-            if _check_exponent(k) < self.accuracy and v:
-                self.coeffs[k] = v
+        self._store(coeffs, _check_exponent)
 
     # -- constructors ----------------------------------------------------
 
@@ -242,16 +278,16 @@ class TruncatedSeries(_Truncated):
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> Fraction:
         if _check_exponent(k) >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of t^{k} requested but series is only exact below t^{self.accuracy}"
             )
-        return self.coeffs.get(k, 0)
+        return self._get(k)
 
     def order(self) -> Accuracy:
         """Exact order of the series; infinity for the exact zero series."""
-        if self.coeffs or self.accuracy == math.inf:
+        if self.num or self.accuracy == math.inf:
             return self.order_lower_bound()
         raise InsufficientPrecisionError(
             f"series vanishes below t^{self.accuracy}; its order cannot be certified"
@@ -270,14 +306,14 @@ class TruncatedSeries(_Truncated):
         """Multiply by t^offset; offset may be negative if no exponent drops below zero."""
         if type(offset) is not int:
             raise ValidationError(f"shift offset must be an integer, got {offset!r}")
-        if self.coeffs and min(self.coeffs) + offset < 0:
+        if self.num and min(self.num) + offset < 0:
             raise ValidationError("shift would create negative exponents")
         acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy + offset, 0)
-        return self._unchecked({k + offset: v for k, v in self.coeffs.items()}, acc)
+        return self._unchecked({k + offset: v for k, v in self.num.items()}, self.den, acc)
 
     def derivative(self) -> "TruncatedSeries":
         acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy - 1, 0)
-        return self._unchecked({k - 1: k * v for k, v in self.coeffs.items() if k}, acc)
+        return self._reduced({k - 1: k * v for k, v in self.num.items() if k}, self.den, acc)
 
 
 # -- composition and inversion ---------------------------------------------
@@ -294,32 +330,31 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     accuracy N; the j-th step keeps terms below t^(N - j*v).  The cost
     is about N/v products, so it is cheap when delta has high order and a
     rescaling without products when delta = 0; when c = 0 it is the
-    power ladder sum_k o_k inner^k.  The arithmetic runs over integer
+    power ladder sum_k o_k inner^k.  The arithmetic runs on the stored
     numerators with one running denominator, reduced by its content after
     each step.
     """
     if inner.order_lower_bound() < 1:
         raise ValidationError("inner series must have positive order")
-    if not inner.coeffs:
+    if not inner.num:
         # outer evaluated at something indistinguishable from 0.
         acc = min(outer.accuracy, inner.accuracy)
-        const = outer.coeffs.get(0, 0)
-        return TruncatedSeries({0: const} if const else {}, acc)
-    v_inner = min(inner.coeffs)
+        const = outer.num.get(0)
+        return outer._reduced({0: const} if const else {}, outer.den, acc)
+    v_inner = min(inner.num)
     candidates = [math.inf]
     if outer.accuracy != math.inf:
         candidates.append(outer.accuracy * v_inner)
     if inner.accuracy != math.inf:
-        positive = [k for k in outer.coeffs if k >= 1]
+        positive = [k for k in outer.num if k >= 1]
         if outer.accuracy != math.inf:
             positive.append(int(outer.accuracy))
         if positive:
             candidates.append(inner.accuracy + (min(positive) - 1) * v_inner)
     acc = min(candidates)
-    c = Fraction(inner.coeffs.get(1, 0))
-    den_delta, delta = _numerators({k: v for k, v in inner.coeffs.items() if k != 1}, int)
-    den_outer, outer_terms = _numerators(outer.coeffs, int)
-    numerators = {k: a for _, k, a in outer_terms}
+    c = inner._get(1)
+    delta = sorted((k, k, a) for k, a in inner.num.items() if k != 1)
+    numerators = outer.num
     top = max(numerators, default=0)
     v = delta[0][0] if delta else 0
     if not delta:
@@ -330,14 +365,14 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         depth = min(top, (acc - 1) // v)
     # c^e = lift[e] / q^top for the denominator q of c
     lift = [c.numerator ** e * c.denominator ** (top - e) for e in range(top + 1)] if c else [1]
-    # Horner in delta; the running sum is sums / (den_outer * q^top * scale)
+    # Horner in delta; the running sum is sums / (outer.den * q^top * scale)
     sums: dict = {}
     scale = 1
     for j in range(depth, -1, -1):
         limit = acc - j * v
         if sums:
             sums = _convolve([(e, e, x) for e, x in sorted(sums.items()) if x], delta, limit, operator.add)
-            scale *= den_delta
+            scale *= inner.den
         for e in range(min(len(lift), top - j + 1, limit)):
             a = numerators.get(j + e)
             if a:  # the t^e coefficient of (D_j outer)(c t)
@@ -346,22 +381,22 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         if g != 1:
             sums = {e: x // g for e, x in sums.items()}
             scale //= g
-    den = den_outer * c.denominator ** top * scale
-    return TruncatedSeries({e: x if den == 1 else Fraction(x, den) for e, x in sums.items() if x}, acc)
+    den = outer.den * c.denominator ** top * scale
+    return outer._reduced({e: x for e, x in sums.items() if x}, den, acc)
 
 
 def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse (f/c0)^(-1)/c0 of a series with invertible constant term c0."""
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
-    c0 = f.coeffs.get(0, 0)
+    c0 = f._get(0)
     if not c0:
         raise ValidationError("series has no invertible constant term")
-    if f.accuracy == math.inf and set(f.coeffs) == {0}:
-        return TruncatedSeries({0: Fraction(1, c0)}, math.inf)
+    if f.accuracy == math.inf and f.num.keys() == {0}:
+        return TruncatedSeries({0: 1 / c0}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("inverse of a non-constant polynomial needs a finite accuracy; truncate first")
-    inv0 = Fraction(1, c0)
+    inv0 = 1 / c0
     return _unit_power(f.scale(inv0), -1).scale(inv0)
 
 
@@ -373,26 +408,25 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     accuracy (from g or the argument), and below accuracy 2 the reversal
     is the zero series.
     """
-    if g.accuracy <= 1 and not g.coeffs:
+    if g.accuracy <= 1 and not g.num:
         raise InsufficientPrecisionError(
             f"series is only exact below t^{g.accuracy}; its t^1 coefficient is unknown"
         )
-    if g.order_lower_bound() < 1 or 1 not in g.coeffs:
+    if g.order_lower_bound() < 1 or 1 not in g.num:
         raise ValidationError("series must have order exactly 1 to be reversed")
     acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
     if acc == math.inf:
-        if len(g.coeffs) == 1:
-            return TruncatedSeries({1: Fraction(1, g.coeffs[1])}, math.inf)
+        if len(g.num) == 1:
+            return TruncatedSeries({1: 1 / g._get(1)}, math.inf)
         raise ValidationError("reversal of an exact polynomial needs an explicit finite accuracy")
     if acc <= 1:
         return TruncatedSeries.zero(acc)
     g = g.truncate(acc)
-    g1 = g.coeffs[1]
-    h = TruncatedSeries({1: Fraction(1, g1)}, 2)
+    h = TruncatedSeries({1: 1 / g._get(1)}, 2)
     precision = 2
     while precision < acc:
         precision = min(2 * precision, acc)
-        h = TruncatedSeries(h.coeffs, precision)
+        h = h._unchecked(h.num, h.den, precision)
         composed = series_compose(g.truncate(precision), h)
         residual = composed - TruncatedSeries.monomial(1, 1, precision)
         if residual.is_zero():
@@ -411,9 +445,9 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
         raise ValidationError(f"root index must be a positive integer, got {n!r}")
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
-    if f.coeffs.get(0, 0) != 1:
+    if f._get(0) != 1:
         raise ValidationError("n-th roots are only taken of unit series with constant term 1")
-    if f.accuracy == math.inf and set(f.coeffs) == {0}:
+    if f.accuracy == math.inf and f.num.keys() == {0}:
         return TruncatedSeries({0: 1}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("root of a non-trivial polynomial needs a finite accuracy; truncate first")
@@ -424,12 +458,12 @@ def _unit_power(f: TruncatedSeries, alpha) -> TruncatedSeries:
     """w = f^alpha for f = 1 + ... of finite accuracy and rational alpha, by
     k w_k = sum_(i=1..k) ((alpha+1) i - k) f_i w_(k-i), w_0 = 1: the t^(k-1)
     coefficients of f*w' = alpha*f'*w (Knuth, TAOCP Vol. 2, section 4.7).
-    With f_i = a_i/D over one denominator D, each w_j computed so far is
-    b_j/b_0 for coprime integers b_0, b_1, ...
+    With f_i = a_i/D over the stored denominator D, each w_j computed so
+    far is b_j/b_0 for coprime integers b_0 > 0, b_1, ..., which are the
+    stored form of the result.
     """
     acc = int(f.accuracy)
-    den, terms = _numerators(f.coeffs, int)
-    terms = [(i, a) for i, _, a in terms if i]
+    terms = sorted((i, a) for i, a in f.num.items() if i)
     p, q = (alpha + 1).as_integer_ratio()
     b = [1]
     for k in range(1, acc):
@@ -440,9 +474,9 @@ def _unit_power(f: TruncatedSeries, alpha) -> TruncatedSeries:
             s += (p * i - q * k) * a * b[k - i]
         # w_k = s/(q k D b_0); over that denominator the numerators have
         # content gcd(s, q k D), as b_0, ..., b_(k-1) are coprime
-        step = q * k * den
+        step = q * k * f.den
         g = math.gcd(s, step)
         if g != step:
             b = [x * (step // g) for x in b]
         b.append(s // g)
-    return TruncatedSeries({k: Fraction(x, b[0]) for k, x in enumerate(b) if x}, acc)
+    return f._unchecked({k: x for k, x in enumerate(b) if x}, b[0], acc)

@@ -170,6 +170,17 @@ def test_reparametrize_rescales_a_leading_coefficient(n, eta, accuracy):
     assert by_hand.coefficient(n + 1) == Fraction(1, eta ** (n + 1))
 
 
+@pytest.mark.parametrize("lead", [1, 8, Fraction(-1, 27)])
+def test_an_exact_leading_term_of_x_caps_the_accuracy_like_the_general_path(lead):
+    # x = lead*t^3 known below t^8: an unknown t^8 term of x would move
+    # y(t(s)) from s^(8 - 3 + 10) on, which the general path (x with a t^7
+    # term) keeps as well; the shortcut used to keep y's accuracy 30
+    y = TruncatedSeries({10: 1, 11: 1}, 30)
+    assert reparametrize(TruncatedSeries({3: lead}, 8), y, 3).accuracy == 15
+    assert reparametrize(TruncatedSeries({3: lead, 7: 1}, 8), y, 3).accuracy == 15
+    assert reparametrize(TruncatedSeries({3: lead}, math.inf), y, 3).accuracy == 30
+
+
 @pytest.mark.parametrize("n, lead", [(3, 2), (2, -4), (4, Fraction(1, 8))])
 def test_reparametrize_rejects_a_leading_coefficient_without_a_rational_root(n, lead):
     y = TruncatedSeries({n + 1: 1}, n + 8)

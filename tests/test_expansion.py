@@ -272,3 +272,12 @@ def test_leading_monomial(ctx):
         leading_monomial(ctx.mu() * a10)
     with pytest.raises(ValidationError):
         leading_monomial(Poly.const(ctx.gens, 0))
+
+
+def test_determinant_reads_generators_from_the_first_polynomial_entry():
+    gens = ("u",)
+    u = Poly.variable(gens, "u")
+    assert determinant([[1, u], [u, 1]]) == 1 - u * u
+    assert determinant([[0, Fraction(1, 2)], [2, u]]) == Poly.const(gens, -1)
+    with pytest.raises(ValidationError, match="polynomial entry"):
+        determinant([[1, 2], [3, 4]])

@@ -274,3 +274,39 @@ def test_trusted_results_equal_the_public_constructor(a, b, scalar, cut):
         acc = a.accuracy if a.accuracy == math.inf else max(a.accuracy - l * W[2], 0)
         assert part == G({(i, j, 0): v for (i, j, e), v in a.coeffs.items() if e == l}, acc)
     assert set(parts) >= {l for (_, _, l) in a.coeffs}
+
+
+# -- the stored form: integer numerators over one denominator -----------------------
+
+
+def assert_canonical(germ):
+    """Non-zero int numerators at monomials below the accuracy over a positive
+    int denominator, with no factor common to all of them."""
+    assert type(germ.den) is int and germ.den > 0
+    assert all(type(v) is int and v for v in germ.num.values())
+    assert math.gcd(germ.den, *germ.num.values()) == 1
+    assert all(germ.valuation_of(mono) < germ.accuracy for mono in germ.num)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
+def test_non_rational_values_are_rejected(value):
+    with pytest.raises(ValidationError, match="not rational"):
+        G({(0, 0, 0): 1, (1, 0, 0): value})
+
+
+UNIT_REMAINDERS = st.dictionaries(MONOMIALS.filter(any), RATIONALS, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@example(G({(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(3, 2)}, 20), G({(0, 1, 0): 2}), Fraction(2),
+         {(1, 0, 0): Fraction(1, 2)}, Fraction(1, 2), 12)
+@given(GERMS, GERMS, RATIONALS.filter(bool), UNIT_REMAINDERS, RATIONALS.filter(bool), st.integers(1, 40))
+def test_results_keep_the_canonical_form(a, b, scalar, remainder, constant, accuracy):
+    unit = G({(0, 0, 0): constant, **remainder}, accuracy)
+    results = [a, -a, a + b, a - b, a.scale(scalar), a.truncate(accuracy), a * b, invert_unit(unit)]
+    results += [a.partial(axis) for axis in AXES] + list(a.p_parts().values())
+    for value in results:
+        assert_canonical(value)
+    assert (a * b).scale(scalar) == a.scale(scalar) * b
+    assert a - b == -(b - a)
+    assert (invert_unit(unit) * unit).agrees_with(G({(0, 0, 0): 1}))

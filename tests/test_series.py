@@ -429,3 +429,59 @@ def test_roots_and_inverses_satisfy_their_defining_identities(f, n, g):
     inverse = series_inverse_unit(g)
     assert inverse.accuracy == g.accuracy
     assert (inverse * g).agrees_with(S({0: 1}))
+
+
+# -- the stored form: integer numerators over one denominator -----------------------
+
+
+def assert_canonical(value):
+    """Non-zero int numerators at keys below the accuracy over a positive int
+    denominator, with no factor common to all of them."""
+    assert type(value.den) is int and value.den > 0
+    assert all(type(v) is int and v for v in value.num.values())
+    assert math.gcd(value.den, *value.num.values()) == 1
+    assert all(k < value.accuracy for k in value.num)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
+def test_non_rational_values_are_rejected(value):
+    with pytest.raises(ValidationError, match="not rational"):
+        S({0: 1, 2: value}, 4)
+    with pytest.raises(ValidationError, match="not rational"):
+        S({0: 1}, 4).scale(value)
+
+
+def test_every_read_is_a_fraction_and_coeffs_is_read_only():
+    f = S({0: 2, 1: Fraction(4, 2), 3: Fraction(-1, 6)}, 5)
+    assert (f.num, f.den) == ({0: 12, 1: 12, 3: -1}, 6)
+    assert f.coeffs == {0: 2, 1: 2, 3: Fraction(-1, 6)}
+    assert all(type(v) is Fraction for v in f.coeffs.values())
+    assert all(type(v) is Fraction for _, v in f.items())
+    assert type(f.coefficient(0)) is Fraction and type(f.coefficient(2)) is Fraction
+    f.coeffs[0] = 7  # a fresh dict on every read
+    assert f.coefficient(0) == 2
+    with pytest.raises(AttributeError):
+        f.coeffs = {}
+
+
+@settings(max_examples=100, deadline=None)
+@example(S({0: Fraction(1, 2), 1: Fraction(1, 2)}, 3), S({0: Fraction(1, 2)}), S({1: 6}, 9), Fraction(2), 1, 0,
+         S({0: 1, 1: Fraction(1, 4)}, 5), 2, S({0: 3, 2: Fraction(1, 3)}, 4))
+@example(S({}), S({}, 4), S({0: HUGE}), Fraction(1, HUGE), 0, 3, S({0: 1}, 1), 1, S({0: -1}, 1))
+@given(SERIES, SERIES, SERIES, RATIONALS.filter(bool), ACCURACIES, st.integers(0, 6),
+       units(1), st.integers(1, 5), RATIONALS.filter(bool).flatmap(units))
+def test_results_keep_the_canonical_form(a, b, c, scalar, cut, offset, f, n, g):
+    results = [
+        a, -a, a + b, a - b, a.scale(scalar), a.scale(0), a.truncate(cut), a * b, a ** 2,
+        a.shift(offset), a.derivative(), series_compose(a, b.shift(1)),
+        series_nth_root(f, n), series_inverse_unit(g), series_reverse(g.shift(1)),
+    ]
+    for value in results:
+        assert_canonical(value)
+    # equal values built along different paths have one stored form
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a - b == a + (-b) == -(b - a)
+    assert (a * b).scale(scalar) == a.scale(scalar) * b
+    assert a + a == a.scale(2)
+    assert a - a == S({}, a.accuracy)
