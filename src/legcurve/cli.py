@@ -195,10 +195,7 @@ def cmd_normalize(args) -> int:
                 "schema": "legcurve/normalize/1",
                 "curve": {
                     "n": reduced.curve.n,
-                    "terms": [
-                        {"e": e, "c": format_scalar(c)}
-                        for e, c in sorted(reduced.curve.coefficients.items())
-                    ],
+                    "terms": [{"e": e, "c": format_scalar(c)} for e, c in reduced.curve.items()],
                     "precision": int(reduced.curve.accuracy),
                 },
                 "unit": format_scalar(reduced.unit),
@@ -212,7 +209,7 @@ def cmd_normalize(args) -> int:
         )
         return 0
     _emit(f"short form of the curve of type ({reduced.curve.n}, {reduced.curve.m})")
-    for e, c in sorted(reduced.curve.coefficients.items()):
+    for e, c in reduced.curve.items():
         _emit(f"  t^{e}: {format_scalar(c)}")
     _emit(f"precision: {int(reduced.curve.accuracy)}")
     _emit(f"y-unit applied first: {format_scalar(reduced.unit)}")
@@ -253,6 +250,8 @@ def cmd_equivalent(args) -> int:
 
 
 def cmd_verify_generic(args) -> int:
+    if args.trials < 0:
+        raise ValidationError(f"--trials must be non-negative, got {args.trials}")
     expected = generic_semigroup_descent(args.n, args.m)[0]
     failures = []
     for trial in range(args.trials):
@@ -275,10 +274,7 @@ def cmd_verify_generic(args) -> int:
                 "failures": [
                     {
                         "trial": trial,
-                        "coefficients": {
-                            str(e): format_scalar(c)
-                            for e, c in sorted(curve.coefficients.items())
-                        },
+                        "coefficients": {str(e): format_scalar(c) for e, c in curve.items()},
                         "gaps": list(actual.gaps),
                         "expected_gaps": list(expected.gaps),
                     }
@@ -294,7 +290,7 @@ def cmd_verify_generic(args) -> int:
     _emit(f"pass: {passes}/{args.trials}")
     for trial, curve, actual in failures:
         _emit(f"trial {trial} FAILED")
-        for e, c in sorted(curve.coefficients.items()):
+        for e, c in curve.items():
             _emit(f"  a_{e} = {format_scalar(c)}")
         _emit(f"  semigroup gaps: {_format_set(actual.gaps)}")
         _emit(f"  expected gaps: {_format_set(expected.gaps)}")

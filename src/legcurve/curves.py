@@ -1,21 +1,21 @@
 """Plane curve germs x = t^n, y = sum a_i t^i and their conormal lifts.
 
-Coefficients are exact rationals (``int`` or ``Fraction``), kept as
-given; the y-series is known below the curve's ``accuracy``.  The conormal
-lift adds the derivative coordinate p = dy/dx, whose order along the curve
-is m - n.
+A curve is its multiplicity n and its y-series, one ``TruncatedSeries``
+known below the curve's ``accuracy``; the coefficients are exact rationals,
+stored as the series stores them, and every read returns ``Fraction``
+values.  The conormal lift adds the derivative coordinate p = dy/dx, whose
+order along the curve is m - n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
-from .series import (Accuracy, TruncatedSeries, _check_accuracy, _check_exponent, series_compose,
-                     series_nth_root, series_reverse)
+from .errors import ContactDefectError, ValidationError
+from .series import (Accuracy, TruncatedSeries, _check_accuracy, series_compose, series_nth_root,
+                     series_reverse)
 
 
 def default_accuracy(n: int, m: int) -> int:
@@ -24,44 +24,54 @@ def default_accuracy(n: int, m: int) -> int:
     return max((n - 1) * (m - 1), m + 1)
 
 
+def _chart_order(n: int, y: TruncatedSeries) -> int:
+    """The y-order m of a curve (t^n, y(t)) in the chart: n is an integer at
+    least 2, y is non-zero, m > n, gcd(n, m) = 1 and y is known beyond m."""
+    if type(n) is not int or n < 2:
+        raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
+    if not y.num:
+        raise ValidationError("curve needs at least one non-zero y-coefficient")
+    m = min(y.num)
+    if m <= n:
+        raise ValidationError(f"y-order m = {m} must exceed n = {n}")
+    if math.gcd(n, m) != 1:
+        raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
+    if y.accuracy <= m:
+        raise ValidationError("accuracy must exceed the y-order m")
+    return m
+
+
 class PlaneCurveGerm:
-    __slots__ = ("n", "coefficients", "accuracy")
+    __slots__ = ("n", "_y")
 
     def __init__(self, n: int, coefficients: Mapping[int, object], accuracy: Accuracy | None = None):
-        if type(n) is not int or n < 2:
-            raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
-        for c in coefficients.values():
-            if type(c) is bool or not isinstance(c, (int, Fraction)):
-                raise ValidationError(f"coefficient {c!r} is not rational")
-        cleaned = {_check_exponent(e): c for e, c in coefficients.items() if c}
-        if not cleaned:
-            raise ValidationError("curve needs at least one non-zero y-coefficient")
-        m = min(cleaned)
-        if m <= n:
-            raise ValidationError(f"y-order m = {m} must exceed n = {n}")
-        if math.gcd(n, m) != 1:
-            raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
-        accuracy = default_accuracy(n, m) if accuracy is None else _check_accuracy(accuracy)
-        if accuracy <= m:
-            raise ValidationError("accuracy must exceed the y-order m")
-        if any(e >= accuracy for e in cleaned):
+        y = TruncatedSeries(coefficients, math.inf)
+        if accuracy is None:
+            accuracy = default_accuracy(n, _chart_order(n, y))
+        y = y._unchecked(y.num, y.den, _check_accuracy(accuracy))
+        _chart_order(n, y)
+        if max(y.num) >= accuracy:
             raise ValidationError("stored exponents must lie below the accuracy")
         self.n = n
-        self.coefficients = cleaned
-        self.accuracy = accuracy
+        self._y = y
 
     # -- inspection ---------------------------------------------------------
 
     @property
-    def m(self) -> int:
-        return min(self.coefficients)
+    def coefficients(self) -> dict:
+        """The non-zero y-coefficients as ``Fraction``s, in a new dict on each read."""
+        return self._y.coeffs
 
-    def coefficient(self, i: int):
-        if i >= self.accuracy:
-            raise InsufficientPrecisionError(
-                f"coefficient a_{i} requested but the curve is only exact below {self.accuracy}"
-            )
-        return self.coefficients.get(i, 0)
+    @property
+    def accuracy(self) -> Accuracy:
+        return self._y.accuracy
+
+    @property
+    def m(self) -> int:
+        return min(self._y.num)
+
+    def coefficient(self, i: int) -> Fraction:
+        return self._y.coefficient(i)
 
     def in_strong_generic_position(self) -> bool:
         return self.m >= 2 * self.n + 1
@@ -70,16 +80,12 @@ class PlaneCurveGerm:
         return (self.n, self.m)
 
     def items(self):
-        return sorted(self.coefficients.items())
+        return self._y.items()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlaneCurveGerm):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.coefficients == other.coefficients
-            and self.accuracy == other.accuracy
-        )
+        return self.n == other.n and self._y == other._y
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -93,25 +99,23 @@ class PlaneCurveGerm:
         return TruncatedSeries.monomial(self.n, 1)
 
     def y_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.coefficients, self.accuracy)
+        return self._y
 
     def p_series(self) -> TruncatedSeries:
         """The derivative coordinate p = (dy/dt)/(dx/dt) along the curve."""
-        n = self.n
-        acc = self.accuracy if self.accuracy == math.inf else self.accuracy - n
-        coeffs = {e - n: Fraction(e, n) * c for e, c in self.coefficients.items()}
-        return TruncatedSeries(coeffs, acc)
+        n, y = self.n, self._y
+        acc = y.accuracy if y.accuracy == math.inf else y.accuracy - n
+        return y._reduced({e - n: e * v for e, v in y.num.items()}, n * y.den, acc)
 
     def triple(self) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-        return (self.x_series(), self.y_series(), self.p_series())
+        return (self.x_series(), self._y, self.p_series())
 
     # -- rebuilding -----------------------------------------------------------
 
     def truncate(self, accuracy: int) -> "PlaneCurveGerm":
         if accuracy <= self.m:
             raise ValidationError("truncation would discard the leading y-coefficient")
-        kept = {e: c for e, c in self.coefficients.items() if e < accuracy}
-        return PlaneCurveGerm(self.n, kept, min(self.accuracy, accuracy))
+        return curve_from_y_series(self.n, self._y.truncate(accuracy))
 
     def as_polynomial(self, accuracy: Accuracy) -> "PlaneCurveGerm":
         """Declare absent coefficients below ``accuracy`` to be exact zeros.
@@ -121,20 +125,21 @@ class PlaneCurveGerm:
         """
         if accuracy < self.accuracy:
             raise ValidationError("use truncate to lower the accuracy")
-        return PlaneCurveGerm(self.n, dict(self.coefficients), accuracy)
+        y = self._y
+        return curve_from_y_series(self.n, y._unchecked(y.num, y.den, _check_accuracy(accuracy)))
 
     def scale_y(self, scalar) -> "PlaneCurveGerm":
         if not scalar:
             raise ValidationError("scaling the y-series by zero destroys the curve")
-        return PlaneCurveGerm(
-            self.n, {e: scalar * c for e, c in self.coefficients.items()}, self.accuracy
-        )
+        return curve_from_y_series(self.n, self._y.scale(scalar))
 
 
 def curve_from_y_series(n: int, series: TruncatedSeries) -> PlaneCurveGerm:
-    if series.is_zero():
-        raise ValidationError("the y-series vanishes to its stated accuracy")
-    return PlaneCurveGerm(n, series.coeffs, series.accuracy)
+    """The curve (t^n, y(t)) that stores ``series`` as its y-series."""
+    _chart_order(n, series)
+    curve = object.__new__(PlaneCurveGerm)
+    curve.n, curve._y = n, series
+    return curve
 
 
 def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) -> PlaneCurveGerm:

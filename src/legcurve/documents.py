@@ -24,9 +24,7 @@ def curve_to_document(curve: PlaneCurveGerm) -> dict:
         raise ValidationError("documents need a finite precision; truncate the curve first")
     return {
         "n": curve.n,
-        "terms": [
-            {"e": e, "c": format_scalar(c)} for e, c in sorted(curve.coefficients.items())
-        ],
+        "terms": [{"e": e, "c": format_scalar(c)} for e, c in curve.items()],
         "precision": int(curve.accuracy),
     }
 

@@ -24,7 +24,7 @@ from .germs import AXES, Germ, contact_weights
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyp])|([+\-^/])|(\S))")
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
 
 
 class _Tokens:
@@ -158,7 +158,7 @@ def format_scalar(value) -> str:
 def parse_scalar(text: str) -> Fraction:
     """Strict rational-string reader for document fields."""
     if not isinstance(text, str) or not _RATIONAL.match(text):
-        raise ValidationError(f"not an integer-over-integer rational: {text!r}")
+        raise ValidationError(f"not an integer-over-integer rational with denominator > 0: {text!r}")
     return Fraction(text)
 
 

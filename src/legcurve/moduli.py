@@ -36,8 +36,7 @@ def is_generic(curve: PlaneCurveGerm) -> bool:
 
 
 def is_short_form(curve: PlaneCurveGerm) -> bool:
-    allowed = {curve.m} | set(free_indices(curve.n, curve.m))
-    return set(curve.coefficients) <= allowed
+    return curve.y_series().num.keys() <= {curve.m, *free_indices(curve.n, curve.m)}
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
         working = candidate
 
     final = working.truncate(keep)
-    stray = set(final.coefficients) - ({m} | set(free))
+    stray = final.y_series().num.keys() - {m, *free}
     if stray:
         raise ContactDefectError(
             f"short form still carries removable exponents {sorted(stray)}"

@@ -20,6 +20,7 @@ from .contact import (
     solve_contact,
 )
 from .curves import PlaneCurveGerm, default_accuracy
+from .errors import ValidationError
 from .germs import Germ, contact_weights, monomials_in_valuation_range
 
 SEED_STRIDE = 1_000_003
@@ -44,6 +45,8 @@ def random_curve(
     The leading coefficient is fixed to 1; the others are uniform in
     [-spread, spread] with zeros simply left out.
     """
+    if spread < 0:
+        raise ValidationError(f"coefficient spread must be non-negative, got {spread}")
     if accuracy is None:
         accuracy = default_accuracy(n, m)
     coefficients = {m: Fraction(1)}
@@ -66,6 +69,8 @@ def random_germ(
     accuracy=None,
 ) -> Germ:
     """Polynomial germ with monomials of weighted valuation in [low, high)."""
+    if spread < 0:
+        raise ValidationError(f"coefficient spread must be non-negative, got {spread}")
     weights = contact_weights(n, m)
     coeffs = {}
     for mono in monomials_in_valuation_range(n, m, low, high):
@@ -107,16 +112,12 @@ def random_solvable_data(
     multiplier 1 + d_y a unit."""
     alpha = random_germ(n, m, rng, n, 2 * m, accuracy=accuracy)
     if alpha.coeffs.get(X_MONO) == -1:
-        shifted = dict(alpha.coeffs)
-        shifted[X_MONO] = Fraction(-2)
-        alpha = Germ(alpha.weights, shifted, alpha.accuracy)
+        alpha = Germ(alpha.weights, {**alpha.coeffs, X_MONO: -2}, alpha.accuracy)
     beta0 = random_germ(
         n, m, rng, 2 * n, 2 * m, p_free=True, skip=(X_MONO,), accuracy=accuracy
     )
     if beta0.coeffs.get(Y_MONO) == -1:
-        shifted = dict(beta0.coeffs)
-        shifted[Y_MONO] = Fraction(-2)
-        beta0 = Germ(beta0.weights, shifted, beta0.accuracy)
+        beta0 = Germ(beta0.weights, {**beta0.coeffs, Y_MONO: -2}, beta0.accuracy)
     return alpha, beta0
 
 

@@ -302,3 +302,41 @@ def test_verify_generic_failure_exits_5(capsys, monkeypatch):
     assert {k: v for k, v in payload.items() if k not in ("passes", "failures")} == {
         k: v for k, v in json.loads(passing_json).items() if k not in ("passes", "failures")
     }
+
+
+def test_zero_denominator_in_a_document_exits_2(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 3, "terms": [{"e": 10, "c": "1/0"}], "precision": 18}))
+    code, out, err = run(capsys, ["semigroup", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: terms[0].c: ") and "'1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--range", "-5"], "spread must be non-negative"), (["--trials", "-1"], "--trials must be non-negative")],
+)
+def test_verify_generic_rejects_negative_arguments(capsys, flags, message):
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, ["verify-generic", "3", "10", *flags, *json_flag])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_verify_generic_accepts_zero_trials_and_range(capsys):
+    code, out, _ = run(capsys, ["verify-generic", "3", "10", "--trials", "0"])
+    assert code == 0 and out.splitlines()[1] == "pass: 0/0"
+    # spread 0 leaves y = t^10, which is not generic: the check runs and fails
+    code, out, _ = run(capsys, ["verify-generic", "3", "10", "--trials", "2", "--range", "0"])
+    assert code == 5 and out.splitlines()[1] == "pass: 0/2"
+
+
+def test_sampling_rejects_a_negative_spread():
+    from legcurve.errors import ValidationError
+    from legcurve.sampling import random_curve, random_germ, trial_rng
+
+    with pytest.raises(ValidationError, match="spread"):
+        random_curve(3, 10, trial_rng(0, 0), spread=-1)
+    with pytest.raises(ValidationError, match="spread"):
+        random_germ(3, 10, trial_rng(0, 0), 3, 20, spread=-1)
+    assert random_curve(3, 10, trial_rng(0, 0), spread=0).coefficients == {10: 1}

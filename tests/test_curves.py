@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legcurve.curves import (
     PlaneCurveGerm,
@@ -73,6 +75,13 @@ def test_coefficient_accuracy_guard():
     assert c.coefficient(17) == 0
     with pytest.raises(InsufficientPrecisionError):
         c.coefficient(18)
+
+
+def test_coefficient_rejects_bad_exponents():
+    c = PlaneCurveGerm(3, {10: 1})
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValidationError, match="exponent"):
+            c.coefficient(bad)
 
 
 def test_p_series_fixture():
@@ -261,3 +270,66 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(-1, 10 ** 303), 101) == Fraction(-1, 1000)
     with pytest.raises(ValidationError):
         rational_nth_root(0.125, 3)
+
+
+# -- the stored form against a term-by-term Fraction reference -------------------------
+
+VALUES = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999)),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def rational_curves(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n + 1, 30).filter(lambda m: math.gcd(n, m) == 1))
+    lead = draw(VALUES.filter(bool))
+    rest = draw(st.dictionaries(st.integers(m + 1, m + 16), VALUES, max_size=8))
+    top = max([m, *rest])
+    accuracy = draw(st.one_of(st.none(), st.integers(top + 1, top + 12), st.just(math.inf)))
+    return n, {m: lead, **rest}, accuracy
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_curves(), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)).filter(bool))
+def test_stored_form_matches_a_fraction_reference(data, scalar):
+    n, coeffs, accuracy = data
+    ref = {e: Fraction(v) for e, v in coeffs.items() if v}
+    m = min(ref)
+    acc = default_accuracy(n, m) if accuracy is None else accuracy
+    if max(ref) >= acc:
+        with pytest.raises(ValidationError, match="below the accuracy"):
+            PlaneCurveGerm(n, coeffs, accuracy)
+        return
+    c = PlaneCurveGerm(n, coeffs, accuracy)
+    assert c.n == n and c.m == m and c.accuracy == acc
+    assert c.coefficients == ref and all(type(v) is Fraction for v in c.coefficients.values())
+    assert c.items() == sorted(ref.items())
+    for e in range(min(acc, max(ref) + 4)):
+        assert c.coefficient(e) == ref.get(e, 0) and type(c.coefficient(e)) is Fraction
+    if acc != math.inf:
+        with pytest.raises(InsufficientPrecisionError):
+            c.coefficient(acc)
+
+    x, y, p = c.triple()
+    assert y is c.y_series()
+    assert dict(x.items()) == {n: 1} and x.accuracy == math.inf
+    assert dict(y.items()) == ref and y.accuracy == acc
+    assert dict(p.items()) == {e - n: Fraction(e, n) * v for e, v in ref.items()}
+    assert p.accuracy == acc - n
+    assert c.p_series() == p
+
+    for bound in (m + 1, m + 5, acc):
+        cut = c.truncate(bound)
+        assert cut.coefficients == {e: v for e, v in ref.items() if e < bound}
+        assert cut.accuracy == min(acc, bound)
+    scaled = c.scale_y(scalar)
+    assert scaled.coefficients == {e: scalar * v for e, v in ref.items()} and scaled.accuracy == acc
+    widened = c.as_polynomial(math.inf)
+    assert widened.coefficients == ref and widened.accuracy == math.inf
+
+    assert curve_from_y_series(n, c.y_series()) == c
+    assert PlaneCurveGerm(n, ref, acc) == c

@@ -122,3 +122,10 @@ def test_dump_then_load_returns_the_curve(curve):
     assert loaded.n == curve.n
     assert loaded.coefficients == curve.coefficients
     assert loaded.accuracy == curve.accuracy
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/00"])
+def test_zero_denominator_is_a_validation_error(text):
+    doc = {**base_doc(), "terms": [{"e": 10, "c": text}]}
+    with pytest.raises(ValidationError, match=r"terms\[0\]\.c: not an integer-over-integer"):
+        curve_from_document(doc)
