@@ -1,9 +1,12 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_n).
+"""Powers of a primitive n-th root of unity, reduced in Q(zeta_n).
 
-Elements are residues of Q[x] modulo the n-th cyclotomic polynomial,
-stored as coefficient tuples of length phi(n).  Only what the orbit
-computations need is implemented: ring operations, inversion, powers of
-the primitive root, and equality.
+An element of Q(zeta_n) is stored as its coefficient tuple in the basis
+1, z, ..., z^(phi(n)-1) of Q[x] modulo the n-th cyclotomic polynomial.
+Moduli points are rational, so orbit equivalence is decided over Q and
+needs none of this; ``canonical_point`` uses it only to order the
+rotations zeta^e * v of a point by these coefficient tuples.  Only that
+is implemented: the reduced powers of zeta, rational values, and
+products with a rational.
 """
 
 from __future__ import annotations
@@ -89,144 +92,16 @@ class Cyclotomic:
         True
         """
         power %= n
-        raw = [Fraction(0)] * (power + 1)
-        raw[power] = Fraction(1)
-        return Cyclotomic._reduce(n, raw)
-
-    @staticmethod
-    def _reduce(n: int, raw: list[Fraction]) -> "Cyclotomic":
+        raw = [Fraction(0)] * power + [Fraction(1)]
         modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
         _, rem = _poly_divmod(raw, modulus)
         degree = len(modulus) - 1
-        rem += [Fraction(0)] * (degree - len(rem))
-        return Cyclotomic(n, tuple(rem))
-
-    def _coerce(self, other: object) -> "Cyclotomic | None":
-        if isinstance(other, Cyclotomic):
-            if other.n != self.n:
-                raise ValidationError("mixed cyclotomic orders")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.n, other)
-        return None
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.coeffs == coerced.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.n, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return Cyclotomic(self.n, tuple(a + b for a, b in zip(self.coeffs, coerced.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
-
-    def __rsub__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
+        return Cyclotomic(n, tuple(rem + [Fraction(0)] * (degree - len(rem))))
 
     def __mul__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
+        """The product with a rational scalar."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        raw = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(coerced.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        return Cyclotomic._reduce(self.n, raw)
+        return Cyclotomic(self.n, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if not self:
-            raise ValidationError("inverse of zero in a cyclotomic field")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        r0, r1 = modulus, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            quot, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            # s_next = s0 - quot * s1
-            prod = [Fraction(0)] * (len(quot) + len(s1))
-            for i, q in enumerate(quot):
-                if q:
-                    for j, s in enumerate(s1):
-                        prod[i + j] += q * s
-            size = max(len(s0), len(prod))
-            s_next = [
-                (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(size)
-            ]
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
-        # r1 is now the gcd, a non-zero constant since the modulus is irreducible.
-        if len(r1) != 1:
-            raise ContactDefectError("cyclotomic modulus was not coprime to the element")
-        scale = Fraction(1) / r1[0]
-        return Cyclotomic._reduce(self.n, [c * scale for c in s1])
-
-    def __truediv__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self * coerced.inverse()
-
-    def __rtruediv__(self, other: object) -> "Cyclotomic":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced * self.inverse()
-
-    def __pow__(self, exponent: int) -> "Cyclotomic":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.from_rational(self.n, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*z")
-            else:
-                terms.append(f"{c}*z^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Cyclotomic({self.n}, {body})"

@@ -35,7 +35,9 @@ DIMENSION_CAP = 6
 
 class ExpansionContext:
     def __init__(self, n: int, m: int, cutoff: int | None = None):
-        if not (0 < n < m) or math.gcd(n, m) != 1:
+        if n < 2:
+            raise ValidationError(f"multiplicity n must be at least 2, got {n}")
+        if n >= m or math.gcd(n, m) != 1:
             raise ValidationError(f"need coprime 0 < n < m, got ({n}, {m})")
         if cutoff is None:
             cutoff = (n - 1) * (m - 1)

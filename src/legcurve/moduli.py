@@ -7,8 +7,9 @@ kills removable exponents bottom-up, each step using the transformation
 built from a witness polynomial of that restriction order, and each step
 is checked a posteriori: the target coefficient must vanish and nothing
 below it may move.  The coefficients left at the free exponents are the
-moduli coordinates; reparametrizations by n-th roots of unity act on them
-and orbit equivalence is decided over the corresponding cyclotomic field.
+moduli coordinates, always rational.  Reparametrizations by n-th roots of
+unity act on them; a rotated coordinate zeta^e * v is rational only when
+v = 0 or zeta^e = +-1, so orbit equivalence is decided over Q.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from fractions import Fraction
 from .contact import act_on_curve, forget_transform
 from .curves import PlaneCurveGerm
 from .cyclotomic import Cyclotomic
-from .errors import (
-    ContactDefectError,
-    InsufficientPrecisionError,
-    NonGenericCurveError,
-    ValidationError,
-)
+from .errors import ContactDefectError, InsufficientPrecisionError, NonGenericCurveError
 from .oracle import conormal_semigroup
 from .semigroups import free_indices, generic_semigroup, try_s_invariant
+from .series import _check_rational
 
 
 def is_generic(curve: PlaneCurveGerm) -> bool:
@@ -148,41 +145,50 @@ def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
 # -- residual reparametrization action -----------------------------------------
 
 
-def _as_cyclotomic(value, n: int) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        if value.n != n:
-            raise ValidationError("cyclotomic value of the wrong order")
-        return value
-    return Cyclotomic.from_rational(n, value)
+def _rational_point(point: dict[int, object]) -> dict[int, object]:
+    for v in point.values():
+        _check_rational(v)
+    return point
+
+
+def _rotates_to(v1, v2, e: int, n: int) -> bool:
+    """Is zeta_n^e * v1 == v2, for rationals v1, v2 and 0 <= e < n?"""
+    if e == 0:
+        return v2 == v1
+    if 2 * e == n:
+        return v2 == -v1
+    return v1 == v2 == 0
 
 
 def rotate_point(point: dict[int, object], n: int, m: int, k: int) -> dict[int, Cyclotomic]:
-    """Action of t -> zeta^k t (followed by re-normalizing a_m = 1)."""
+    """Action of t -> zeta^k t (followed by re-normalizing a_m = 1) on a
+    rational point: coordinate i becomes zeta^(k(i-m)) * v in Q(zeta_n)."""
     return {
-        i: Cyclotomic.zeta(n, k * (i - m)) * _as_cyclotomic(v, n)
-        for i, v in point.items()
+        i: Cyclotomic.zeta(n, k * (i - m)) * v
+        for i, v in _rational_point(point).items()
     }
 
 
 def orbit_equivalent(point1: dict[int, object], point2: dict[int, object],
                      n: int, m: int) -> tuple[bool, int | None]:
-    """Are two moduli points related by a root-of-unity reparametrization?
+    """Are two rational moduli points related by a root-of-unity
+    reparametrization?
 
-    On success the witness exponent k with point2 = rotate_point(point1, k)
-    is returned alongside; k = 0 means the points are equal outright.
+    zeta^e * v is rational only when v = 0, e = 0 or 2e = n (mod n), so this
+    is decided over Q.  On success the least witness exponent k with
+    point2 = rotate_point(point1, k) is returned alongside; k = 0 means the
+    points are equal outright.
     """
-    if set(point1) != set(point2):
+    if set(_rational_point(point1)) != set(_rational_point(point2)):
         return (False, None)
-    second = {i: _as_cyclotomic(v, n) for i, v in point2.items()}
     for k in range(n):
-        rotated = rotate_point(point1, n, m, k)
-        if all(rotated[i] == second[i] for i in rotated):
+        if all(_rotates_to(v, point2[i], k * (i - m) % n, n) for i, v in point1.items()):
             return (True, k)
     return (False, None)
 
 
 def canonical_point(point: dict[int, object], n: int, m: int) -> dict[int, Cyclotomic]:
-    """Distinguished representative of the rotation orbit.
+    """Distinguished representative of the rotation orbit of a rational point.
 
     All n rotations are compared through the coefficient vectors of their
     values in the cyclotomic basis, smallest tuple first; this is an

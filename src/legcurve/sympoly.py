@@ -236,12 +236,7 @@ def _sum_of_products(gens: tuple[str, ...], triples: Iterable[tuple[int, Poly, P
     filtered once at the end."""
     total: dict[int, Coefficient] = {}
     get = total.get
-    guard = _guard_mask(len(gens))
-    flagged = 0
     for sign, left, right in triples:
-        # Stored keys have no guard bit, so fields add without carries: if the
-        # sum of the operands' key ORs has none, no product key has one either.
-        flagged |= (_or_keys(left.terms) + _or_keys(right.terms)) & guard
         pairs = right.terms.items()
         for e1, c1 in left.terms.items():
             if sign < 0:
@@ -249,8 +244,9 @@ def _sum_of_products(gens: tuple[str, ...], triples: Iterable[tuple[int, Poly, P
             for e2, c2 in pairs:
                 key = e1 + e2
                 total[key] = get(key, 0) + c1 * c2
-    # Cancelled keys are still present, so this sees every term product's key.
-    if flagged and _or_keys(total) & guard:
+    # Stored keys have no guard bit, so fields add without carries into the
+    # next field; cancelled keys are still present, so this sees every product key.
+    if _or_keys(total) & _guard_mask(len(gens)):
         raise ValidationError(f"an exponent reached {EXPONENT_LIMIT}, the packing limit")
     if not all(total.values()):
         total = {e: c for e, c in total.items() if c}

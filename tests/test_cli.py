@@ -215,6 +215,18 @@ def test_equivalent(capsys, tmp_path):
     }
 
 
+def test_equivalent_with_a_sign_flip_witness(capsys, tmp_path):
+    # at (4, 11), t -> i t multiplies a_13 by i^2 = -1
+    a = curve_file(tmp_path, "a.json", 4, {11: 1, 13: 2}, 30)
+    b = curve_file(tmp_path, "b.json", 4, {11: 1, 13: -2, 15: 3}, 30)
+    code, out, err = run(capsys, ["equivalent", a, b])
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["equivalent: yes", "witness root-of-unity exponent: 1"]
+    code, out, err = run(capsys, ["equivalent", a, b, "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": "legcurve/equivalent/1", "equivalent": True, "witness": 1}
+
+
 def test_verify_generic(capsys):
     code, out, err = run(capsys, ["verify-generic", "3", "10", "--trials", "3", "--seed", "1"])
     assert code == 0
@@ -267,6 +279,14 @@ def test_upsilon_failure_exits_5(capsys, monkeypatch, check):
         "pass": False,
         "counterexample": counterexample,
     }
+
+
+@pytest.mark.parametrize("check", ["direct-vs-closed", "mu-derivative", "det-invariance"])
+def test_upsilon_names_an_invalid_multiplicity(capsys, check):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["upsilon", "1", "5", "--check", check] + extra)
+        assert (code, out) == (2, "")
+        assert err == "error: multiplicity n must be at least 2, got 1\n"
 
 
 def test_upsilon_pass_json_exits_0(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve import moduli
 from legcurve.contact import act_on_curve
@@ -176,31 +178,85 @@ def test_rotate_point():
     rotated = rotate_point({11: 1}, 3, 10, 1)
     assert rotated == {11: Cyclotomic.zeta(3, 1)}
     assert rotate_point({11: 1}, 3, 10, 0) == {11: Cyclotomic.from_rational(3, 1)}
-    with pytest.raises(ValidationError):
-        rotate_point({11: Cyclotomic.from_rational(5, 1)}, 3, 10, 1)
+    assert rotate_point({13: Fraction(2, 3)}, 4, 11, 1) == {13: Cyclotomic.from_rational(4, Fraction(-2, 3))}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Cyclotomic.zeta(3, 1), Cyclotomic.from_rational(5, 1), 0.5, True, "1/2"],
+    ids=["cyclotomic", "wrong-order", "float", "bool", "str"],
+)
+def test_non_rational_coordinates_are_rejected(value):
+    with pytest.raises(ValidationError, match="not rational"):
+        rotate_point({11: value}, 3, 10, 1)
+    with pytest.raises(ValidationError, match="not rational"):
+        canonical_point({11: value}, 3, 10)
+    with pytest.raises(ValidationError, match="not rational"):
+        orbit_equivalent({11: 1}, {11: value}, 3, 10)
 
 
 def test_orbit_equivalence():
     assert orbit_equivalent({11: 1}, {11: 1}, 3, 10) == (True, 0)
-    assert orbit_equivalent({11: 1}, {11: Cyclotomic.zeta(3, 1)}, 3, 10) == (True, 1)
+    assert orbit_equivalent({11: 0}, {11: Fraction(0)}, 3, 10) == (True, 0)
+    assert orbit_equivalent({11: 1}, {11: -1}, 3, 10) == (False, None)
     assert orbit_equivalent({11: 1}, {11: 2}, 3, 10) == (False, None)
     assert orbit_equivalent({11: 1}, {14: 1}, 3, 10) == (False, None)
+    # n even: t -> zeta_4 t multiplies a_13 by zeta_4^2 = -1
+    assert orbit_equivalent({13: 2}, {13: -2}, 4, 11) == (True, 1)
+    assert orbit_equivalent({13: 2}, {13: 2}, 4, 11) == (True, 0)
 
 
 def test_orbit_equivalence_two_coordinates():
-    first = {13: Fraction(1), 16: Fraction(2)}
-    second = {13: Cyclotomic.zeta(5, 1), 16: Cyclotomic.zeta(5, 4) * 2}
-    assert orbit_equivalent(first, second, 5, 12) == (True, 1)
-    off = {13: Cyclotomic.zeta(5, 1), 16: Cyclotomic.zeta(5, 3) * 2}
-    assert orbit_equivalent(first, off, 5, 12) == (False, None)
+    # at (4, 11) the rotation k multiplies a_13 by (-1)^k and fixes a_15
+    first = {13: Fraction(1), 15: Fraction(3)}
+    assert orbit_equivalent(first, {13: -1, 15: 3}, 4, 11) == (True, 1)
+    assert orbit_equivalent(first, {13: -1, 15: -3}, 4, 11) == (False, None)
+    # at (5, 12) no non-trivial rotation keeps a non-zero coordinate rational
+    assert orbit_equivalent({13: 1, 16: 2}, {13: 1, 16: 2}, 5, 12) == (True, 0)
+    assert orbit_equivalent({13: 1, 16: 2}, {13: -1, 16: 2}, 5, 12) == (False, None)
+    # a zero coordinate is fixed by every rotation, e.g. a_14 at (4, 11)
+    assert orbit_equivalent({13: 1, 14: 0}, {13: -1, 14: 0}, 4, 11) == (True, 1)
+    assert orbit_equivalent({13: 1, 14: 5}, {13: -1, 14: 5}, 4, 11) == (False, None)
 
 
 def test_canonical_point_is_orbit_invariant():
-    point = {11: Fraction(2)}
-    base = canonical_point(point, 3, 10)
-    for k in range(3):
-        rotated = rotate_point(point, 3, 10, k)
-        assert canonical_point(rotated, 3, 10) == base
+    assert canonical_point({13: 2, 15: 3}, 4, 11) == canonical_point({13: -2, 15: 3}, 4, 11)
+    assert canonical_point({13: 2, 15: 3}, 4, 11) != canonical_point({13: 2, 15: -3}, 4, 11)
+    assert canonical_point({11: Fraction(2)}, 3, 10) != canonical_point({11: -2}, 3, 10)
+    assert canonical_point({11: 0}, 3, 10) == {11: Cyclotomic.from_rational(3, 0)}
+
+
+@st.composite
+def rational_point_pairs(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(n + 1, 4 * n).filter(lambda m: math.gcd(n, m) == 1))
+    indices = draw(st.lists(st.integers(m + 1, m + 2 * n), min_size=1, max_size=4, unique=True))
+    values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    first = {i: draw(values) for i in indices}
+    # the second point keeps, negates or zeroes each coordinate, or draws a new one
+    moves = [lambda v: v, lambda v: -v, lambda v: 0, lambda v: draw(values)]
+    second = {i: draw(st.sampled_from(moves))(v) for i, v in first.items()}
+    # or it is a rotation of the first whose coordinates all stay rational
+    rotated = rotate_point(first, n, m, draw(st.integers(0, n - 1)))
+    if draw(st.booleans()) and not any(any(x.coeffs[1:]) for x in rotated.values()):
+        second = {i: x.coeffs[0] for i, x in rotated.items()}
+    if draw(st.integers(0, 9)) == 0:
+        second[m + 2 * n + 1] = 1
+    return n, m, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_point_pairs())
+@example((4, 11, {13: 2, 15: 3}, {13: -2, 15: 3}))
+@example((6, 13, {16: 1, 19: 0}, {16: -1, 19: 0}))
+def test_orbit_equivalence_agrees_with_canonical_points_and_rotation(data):
+    n, m, first, second = data
+    verdict, witness = orbit_equivalent(first, second, n, m)
+    assert verdict == (canonical_point(first, n, m) == canonical_point(second, n, m))
+    # the witness is the least k whose rotation, computed in Q(zeta_n), is the second point
+    expected = {i: Cyclotomic.from_rational(n, v) for i, v in second.items()}
+    matches = [k for k in range(n) if rotate_point(first, n, m, k) == expected]
+    assert (verdict, witness) == ((True, matches[0]) if matches else (False, None))
 
 
 def test_equivalent_curves():
