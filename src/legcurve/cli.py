@@ -331,6 +331,11 @@ def _check_mu_derivative(ctx: ExpansionContext):
 
 
 def _check_det_invariance(ctx: ExpansionContext, seed: int, selections: int = 50):
+    if ctx.cutoff < ctx.m + 2:
+        # a family needs count + 1 >= 2 columns in [max(valuation, m), cutoff)
+        raise ValidationError(
+            f"det-invariance needs a cutoff of at least m + 2 = {ctx.m + 2}, got {ctx.cutoff}"
+        )
     checked = 0
     for trial in range(selections):
         rng = trial_rng(seed, trial)

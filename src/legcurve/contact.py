@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, ValidationError
@@ -187,7 +188,10 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     The dp component of the contact identity is a linear first order
     differential relation in the p-direction; expanding everything in
     powers of p turns it into a recursion for the p-coefficients of beta,
-    each step dividing by the unit 1 + d_x(alpha at p=0).  gamma is then
+    each step dividing by the unit 1 + d_x(alpha at p=0).  Each factor of
+    the recursion is built once, and a product is skipped only when a
+    factor is an exact zero (no terms, infinite accuracy): zero parts of
+    finite accuracy still bound the accuracy of the sum.  gamma is then
     determined rationally.  Raises ContactDefectError when that unit
     vanishes at the origin, and ValidationError for data no contact
     transformation can have.
@@ -215,35 +219,42 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     target = min(accuracy, alpha.accuracy, beta0.accuracy)
 
     parts_a = alpha.p_parts()
+    zero = Germ.zero(w)
 
     def a_part(j: int) -> Germ:
         if j in parts_a:
             return parts_a[j]
-        if alpha.accuracy == math.inf:
-            return Germ.zero(w)
-        return Germ.zero(w, max(alpha.accuracy - j * wp, 0))
+        return zero if alpha.accuracy == math.inf else Germ.zero(w, max(alpha.accuracy - j * wp, 0))
 
-    def u_part(s: int) -> Germ:
-        return a_part(s).partial("x") + a_part(s - 1).partial("y")
+    def exact_zero(g: Germ) -> bool:
+        return not g.num and g.accuracy == math.inf
 
     unit = Germ.constant(w, 1) + a_part(0).partial("x")
     if alpha._get(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     unit_inv = invert_unit(unit, target)
 
-    parts_b: dict[int, Germ] = {0: beta0}
-    k = 0
-    while (k + 1) * wp < target:
-        total = a_part(k).scale(k)
-        for j in range(1, k + 1):
-            total = total + a_part(j).scale(j) * parts_b[k - j].partial("y")
-        for j in range(0, k + 1):
-            total = total + a_part(j + 1).scale(j + 1) * parts_b[k - j].partial("x")
-        for r in range(0, k):
-            total = total - u_part(k - r) * parts_b[r + 1].scale(r + 1)
-        parts_b[k + 1] = (total * unit_inv).scale(Fraction(1, k + 1))
-        k += 1
-    beta = Germ.from_p_parts(w, parts_b).truncate(target)
+    # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
+    # d_x b_r and r*b_r for each p-part b_r of beta as it is made (u_0 and
+    # 0*b_0 are never read)
+    steps = (target - 1) // wp  # the k with (k + 1) * wp < target
+    ja = [a_part(j).scale(j) for j in range(steps + 1)]
+    u = [zero] + [a_part(s).partial("x") + a_part(s - 1).partial("y") for s in range(1, steps)]
+    parts_b, dy_b, dx_b, rb = [beta0], [], [], [zero]
+    for k in range(steps):
+        dy_b.append(parts_b[k].partial("y"))
+        dx_b.append(parts_b[k].partial("x"))
+        total = ja[k]
+        for sign, f, g in chain(
+            ((1, ja[j], dy_b[k - j]) for j in range(1, k + 1)),
+            ((1, ja[j + 1], dx_b[k - j]) for j in range(k + 1)),
+            ((-1, u[k - r], rb[r + 1]) for r in range(k)),
+        ):
+            if not (exact_zero(f) or exact_zero(g)):
+                total = total._sum(f * g, sign)
+        parts_b.append((total * unit_inv).scale(Fraction(1, k + 1)))
+        rb.append(parts_b[k + 1].scale(k + 1))
+    beta = Germ.from_p_parts(w, dict(enumerate(parts_b))).truncate(target)
 
     p = Germ.variable(w, "p")
     d_x = alpha.partial("x")

@@ -40,6 +40,12 @@ class ExpansionContext:
         if n >= m or math.gcd(n, m) != 1:
             raise ValidationError(f"need coprime 0 < n < m, got ({n}, {m})")
         if cutoff is None:
+            if n == 2:
+                raise ValidationError(
+                    f"the upsilon checks need n >= 3: for n = 2 the default cutoff, the plane "
+                    f"conductor (n-1)(m-1) = {m - 1}, is below m = {m}, so no coefficient a_s is "
+                    f"left to expand"
+                )
             cutoff = (n - 1) * (m - 1)
         if cutoff <= m:
             raise ValidationError("cutoff must exceed m so at least a_m is present")

@@ -9,6 +9,8 @@ from legcurve import cli
 from legcurve.cli import _join_expression_flags, main
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
+from legcurve.errors import ValidationError
+from legcurve.expansion import ExpansionContext
 from legcurve.semigroups import NumericalSemigroup
 
 
@@ -287,6 +289,29 @@ def test_upsilon_names_an_invalid_multiplicity(capsys, check):
         code, out, err = run(capsys, ["upsilon", "1", "5", "--check", check] + extra)
         assert (code, out) == (2, "")
         assert err == "error: multiplicity n must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("check", ["direct-vs-closed", "mu-derivative", "det-invariance"])
+def test_upsilon_rejects_n_2_naming_the_plane_conductor(capsys, check):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["upsilon", "2", "5", "--check", check] + extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the upsilon checks need n >= 3: for n = 2 the default cutoff, the plane "
+            "conductor (n-1)(m-1) = 4, is below m = 5, so no coefficient a_s is left to expand\n"
+        )
+
+
+def test_det_invariance_rejects_a_cutoff_below_m_plus_2(monkeypatch):
+    """No family fits below m + 2; the check must fail before drawing one,
+    so a draw (which could never succeed) fails this test instead of hanging."""
+
+    def no_draw(seed, trial):
+        raise AssertionError("drew a family for a cutoff no family fits")
+
+    monkeypatch.setattr(cli, "trial_rng", no_draw)
+    with pytest.raises(ValidationError, match=r"cutoff of at least m \+ 2 = 6, got 5"):
+        cli._check_det_invariance(ExpansionContext(3, 4, cutoff=5), 0)
 
 
 def test_upsilon_pass_json_exits_0(capsys):

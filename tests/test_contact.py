@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import legcurve.contact
@@ -33,9 +33,15 @@ from legcurve.contact import (
     verify_contact,
 )
 from legcurve.curves import PlaneCurveGerm
-from legcurve.errors import ContactDefectError, NotRealizableError, ValidationError
-from legcurve.germs import Germ, contact_weights, evaluate_on_series
-from legcurve.sampling import random_tangent_transform
+from legcurve.errors import ContactDefectError, LegcurveError, NotRealizableError, ValidationError
+from legcurve.germs import Germ, contact_weights, evaluate_on_series, invert_unit
+from legcurve.oracle import conormal_semigroup, realize_order
+from legcurve.sampling import (
+    random_curve,
+    random_germ,
+    random_solvable_data,
+    random_tangent_transform,
+)
 
 W = contact_weights(3, 10)
 X, Y, P = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -135,6 +141,119 @@ def test_solve_validations():
         solve_contact(germ({X: -1}), germ({}), 20)
     with pytest.raises(ContactDefectError, match="d_y"):
         solve_contact(germ({}), germ({(0, 1, 0): -1}), 20)
+
+
+def _reference_solve_contact(alpha, beta0, accuracy):
+    """The p-recursion of solve_contact term by term: every factor is rebuilt
+    where it is used and every product is taken, exact zeros included.  The
+    input checks are left out."""
+    w = alpha.weights
+    wp = w[2]
+    target = min(accuracy, alpha.accuracy, beta0.accuracy)
+    parts_a = alpha.p_parts()
+
+    def a_part(j):
+        if j in parts_a:
+            return parts_a[j]
+        if alpha.accuracy == math.inf:
+            return Germ.zero(w)
+        return Germ.zero(w, max(alpha.accuracy - j * wp, 0))
+
+    def u_part(s):
+        return a_part(s).partial("x") + a_part(s - 1).partial("y")
+
+    unit_inv = invert_unit(Germ.constant(w, 1) + a_part(0).partial("x"), target)
+    parts_b = {0: beta0}
+    k = 0
+    while (k + 1) * wp < target:
+        total = a_part(k).scale(k)
+        for j in range(1, k + 1):
+            total = total + a_part(j).scale(j) * parts_b[k - j].partial("y")
+        for j in range(0, k + 1):
+            total = total + a_part(j + 1).scale(j + 1) * parts_b[k - j].partial("x")
+        for r in range(0, k):
+            total = total - u_part(k - r) * parts_b[r + 1].scale(r + 1)
+        parts_b[k + 1] = (total * unit_inv).scale(Fraction(1, k + 1))
+        k += 1
+    beta = Germ.from_p_parts(w, parts_b).truncate(target)
+
+    p = Germ.variable(w, "p")
+    d_x = alpha.partial("x")
+    d_y = alpha.partial("y")
+    full_unit = Germ.constant(w, 1) + d_x + p * d_y
+    gamma = invert_unit(full_unit, target) * (
+        beta.partial("x") + p * (beta.partial("y") - d_x - p * d_y)
+    )
+    result = ContactMap(alpha.truncate(target), beta, gamma.truncate(target))
+    require_contact(result)
+    return result
+
+
+def _outcome(solver, alpha, beta0, accuracy):
+    try:
+        return solver(alpha, beta0, accuracy).components()
+    except LegcurveError as err:
+        return type(err), str(err)
+
+
+def _witness_data(n, m, rng, accuracy):
+    """forget_transform's exact input: a scaled witness of a realizable order."""
+    curve = random_curve(n, m, rng, spread=5)
+    semigroup = conormal_semigroup(curve)
+    order = rng.choice([k for k in range(m + 1, m + 3 * n) if k in semigroup])
+    b = realize_order(curve, order).scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+    beta0 = Germ(b.weights, {mo: v for mo, v in b.coeffs.items() if mo[2] == 0}, b.accuracy)
+    return -b.partial("p"), beta0, accuracy
+
+
+def _solvable_data(n, m, rng, accuracy):
+    return (*random_solvable_data(n, m, rng, accuracy), accuracy)
+
+
+def _tangent_data(n, m, rng, accuracy):
+    """The data random_tangent_transform integrates (for m > 2n)."""
+    alpha = random_germ(n, m, rng, m - n, 2 * (m - n), accuracy=accuracy)
+    beta0 = random_germ(n, m, rng, 2 * (m - n), 3 * (m - n), p_free=True, accuracy=accuracy)
+    return alpha, beta0, accuracy
+
+
+def _sparse_data(n, m, rng, accuracy):
+    """Few terms, and accuracies of their own, so that whole p-parts of alpha
+    are zeros of finite accuracy, which still bound the accuracy of a sum."""
+    alpha = random_germ(n, m, rng, 1, 3 * m, spread=1, skip=(X,), accuracy=rng.randint(8, 40))
+    beta0 = random_germ(
+        n, m, rng, 2, 3 * m, spread=1, p_free=True, skip=(X, Y), accuracy=rng.randint(8, 40)
+    )
+    return alpha, beta0, accuracy
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([_solvable_data, _tangent_data, _witness_data, _sparse_data]),
+    st.sampled_from([(3, 7), (3, 10), (4, 11), (5, 7)]),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=8, max_value=40),
+)
+def test_solve_contact_matches_the_term_by_term_recursion(data, nm, seed, accuracy):
+    """Same num, den and accuracy in all three components, or the same error."""
+    assume(data is not _tangent_data or nm[1] > 2 * nm[0])
+    alpha, beta0, accuracy = data(*nm, random.Random(seed), accuracy)
+    # the input checks, which the reference leaves out
+    assume(alpha.in_maximal_ideal() and X not in beta0.num)
+    assume(alpha._get(X) != -1 and beta0._get(Y) != -1)
+    assert _outcome(solve_contact, alpha, beta0, accuracy) == _outcome(
+        _reference_solve_contact, alpha, beta0, accuracy
+    )
+
+
+def test_zero_parts_of_finite_accuracy_still_bound_the_accuracy():
+    """beta0 = 0 known below 33 has partials that are zeros of finite
+    accuracy; their products bound the accuracy of beta and gamma, so
+    skipping them would overstate it (14 and 9)."""
+    w = contact_weights(5, 7)
+    phi = solve_contact(Germ(w, {P: -1}, 34), Germ.zero(w, 33), 14)
+    assert phi.beta == Germ(w, {(0, 0, 2): Fraction(-1, 2)}, 10)
+    assert phi.gamma == Germ.zero(w, 5)
 
 
 def test_compose_identity_is_neutral():
