@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .curves import PlaneCurveGerm, reparametrize
-from .errors import ContactDefectError, ValidationError
+from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
 from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
 
@@ -200,23 +200,28 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     wp = w[2]
     if beta0.weights != w:
         raise ValidationError("alpha and beta0 live in differently weighted rings")
-    if any(mono[2] for mono in beta0.num):
+    if any(mono[2] for mono in beta0.coeffs):
         raise ValidationError("beta0 must not involve p")
     if not alpha.in_maximal_ideal() or not beta0.in_maximal_ideal():
         raise ValidationError("displacements must vanish at the origin")
-    if X_MONO in beta0.num:
-        raise ValidationError(
-            "beta0 has a linear x term; the contact identity forces that term to vanish"
-        )
-    if beta0._get(Y_MONO) == -1:
-        raise ContactDefectError(
-            "1 + d_y(beta0) vanishes at the origin; the multiplier would not be a unit"
-        )
     if accuracy is None:
         accuracy = min(alpha.accuracy, beta0.accuracy)
     if accuracy == math.inf:
         raise ValidationError("an explicit finite accuracy is required for exact input data")
     target = min(accuracy, alpha.accuracy, beta0.accuracy)
+    if target <= w[1]:
+        # the multiplier 1 + d_y(beta) would be unknown even at the origin
+        raise InsufficientPrecisionError(
+            f"solve_contact needs an accuracy above m = {w[1]}, the weight of y; got {target}"
+        )
+    if beta0.coefficient(X_MONO):
+        raise ValidationError(
+            "beta0 has a linear x term; the contact identity forces that term to vanish"
+        )
+    if beta0.coefficient(Y_MONO) == -1:
+        raise ContactDefectError(
+            "1 + d_y(beta0) vanishes at the origin; the multiplier would not be a unit"
+        )
 
     parts_a = alpha.p_parts()
     zero = Germ.zero(w)
@@ -227,10 +232,10 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
         return zero if alpha.accuracy == math.inf else Germ.zero(w, max(alpha.accuracy - j * wp, 0))
 
     def exact_zero(g: Germ) -> bool:
-        return not g.num and g.accuracy == math.inf
+        return g.is_zero() and g.accuracy == math.inf
 
     unit = Germ.constant(w, 1) + a_part(0).partial("x")
-    if alpha._get(X_MONO) == -1:
+    if alpha.coefficient(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     unit_inv = invert_unit(unit, target)
 
@@ -325,15 +330,15 @@ def classify(phi: ContactMap) -> Classification:
         if comp.coefficient(mono) != 0:
             tangent = False
             violations.append(f"the {axis} component scales the {axis} direction")
-    extras = (
-        any(mo != X_MONO for mo in phi.alpha.num)
-        or any(mo != Y_MONO for mo in phi.beta.num)
-        or any(mo != P_MONO for mo in phi.gamma.num)
+    lam = 1 + phi.alpha.coefficient(X_MONO)
+    mu = 1 + phi.beta.coefficient(Y_MONO)
+    # a homothety has no term but (lam - 1) x, (mu - 1) y and (mu/lam - 1) p
+    scaling = bool(lam) and bool(mu) and all(
+        comp == Germ(phi.weights, {mono: factor - 1}, comp.accuracy)
+        for comp, mono, factor in zip(
+            phi.components(), (X_MONO, Y_MONO, P_MONO), (lam, mu, Fraction(mu, lam))
+        )
     )
-    lam = 1 + phi.alpha._get(X_MONO)
-    mu = 1 + phi.beta._get(Y_MONO)
-    rho = 1 + phi.gamma._get(P_MONO)
-    scaling = not extras and bool(lam) and bool(mu) and rho == Fraction(mu, lam)
     return Classification(
         triangular=triangular,
         tangent_to_identity=tangent,
@@ -422,12 +427,12 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     witness = realize_order(curve, order)
     b = witness.scale(scale)
     alpha = -b.partial("p")
-    beta0 = b._reduced({mo: v for mo, v in b.num.items() if mo[2] == 0}, b.den, b.accuracy)
+    beta0 = b.p_parts().get(0, Germ.zero(b.weights))
     phi = solve_contact(alpha, beta0, accuracy)
     bound = order + 1
     moved = (phi.beta - Germ.variable(phi.weights, "p") * phi.alpha).truncate(bound)
     shift = evaluate_on_series(moved, *(s.truncate(bound) for s in curve.triple()))
-    if shift.truncate(order).num or shift.coefficient(order) != scale:
+    if not shift.truncate(order).is_zero() or shift.coefficient(order) != scale:
         raise ContactDefectError(
             f"the built transformation moves the curve by {shift.items()} below t^{bound}, "
             f"not by {scale}*t^{order}"

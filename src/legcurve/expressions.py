@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
-from .germs import AXES, Germ, contact_weights
+from .germs import AXES, Germ, contact_weights, format_monomial
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyp])|([+\-^/])|(\S))")
 
@@ -136,18 +136,7 @@ def parse_germ(text: str, n: int, m: int) -> Germ:
             sign = -1 if item[1] == "-" else 1
             continue
         raise ValidationError(f"position {item[2]}: expected '+' or '-', got {item[1]!r}")
-    cleaned = {mono: value for mono, value in coeffs.items() if value}
-    return Germ(contact_weights(n, m), cleaned, math.inf)
-
-
-def _format_monomial(mono: tuple[int, int, int]) -> str:
-    pieces = []
-    for name, power in zip(AXES, mono):
-        if power == 1:
-            pieces.append(name)
-        elif power > 1:
-            pieces.append(f"{name}^{power}")
-    return "".join(pieces)
+    return Germ(contact_weights(n, m), coeffs, math.inf)  # which drops the zeros
 
 
 def format_scalar(value) -> str:
@@ -168,7 +157,7 @@ def format_germ(germ: Germ) -> str:
         return "0"
     out = []
     for mono, coeff in germ.items():
-        body = _format_monomial(mono)
+        body = format_monomial(mono)
         magnitude = coeff if coeff > 0 else -coeff
         if not body:
             scalar = format_scalar(magnitude)

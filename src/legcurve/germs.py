@@ -5,24 +5,24 @@ these are the orders (n, m, m-n) of x, y and the derivative coordinate p
 along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
 rational coefficients for monomials of weighted valuation below
-``accuracy``, in the form ``series`` uses: non-zero integer numerators
-``num`` over one positive denominator ``den``, with no common factor.
-Reads (``coefficient``, ``items``, ``coeffs``) return ``Fraction``s.
+``accuracy``, in the form and with the arithmetic of ``series._Truncated``,
+which builds its results without re-validating keys.
 
-Inputs are validated where they enter: the public constructor ``Germ(...)``
-checks the weights, the accuracy, every monomial (a triple of
-non-negative ``int``s) and every value (an ``int`` or a ``Fraction``, not
-a ``bool``), ``Germ.coefficient`` checks the monomial it is asked for, and
-``truncate`` checks its accuracy.  The arithmetic is the one
-``TruncatedSeries`` uses (``series._Truncated``, keyed here by the
-weighted valuation); it builds results from numerators without
-re-validating keys that come from germs that passed those checks.
-``partial`` and ``p_parts`` lower the accuracy by exactly the weight they
-take off each monomial, so they keep every key valid and only divide out
-the content of their numerators.  Products look each monomial up in the
-table ``_Truncated._KEYS``, so equal monomials of different products share
-one key tuple; the table holds keys only, so it is bounded by the number
-of distinct monomials that products produce.
+The stored key of x^i y^j p^l of weighted valuation w is the ``int``
+``(w << 3W) | (i << 2W) | (j << W) | l``, W = ``WIDTH``.  Each exponent is
+at most w, so no field carries while w < ``VALUATION_LIMIT`` = 2^W: the
+key of a product of monomials is the sum of their keys, and sorted keys
+come in (w, i, j, l) order.  ``partial`` and ``p_parts`` subtract from the
+keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
+``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
+
+Inputs are validated where they enter: ``Germ(...)`` checks the weights,
+the accuracy, every monomial (non-negative ``int``s, valuation below the
+limit) and every value (an ``int`` or a ``Fraction``, not a ``bool``),
+``coefficient`` its monomial and ``truncate`` its accuracy.  Products look
+each key up in the table ``_Truncated._KEYS``, so equal monomials of
+different products share one key object; the table holds keys only, so it
+is bounded by the number of distinct monomials that products produce.
 """
 
 from __future__ import annotations
@@ -37,10 +37,16 @@ from .series import Accuracy, TruncatedSeries, _check_accuracy, _Truncated
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
 
+# Bits per field of a stored key: 4 * 20 = 80 bits keep a key within three
+# 30-bit CPython digits, as 16-bit fields would, and allow valuations to 2^20.
+WIDTH = 20
+VALUATION_LIMIT = 1 << WIDTH
+_MASK = VALUATION_LIMIT - 1
 
-def _check_monomial(mono) -> None:
-    if not (isinstance(mono, tuple) and len(mono) == 3 and all(type(e) is int and e >= 0 for e in mono)):
-        raise ValidationError(f"monomial must be a triple of non-negative integers, got {mono!r}")
+
+def format_monomial(mono: Monomial) -> str:
+    """x^i y^j p^l as text, "x^2yp" style; empty for the constant monomial."""
+    return "".join(f"{axis}^{e}" if e > 1 else axis for axis, e in zip(AXES, mono) if e)
 
 
 def contact_weights(n: int, m: int) -> tuple[int, int, int]:
@@ -67,14 +73,15 @@ def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Mo
 class Germ(_Truncated):
     __slots__ = ("weights",)
 
-    _ONE = (0, 0, 0)
+    _SHIFT = 3 * WIDTH
+    _LIMIT = VALUATION_LIMIT
 
     def __init__(self, weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy):
         if len(weights) != 3 or any(w <= 0 for w in weights):
             raise ValidationError(f"weights must be three positive integers, got {weights!r}")
         self.weights = tuple(weights)
         self.accuracy = _check_accuracy(accuracy)
-        self._store(coeffs, _check_monomial)
+        self._store(coeffs, self._pack)
 
     # -- structure ---------------------------------------------------------
 
@@ -82,11 +89,19 @@ class Germ(_Truncated):
         w = self.weights
         return mono[0] * w[0] + mono[1] * w[1] + mono[2] * w[2]
 
-    _weight = valuation_of
+    def _pack(self, mono: Monomial) -> int:
+        """The stored key of a monomial, after checking it."""
+        if not (isinstance(mono, tuple) and len(mono) == 3 and all(type(e) is int and e >= 0 for e in mono)):
+            raise ValidationError(f"monomial must be a triple of non-negative integers, got {mono!r}")
+        w = self.valuation_of(mono)
+        if w >= VALUATION_LIMIT:
+            raise ValidationError(f"monomial {mono} has weighted valuation {w} >= the limit {VALUATION_LIMIT}")
+        i, j, l = mono
+        return (w << 3 * WIDTH) | (i << 2 * WIDTH) | (j << WIDTH) | l
 
     @staticmethod
-    def _combine(a: Monomial, b: Monomial) -> Monomial:
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    def _unpack(key: int) -> Monomial:
+        return ((key >> 2 * WIDTH) & _MASK, (key >> WIDTH) & _MASK, key & _MASK)
 
     @staticmethod
     def zero(weights: tuple[int, int, int], accuracy: Accuracy = math.inf) -> "Germ":
@@ -103,12 +118,12 @@ class Germ(_Truncated):
         return Germ(weights, {tuple(mono): 1}, accuracy)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        _check_monomial(mono)
-        if self.valuation_of(mono) >= self.accuracy:
+        key = self._pack(mono)
+        if key >> self._SHIFT >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of {mono} has weighted order >= accuracy {self.accuracy}"
             )
-        return self._get(mono)
+        return self._get(key)
 
     valuation_lower_bound = _Truncated._weight_lower_bound
 
@@ -121,13 +136,11 @@ class Germ(_Truncated):
         """True when the germ vanishes at the origin."""
         if self.accuracy <= 0:
             raise InsufficientPrecisionError("accuracy 0 germ: value at origin unknown")
-        return (0, 0, 0) not in self.num
+        return 0 not in self.num
 
     def __repr__(self) -> str:
         def fmt(mono: Monomial, value) -> str:
-            vars_part = "".join(
-                f"{axis}^{e}" if e > 1 else axis for axis, e in zip(AXES, mono) if e
-            )
+            vars_part = format_monomial(mono)
             if not vars_part:
                 return repr(value)
             return f"{value!r}*{vars_part}" if value != 1 else vars_part
@@ -141,23 +154,25 @@ class Germ(_Truncated):
     def partial(self, axis: str) -> "Germ":
         idx = AXES.index(axis)
         weight = self.weights[idx]
-        acc = max(self.accuracy - weight, 0)
-        out: dict[Monomial, int] = {}
-        for mono, value in self.num.items():
-            if mono[idx]:
-                key = list(mono)
-                key[idx] -= 1
-                out[tuple(key)] = mono[idx] * value
-        return self._reduced(out, self.den, acc)
+        field = WIDTH * (2 - idx)
+        step = (weight << self._SHIFT) | (1 << field)  # the key of the variable
+        out: dict[int, int] = {}
+        for key, value in self.num.items():
+            e = (key >> field) & _MASK
+            if e:
+                out[key - step] = e * value
+        return self._reduced(out, self.den, max(self.accuracy - weight, 0))
 
     # -- p-power decomposition (used by the Cauchy solver) --------------------
 
     def p_parts(self) -> dict[int, "Germ"]:
         """Split into coefficients of powers of p (each a germ in x, y only)."""
         wp = self.weights[2]
-        parts: dict[int, dict[Monomial, int]] = {}
-        for (i, j, l), value in self.num.items():
-            parts.setdefault(l, {})[(i, j, 0)] = value
+        step = (wp << self._SHIFT) | 1  # the key of p
+        parts: dict[int, dict[int, int]] = {}
+        for key, value in self.num.items():
+            l = key & _MASK
+            parts.setdefault(l, {})[key - l * step] = value
         degrees = set(parts)
         if self.accuracy != math.inf:
             degrees |= set(range(self.accuracy // wp + 1))
@@ -183,7 +198,7 @@ class Germ(_Truncated):
 def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
     """Inverse of a germ with invertible value at the origin."""
     acc = g.accuracy if accuracy is None else min(g.accuracy, accuracy)
-    c0 = g._get((0, 0, 0))
+    c0 = g._get(0)
     if not c0:
         raise ValidationError("germ vanishes at the origin; it is not a unit")
     rest = g - Germ.constant(g.weights, c0, g.accuracy)
@@ -225,7 +240,7 @@ def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
             candidates.append(g.accuracy)
         else:
             candidates.append(math.ceil(g.accuracy * rho))
-    for mono in g.num:
+    for mono in map(Germ._unpack, g.num):
         base = sum(e * v for e, v in zip(mono, orders) if v != math.inf)
         for idx in range(3):
             if mono[idx] and accs[idx] != math.inf:

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 from .contact import (
+    X_MONO,
+    Y_MONO,
     ContactMap,
     compose,
     homothety,
@@ -24,9 +26,6 @@ from .errors import ValidationError
 from .germs import Germ, contact_weights, monomials_in_valuation_range
 
 SEED_STRIDE = 1_000_003
-
-X_MONO = (1, 0, 0)
-Y_MONO = (0, 1, 0)
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:

@@ -22,20 +22,19 @@ inner one (Brent & Kung, J. ACM 25 (1978), section 2), so its cost falls
 with the order of the inner series' perturbation; see ``series_compose``.
 
 The arithmetic of exact coefficients below an accuracy is the same for
-these series and for the germs of ``germs.py``; only the weight of a key
-differs (the exponent here, the weighted valuation there).  It is written
-once, in the private base class ``_Truncated``: negation, sums, scaling,
-truncation, products, powers and comparison.  The public constructors
-validate every key, every value (an ``int`` or a ``Fraction``, not a
-``bool``) and the accuracy; arithmetic results are built by
-``_Truncated._unchecked``, which keeps the numerators it is given, or by
-``_Truncated._reduced``, which first divides out their common content.
+these series and for the germs of ``germs.py``.  It is written once, in
+``_Truncated``, over terms keyed by one ``int`` whose bits from ``_SHIFT``
+up hold the weight (here the key is the exponent and ``_SHIFT`` is 0), so
+a product key is the sum of two keys.  The public constructors validate
+every key, every value (an ``int`` or a ``Fraction``, not a ``bool``) and
+the accuracy; arithmetic results are built by ``_Truncated._unchecked``,
+which keeps the numerators it is given, or by ``_Truncated._reduced``,
+which first divides out their common content.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -64,16 +63,16 @@ def _check_rational(value):
     return value
 
 
-def _convolve(left_terms: list, right_terms: list, acc: Accuracy, combine: Callable) -> dict:
-    """Integer sums, by combined key, of the products of two weight-sorted
-    (weight, key, numerator) lists whose weights add up to less than ``acc``."""
+def _convolve(left_terms: list, right_terms: list, bound: Accuracy) -> dict:
+    """Integer sums, by key, of the products of two key-sorted (key,
+    numerator) lists whose keys add up to less than ``bound``."""
     sums: dict = {}
-    for w1, k1, v1 in left_terms:
-        limit = acc - w1
-        for w2, k2, v2 in right_terms:
-            if w2 >= limit:
+    for k1, v1 in left_terms:
+        limit = bound - k1
+        for k2, v2 in right_terms:
+            if k2 >= limit:
                 break
-            key = combine(k1, k2)
+            key = k1 + k2
             sums[key] = sums.get(key, 0) + v1 * v2
     return sums
 
@@ -83,11 +82,11 @@ class _Truncated:
     as non-zero integer numerators ``num`` over the positive ``den``.
 
     The arithmetic that ``TruncatedSeries`` and ``germs.Germ`` share.  A
-    subclass supplies the weight of a key (``_weight``), the key of a
-    product of two terms (``_combine``), the key of the constant term
-    (``_ONE``) and, as its own ``__slots__``, the fields that fix its ring
-    (the weights of a germ): operands must agree on them, and results copy
-    them.
+    subclass supplies the key bits below the weight (``_SHIFT``), the
+    limit of stored weights (``_LIMIT``), the public form of a key
+    (``_unpack``) and, as its own ``__slots__``, the fields that fix its
+    ring (the weights of a germ): operands must agree on them, and results
+    copy them.  The constant term has key 0 in both rings.
     """
 
     __slots__ = ("num", "den", "accuracy")
@@ -95,17 +94,18 @@ class _Truncated:
     # key -> the one key object that every product containing it uses
     _KEYS: dict = {}
 
-    def _store(self, coeffs: Mapping, check_key: Callable) -> None:
-        """Set ``num`` and ``den`` from the rational values of ``coeffs``
-        (after ``accuracy`` and the ring), dropping zeros and keys of weight
-        at or above the accuracy.  Over the least common denominator the
-        numerators need no reduction: each of its prime powers divides some
-        value's denominator, and so not that value's numerator."""
+    def _store(self, coeffs: Mapping, pack: Callable) -> None:
+        """Set ``num`` and ``den`` from the rational values of ``coeffs``,
+        keyed by ``pack`` (after ``accuracy`` and the ring), dropping zeros
+        and keys of weight at or above the accuracy.  Over the least common
+        denominator the numerators need no reduction: each of its prime
+        powers divides some value's denominator, and so not its numerator."""
+        bound = self.accuracy * (1 << self._SHIFT)  # the least key of that weight, or inf
         kept = {}
         for k, v in coeffs.items():
-            check_key(k)
-            if _check_rational(v) and self._weight(k) < self.accuracy:
-                kept[k] = v
+            key = pack(k)
+            if _check_rational(v) and key < bound:
+                kept[key] = v
         den = 1
         for v in kept.values():  # math.lcm(*generator) raised normalize's peak RSS by 3 MB
             den = math.lcm(den, v.denominator)
@@ -140,33 +140,26 @@ class _Truncated:
             if getattr(self, name) != getattr(other, name):
                 raise ValidationError(f"operands differ in their {name}")
 
-    def _terms(self) -> list:
-        """The (weight, key, numerator) triples, sorted by weight."""
-        weight = self._weight
-        terms = [(weight(k), k, v) for k, v in self.num.items()]
-        terms.sort(key=operator.itemgetter(0))
-        return terms
-
-    def _get(self, key) -> Fraction:
-        """The value at ``key``, 0 when absent, without a precision check."""
+    def _get(self, key: int) -> Fraction:
+        """The value at the stored ``key``, 0 when absent, without a precision check."""
         return Fraction(self.num.get(key, 0), self.den)
 
     def _weight_lower_bound(self) -> Accuracy:
-        return min(map(self._weight, self.num)) if self.num else self.accuracy
+        return min(self.num) >> self._SHIFT if self.num else self.accuracy
 
     @property
     def coeffs(self) -> dict:
         """The non-zero values as ``Fraction``s, in a new dict on each read."""
-        den = self.den
-        return {k: Fraction(v, den) for k, v in self.num.items()}
+        den, unpack = self.den, self._unpack
+        return {unpack(k): Fraction(v, den) for k, v in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
 
     def items(self):
         """The (key, value) pairs sorted by weight, then key."""
-        weight = self._weight
-        return sorted(self.coeffs.items(), key=lambda kv: (weight(kv[0]), kv[0]))
+        den, unpack = self.den, self._unpack
+        return [(unpack(k), Fraction(v, den)) for k, v in sorted(self.num.items())]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -193,8 +186,8 @@ class _Truncated:
         accuracy = _check_accuracy(accuracy)
         if accuracy >= self.accuracy:
             return self
-        weight = self._weight
-        return self._reduced({k: v for k, v in self.num.items() if weight(k) < accuracy}, self.den, accuracy)
+        bound = accuracy * (1 << self._SHIFT)
+        return self._reduced({k: v for k, v in self.num.items() if k < bound}, self.den, accuracy)
 
     def __neg__(self):
         return self._unchecked({k: -v for k, v in self.num.items()}, self.den, self.accuracy)
@@ -232,35 +225,35 @@ class _Truncated:
         self._check_ring(other)
         if (not self.num and self.accuracy == math.inf) or (not other.num and other.accuracy == math.inf):
             return self._unchecked({}, 1, math.inf)
-        left, right = self._terms(), other._terms()
-        acc = min(
-            self.accuracy + (right[0][0] if right else other.accuracy),
-            other.accuracy + (left[0][0] if left else self.accuracy),
-        )
-        sums = _convolve(left, right, acc, self._combine)
+        left, right = sorted(self.num.items()), sorted(other.num.items())
+        acc = min(self.accuracy + other._weight_lower_bound(), other.accuracy + self._weight_lower_bound())
+        if acc > self._LIMIT and left and right and (left[-1][0] + right[-1][0]) >> self._SHIFT >= self._LIMIT:
+            raise ValidationError(f"a product reaches weight {self._LIMIT}, the limit of stored keys")
+        sums = _convolve(left, right, acc * (1 << self._SHIFT))
         shared = self._KEYS.setdefault
         return self._reduced({shared(k, k): v for k, v in sums.items() if v}, self.den * other.den, acc)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValidationError("negative powers are not supported")
-        result = self._unchecked({self._ONE: 1}, 1, math.inf)
+        result = self._unchecked({0: 1}, 1, math.inf)
         base = self
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:  # a last squaring is unused and could pass the limit
+                base = base * base
         return result
 
 
 class TruncatedSeries(_Truncated):
     __slots__ = ()
 
-    # the weight of t^k is k
-    _weight = int
-    _combine = operator.add
-    _ONE = 0
+    # the key of t^k is k, and there is no limit on it
+    _SHIFT = 0
+    _LIMIT = math.inf
+    _unpack = int
 
     def __init__(self, coeffs: Mapping[int, object], accuracy: Accuracy):
         self.accuracy = _check_accuracy(accuracy)
@@ -353,7 +346,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
             candidates.append(inner.accuracy + (min(positive) - 1) * v_inner)
     acc = min(candidates)
     c = inner._get(1)
-    delta = sorted((k, k, a) for k, a in inner.num.items() if k != 1)
+    delta = sorted((k, a) for k, a in inner.num.items() if k != 1)
     numerators = outer.num
     top = max(numerators, default=0)
     v = delta[0][0] if delta else 0
@@ -371,7 +364,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     for j in range(depth, -1, -1):
         limit = acc - j * v
         if sums:
-            sums = _convolve([(e, e, x) for e, x in sorted(sums.items()) if x], delta, limit, operator.add)
+            sums = _convolve([(e, x) for e, x in sorted(sums.items()) if x], delta, limit)
             scale *= inner.den
         for e in range(min(len(lift), top - j + 1, limit)):
             a = numerators.get(j + e)

@@ -33,7 +33,13 @@ from legcurve.contact import (
     verify_contact,
 )
 from legcurve.curves import PlaneCurveGerm
-from legcurve.errors import ContactDefectError, LegcurveError, NotRealizableError, ValidationError
+from legcurve.errors import (
+    ContactDefectError,
+    InsufficientPrecisionError,
+    LegcurveError,
+    NotRealizableError,
+    ValidationError,
+)
 from legcurve.germs import Germ, contact_weights, evaluate_on_series, invert_unit
 from legcurve.oracle import conormal_semigroup, realize_order
 from legcurve.sampling import (
@@ -235,15 +241,28 @@ def _sparse_data(n, m, rng, accuracy):
     st.integers(min_value=8, max_value=40),
 )
 def test_solve_contact_matches_the_term_by_term_recursion(data, nm, seed, accuracy):
-    """Same num, den and accuracy in all three components, or the same error."""
+    """Same num, den and accuracy in all three components, or the same error;
+    at a target accuracy up to m, the error that names it."""
     assume(data is not _tangent_data or nm[1] > 2 * nm[0])
     alpha, beta0, accuracy = data(*nm, random.Random(seed), accuracy)
     # the input checks, which the reference leaves out
-    assume(alpha.in_maximal_ideal() and X not in beta0.num)
-    assume(alpha._get(X) != -1 and beta0._get(Y) != -1)
+    assume(alpha.in_maximal_ideal() and not beta0.coeffs.get(X))
+    assume(alpha.coeffs.get(X) != -1 and beta0.coeffs.get(Y) != -1)
+    target = min(accuracy, alpha.accuracy, beta0.accuracy)
+    if target <= nm[1]:
+        with pytest.raises(InsufficientPrecisionError, match=f"above m = {nm[1]}.*got {target}"):
+            solve_contact(alpha, beta0, accuracy)
+        return
     assert _outcome(solve_contact, alpha, beta0, accuracy) == _outcome(
         _reference_solve_contact, alpha, beta0, accuracy
     )
+
+
+def test_solve_contact_at_an_accuracy_up_to_m_names_it():
+    w = contact_weights(3, 10)
+    with pytest.raises(InsufficientPrecisionError, match=r"accuracy above m = 10, the weight of y; got 10"):
+        solve_contact(Germ.zero(w, 40), Germ.zero(w, 40), 10)
+    assert solve_contact(Germ.zero(w, 40), Germ.zero(w, 40), 11).beta == Germ.zero(w, 11)
 
 
 def test_zero_parts_of_finite_accuracy_still_bound_the_accuracy():

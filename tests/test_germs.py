@@ -11,6 +11,7 @@ from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, ValidationError
 from legcurve.germs import (
     AXES,
+    VALUATION_LIMIT,
     Germ,
     contact_weights,
     evaluate_on_series,
@@ -230,9 +231,36 @@ def test_truncate_rejects_an_invalid_accuracy(bad, accuracy):
 def test_products_share_monomial_keys():
     a = G({(1, 0, 0): 2}) * G({(0, 1, 1): 3})
     b = G({(1, 1, 0): 5}) * G({(0, 0, 1): 7})
-    (key_a,), (key_b,) = a.coeffs, b.coeffs
-    assert key_a == (1, 1, 1)
+    assert a.coeffs == {(1, 1, 1): 6} and b.coeffs == {(1, 1, 1): 35}
+    (key_a,), (key_b,) = a.num, b.num
+    assert type(key_a) is int
     assert key_a is key_b
+
+
+def test_monomials_at_the_valuation_limit_are_rejected():
+    # x^i weighs 3i; VALUATION_LIMIT = 2^20 is not a multiple of 3
+    below, above = (VALUATION_LIMIT - 1) // 3, (VALUATION_LIMIT + 2) // 3
+    assert G({(below, 0, 0): 1}).coefficient((below, 0, 0)) == 1
+    for accuracy in (math.inf, 9):
+        with pytest.raises(ValidationError, match=f"limit {VALUATION_LIMIT}"):
+            G({(above, 0, 0): 1}, accuracy)
+        with pytest.raises(ValidationError, match=f"limit {VALUATION_LIMIT}"):
+            G({}, accuracy).coefficient((above, 0, 0))
+
+
+def test_powers_up_to_the_valuation_limit():
+    x = Germ.variable(W, "x")
+    below, above = (VALUATION_LIMIT - 1) // 3, (VALUATION_LIMIT + 2) // 3
+    assert (x**below).coeffs == {(below, 0, 0): 1}
+    with pytest.raises(ValidationError, match="limit"):
+        x**above
+
+
+@settings(max_examples=100, deadline=None)
+@given(GERMS)
+def test_items_are_sorted_by_valuation_then_monomial(g):
+    assert [mono for mono, _ in g.items()] == sorted(g.coeffs, key=lambda mono: (g.valuation_of(mono), mono))
+    assert Germ(W, g.coeffs, g.accuracy) == g
 
 
 def summed(a, b, sign):
@@ -285,7 +313,7 @@ def assert_canonical(germ):
     assert type(germ.den) is int and germ.den > 0
     assert all(type(v) is int and v for v in germ.num.values())
     assert math.gcd(germ.den, *germ.num.values()) == 1
-    assert all(germ.valuation_of(mono) < germ.accuracy for mono in germ.num)
+    assert all(germ.valuation_of(mono) < germ.accuracy for mono in germ.coeffs)
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
