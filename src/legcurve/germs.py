@@ -49,6 +49,12 @@ def format_monomial(mono: Monomial) -> str:
     return "".join(f"{axis}^{e}" if e > 1 else axis for axis, e in zip(AXES, mono) if e)
 
 
+def check_monomial(mono) -> Monomial:
+    if not (isinstance(mono, tuple) and len(mono) == 3 and all(type(e) is int and e >= 0 for e in mono)):
+        raise ValidationError(f"monomial must be a triple of non-negative integers, got {mono!r}")
+    return mono
+
+
 def contact_weights(n: int, m: int) -> tuple[int, int, int]:
     if not (0 < n < m):
         raise ValidationError(f"need 0 < n < m, got ({n}, {m})")
@@ -91,9 +97,7 @@ class Germ(_Truncated):
 
     def _pack(self, mono: Monomial) -> int:
         """The stored key of a monomial, after checking it."""
-        if not (isinstance(mono, tuple) and len(mono) == 3 and all(type(e) is int and e >= 0 for e in mono)):
-            raise ValidationError(f"monomial must be a triple of non-negative integers, got {mono!r}")
-        w = self.valuation_of(mono)
+        w = self.valuation_of(check_monomial(mono))
         if w >= VALUATION_LIMIT:
             raise ValidationError(f"monomial {mono} has weighted valuation {w} >= the limit {VALUATION_LIMIT}")
         i, j, l = mono
@@ -263,10 +267,10 @@ def _substitute(g: Germ, values, orders, one):
         return cache[e]
 
     for mono, coeff in g.items():
-        term = one.scale(coeff)
-        for idx in range(3):
-            if mono[idx]:
-                term = (term * power(idx, mono[idx])).truncate(acc)
+        factors = [power(idx, e) for idx, e in enumerate(mono) if e]
+        term = (factors[0] if factors else one).scale(coeff)
+        for factor in factors[1:]:
+            term = (term * factor).truncate(acc)
         result = result + term
     return result.truncate(acc)
 

@@ -10,10 +10,14 @@ witnesses for each attained order.
 Since x = t^n exactly, the restriction of x^i y^j p^l is that of y^j p^l
 shifted by n*i; each oracle caches the powers y^j p^l below its bound and
 builds each one from a smaller one with a single product.  The row
-reduction is fraction-free: a row is kept as integer numerators of its
-series and of its monomial combination over one denominator, eliminated
-by integer multiply-and-subtract with the common content divided out, and
-turned into ``Fraction`` values only when read.
+reduction works on the restriction rows alone and is fraction-free
+(Bareiss 1968; Geddes, Czapor and Labahn, ch. 9): a row is kept as integer
+numerators over one denominator, eliminated by integer
+multiply-and-subtract on its tail from the pivot order with the tail's
+content divided out, and turned into ``Fraction`` values only when read.
+Each row records the multipliers and contents of its steps, so the
+monomial combination that witnesses its order is replayed from the
+combinations of its pivots only when ``combination_for`` asks.
 """
 
 from __future__ import annotations
@@ -23,24 +27,32 @@ from fractions import Fraction
 
 from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
-from .germs import Germ, Monomial, contact_weights, monomials_in_valuation_range
+from .germs import Germ, Monomial, check_monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
 from .series import TruncatedSeries
 
 
 class EchelonRow:
-    """An echelon row, monic at its pivot order, as integer numerators over
-    one positive ``denominator``: the restriction series (dense, one entry
-    per exponent below the oracle bound) and the combination of monomials
-    whose restriction it is."""
+    """An echelon row, monic at its pivot order: integer ``numerators`` of
+    its restriction series (dense, one per exponent below the oracle bound,
+    without common content) over a positive ``denominator``, and how the row
+    was made.  It began as the restriction of ``monomial``, with numerators
+    over ``start``; each of its ``steps`` (pivot order, lead, content) made
+    it ((pivot denominator) * row - lead * pivot row) / content; ``lead`` is
+    its final lead before its content was divided out.  The combination of
+    monomials whose restriction the row is is not stored:
+    ``ConormalOracle.combination_for`` replays it from this record."""
 
-    __slots__ = ("numerators", "combination_numerators", "denominator")
+    __slots__ = ("numerators", "denominator", "monomial", "start", "steps", "lead")
 
-    def __init__(self, numerators: list[int], combination_numerators: dict[Monomial, int],
-                 denominator: int):
+    def __init__(self, numerators: list[int], denominator: int, monomial: Monomial, start: int,
+                 steps: list[tuple[int, int, int]], lead: int):
         self.numerators = numerators
-        self.combination_numerators = combination_numerators
         self.denominator = denominator
+        self.monomial = monomial
+        self.start = start
+        self.steps = steps
+        self.lead = lead
 
     @property
     def series(self) -> TruncatedSeries:
@@ -48,11 +60,6 @@ class EchelonRow:
         return TruncatedSeries(
             {k: Fraction(v, den) for k, v in enumerate(self.numerators) if v}, len(self.numerators)
         )
-
-    @property
-    def combination(self) -> dict[Monomial, Fraction]:
-        den = self.denominator
-        return {key: Fraction(v, den) for key, v in self.combination_numerators.items()}
 
 
 class ConormalOracle:
@@ -84,6 +91,8 @@ class ConormalOracle:
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
         self.rows: dict[int, EchelonRow] = {}
+        # pivot order -> the combination of monomials restricting to its row
+        self._combinations: dict[int, dict[Monomial, Fraction]] = {}
         for mono in monomials:
             self._insert(mono)
 
@@ -103,42 +112,39 @@ class ConormalOracle:
     def restriction(self, monomial: Monomial) -> TruncatedSeries:
         """ι*(x^i y^j p^l) truncated below the oracle bound: x = t^n, so it is
         y^j p^l shifted by n*i."""
-        i, j, l = monomial
+        i, j, l = check_monomial(monomial)
         return self._power(j, l).shift(self.curve.n * i).truncate(self.bound)
 
     def _insert(self, mono: Monomial) -> None:
-        # the row is kept up to a non-zero rational factor, as integers:
-        # the stored numerators of the restriction, then
-        # (pivot denominator) * row - (row's lead) * pivot row per step
+        # the row is kept up to a non-zero rational factor, as integers: the
+        # numerators of the restriction, then per step
+        # ((pivot denominator) * row - lead * pivot row) / content on the
+        # tail from the pivot order, the entries below it being zero
         restriction = self.restriction(mono)
         row = [0] * self.bound
         for k, v in restriction.num.items():
             row[k] = v
-        combination = {mono: restriction.den}
-        order = next((k for k, a in enumerate(row) if a), None)
-        while order is not None and order in self.rows:
+        steps = []
+        order = min(restriction.num, default=None)
+        while order in self.rows:
             pivot = self.rows[order]
             lead, scale = row[order], pivot.denominator
-            row = [scale * a - lead * b for a, b in zip(row, pivot.numerators)]
-            for key in combination:
-                combination[key] *= scale
-            for key, value in pivot.combination_numerators.items():
-                combination[key] = combination.get(key, 0) - lead * value
-            content = math.gcd(*row, *combination.values())
+            row[order:] = [scale * a - lead * b for a, b in zip(row[order:], pivot.numerators[order:])]
+            step, order = order, next((k for k in range(order + 1, self.bound) if row[k]), None)
+            if order is None:
+                return
+            content = math.gcd(*row[order:])
             if content > 1:
-                row = [a // content for a in row]
-                combination = {key: v // content for key, v in combination.items()}
-            order = next((k for k in range(order + 1, self.bound) if row[k]), None)
+                row[order:] = [a // content for a in row[order:]]
+            steps.append((step, lead, content))
         if order is None:
             return
         lead = row[order]
-        content = math.gcd(*row, *combination.values())
+        content = math.gcd(*row[order:])
         if lead < 0:
             content = -content
         self.rows[order] = EchelonRow(
-            [a // content for a in row],
-            {key: v // content for key, v in combination.items() if v},
-            lead // content,
+            [a // content for a in row], lead // content, mono, restriction.den, steps, lead
         )
 
     def orders_below_bound(self) -> tuple[int, ...]:
@@ -147,10 +153,29 @@ class ConormalOracle:
     def semigroup(self) -> NumericalSemigroup:
         return NumericalSemigroup.from_members(self.orders_below_bound(), self.bound)
 
-    def combination_for(self, order: int) -> dict[Monomial, object]:
+    def combination_for(self, order: int) -> dict[Monomial, Fraction]:
+        """The monomial combination whose restriction is ``rows[order].series``,
+        as a new dict; built on the first request, after those of the rows
+        stored before it."""
         if order not in self.rows:
             raise NotRealizableError(f"no restriction of order {order} below bound {self.bound}")
-        return self.rows[order].combination
+        for k, row in self.rows.items():  # a row is reduced by rows stored before it
+            if k not in self._combinations:
+                self._combinations[k] = self._replay(row)
+            if k == order:
+                return dict(self._combinations[k])
+
+    def _replay(self, row: EchelonRow) -> dict[Monomial, Fraction]:
+        """The combination of ``row`` from its record: if the integer row is
+        the restriction of C, a step makes it that of
+        (pivot denominator) / content * (C - lead * pivot combination)."""
+        combination = {row.monomial: Fraction(row.start)}
+        for order, lead, content in row.steps:
+            for key, v in self._combinations[order].items():
+                combination[key] = combination.get(key, 0) - lead * v
+            scale = Fraction(self.rows[order].denominator, content)
+            combination = {key: scale * v for key, v in combination.items()}
+        return {key: v / row.lead for key, v in combination.items() if v}
 
 
 def conormal_semigroup(curve: PlaneCurveGerm, bound: int | None = None) -> NumericalSemigroup:

@@ -26,6 +26,7 @@ from legcurve.oracle import (
 )
 from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup
+from legcurve.series import TruncatedSeries
 
 
 def test_monomial_enumeration():
@@ -281,3 +282,95 @@ def test_witness_restricts_to_a_monic_series_of_its_order(n, m):
         restricted = evaluate_on_series(realize_order(curve, k), *curve.triple())
         assert restricted.order() == k
         assert restricted.coefficient(k) == 1
+
+
+# -- pivot orders against sympy's rref, and the witness combinations built on request --
+
+
+def sympy_restriction_matrix(curve, bound, monomials):
+    """One row per monomial, columns t^0..t^(bound-1): x^i y^j p^l from
+    ``curve.triple()`` as sympy polynomials in t, each product truncated
+    below ``bound``."""
+    t = sympy.Symbol("t")
+
+    def truncated(terms):
+        return sympy.Poly.from_dict({k: c for k, c in terms if k < bound} or {0: 0}, t, domain="QQ")
+
+    x, y, p = (
+        truncated((k, sympy.Rational(c.numerator, c.denominator)) for k, c in s.coeffs.items())
+        for s in curve.triple()
+    )
+    rows = []
+    for exponents in monomials:
+        product = sympy.Poly(1, t, domain="QQ")
+        for factor, times in zip((x, y, p), exponents):
+            for _ in range(times):
+                product = truncated((k, c) for (k,), c in (product * factor).terms())
+        rows.append([product.coeff_monomial(t ** k) for k in range(bound)])
+    return sympy.Matrix(rows)
+
+
+@st.composite
+def cross_check_curves(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 3 * n + 2).filter(lambda m: math.gcd(n, m) == 1))
+    bound = max((n - 1) * (m - n - 1), 1)
+    accuracy = max(bound + n, m + 2)
+    kind = draw(st.sampled_from(["generic", "monomial", "drawn"]))
+    if kind == "generic":
+        return random_curve(n, m, trial_rng(draw(st.integers(0, 10**6)), 0), accuracy=accuracy)
+    coefficients = {m: draw(COEFFICIENTS)}
+    if kind == "drawn":
+        for e in draw(st.sets(st.integers(m + 1, accuracy - 1), max_size=12)):
+            coefficients[e] = draw(COEFFICIENTS)
+    return PlaneCurveGerm(n, coefficients, accuracy)
+
+
+@settings(max_examples=40, deadline=None)
+@example(random_curve(3, 10, trial_rng(7, 0)))
+@example(PlaneCurveGerm(3, {10: 1}, 15))
+@example(PlaneCurveGerm(4, {11: Fraction(-7, 3)}, 25))
+@example(PlaneCurveGerm(3, {11: HUGE + 1, 12: -HUGE, 13: Fraction(HUGE, PRIMES[0]), 16: 3}, 17))
+@example(PlaneCurveGerm(4, {9: Fraction(2, 3), 10: Fraction(-5, 7), 11: Fraction(1, 11)}, 20))
+@given(cross_check_curves())
+def test_pivot_orders_are_the_rref_pivots_of_the_restriction_matrix(curve):
+    oracle = ConormalOracle(curve)
+    monomials = monomials_in_valuation_range(curve.n, curve.m, 0, oracle.bound)
+    _, pivots = sympy_restriction_matrix(curve, oracle.bound, monomials).rref()
+    assert pivots == oracle.orders_below_bound()
+
+
+@settings(max_examples=60, deadline=None)
+@example((PlaneCurveGerm(3, {10: 1, 11: 1}, 15), 12, monomials_in_valuation_range(3, 10, 0, 12)[::-1]))
+@given(oracle_inputs())
+def test_combinations_built_on_request(case):
+    curve, bound, monomials = case
+    backward, forward = (ConormalOracle(curve, bound, monomials) for _ in range(2))
+    orders = sorted(backward.rows)
+    asked_backward = {order: backward.combination_for(order) for order in reversed(orders)}
+    asked_forward = {order: forward.combination_for(order) for order in orders}
+    assert asked_backward == asked_forward
+    for order, row in backward.rows.items():
+        assert row.denominator > 0
+        assert row.numerators[order] == row.denominator
+        assert math.gcd(*row.numerators) == 1
+        combination = backward.combination_for(order)
+        total = TruncatedSeries({}, bound)
+        for mono, c in combination.items():
+            total = total + backward.restriction(mono).scale(c)
+        assert total == row.series
+        mono = next(iter(combination))
+        combination[mono] += 1
+        combination[(99, 0, 0)] = Fraction(1)
+        assert backward.combination_for(order) == asked_forward[order]
+
+
+@pytest.mark.parametrize("monomial", [(0, 0, -1), (-1, 1, 0), (0, 1.0, 0), (True, 0, 0), [0, 1, 0], (0, 1)])
+def test_monomials_must_be_triples_of_non_negative_ints(monomial):
+    curve = PlaneCurveGerm(3, {10: 1, 11: 1})
+    oracle = ConormalOracle(curve)
+    message = "monomial must be a triple of non-negative integers"
+    with pytest.raises(ValidationError, match=message):
+        oracle.restriction(monomial)
+    with pytest.raises(ValidationError, match=message):
+        ConormalOracle(curve, 12, [(0, 1, 0), monomial])
