@@ -20,6 +20,8 @@ when a value is read: ``coefficient``, ``items`` and the read-only
 Composition expands the outer series about the linear part c*t of the
 inner one (Brent & Kung, J. ACM 25 (1978), section 2), so its cost falls
 with the order of the inner series' perturbation; see ``series_compose``.
+Reversal is Newton iteration with one composition per step, correcting h
+by its own derivative; see ``series_reverse``.
 
 The arithmetic of exact coefficients below an accuracy is the same for
 these series and for the germs of ``germs.py``.  It is written once, in
@@ -400,6 +402,13 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     c*t reverses to the exact t/c; any other g needs a finite target
     accuracy (from g or the argument), and below accuracy 2 the reversal
     is the zero series.
+
+    Newton iteration (Brent & Kung, J. ACM 25 (1978)) with h' in place of
+    1/g'(h): if h is exact below t^p and g(h) = t + r, then r = O(t^p)
+    and g'(h) h' = 1 + r', so 1/g'(h) agrees with h' below t^(p-1) and
+    h - r h' is exact below t^(2p-1).  The precision runs 2, 3, 5, 9,
+    17, ... as p -> min(2p - 1, accuracy), each step taking one
+    composition, one derivative and one product.
     """
     if g.accuracy <= 1 and not g.num:
         raise InsufficientPrecisionError(
@@ -418,15 +427,11 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
     h = TruncatedSeries({1: 1 / g._get(1)}, 2)
     precision = 2
     while precision < acc:
-        precision = min(2 * precision, acc)
+        precision = min(2 * precision - 1, acc)
         h = h._unchecked(h.num, h.den, precision)
-        composed = series_compose(g.truncate(precision), h)
-        residual = composed - TruncatedSeries.monomial(1, 1, precision)
-        if residual.is_zero():
-            continue
-        deriv = series_compose(g.derivative().truncate(precision), h)
-        correction = residual * series_inverse_unit(deriv.truncate(precision))
-        h = (h - correction).truncate(precision)
+        residual = series_compose(g.truncate(precision), h) - TruncatedSeries.monomial(1, 1, precision)
+        if not residual.is_zero():
+            h = h - residual * h.derivative()
     return h
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_nth_root, rs_series_reversion, rs_subs
 from sympy.polys.rings import ring
@@ -59,6 +61,38 @@ def test_reverse_matches_sympy_reversion(seed):
     expected = rs_series_reversion(_to_ring(coeffs, x), x, accuracy, y)
     for k in range(accuracy):
         assert h.coefficient(k) == _ring_coeff(expected, y, k), k
+
+
+# the precisions at which series_reverse's Newton steps end, and their neighbours
+TURNING_POINTS = sorted({p + d for p in (3, 5, 9, 17, 33) for d in (-1, 0, 1)} | {44})
+# numerators of 100 to 140 bits, over denominators unrelated to each other
+BIG_NUMERATORS = st.integers(2 ** 100, 2 ** 140).flatmap(lambda a: st.sampled_from([a, -a]))
+DENOMINATORS = st.sampled_from([1, 3, 7, 2 ** 61 - 1, 10 ** 12 + 39, 3 ** 40, 1009 * 1013])
+
+
+@st.composite
+def reversible_series(draw):
+    """(coefficients, accuracy of g, target accuracy) for g = c t + ..."""
+    target = draw(st.one_of(st.sampled_from(TURNING_POINTS), st.integers(2, 44)))
+    lead = Fraction(draw(st.integers(1, 2 ** 30)), draw(st.integers(1, 2 ** 30))) * draw(st.sampled_from([1, -1]))
+    exponents = draw(st.sets(st.integers(2, target + 2), max_size=4))
+    coeffs = {1: lead, **{k: Fraction(draw(BIG_NUMERATORS), draw(DENOMINATORS)) for k in exponents}}
+    return coeffs, target + draw(st.integers(0, 3)), target
+
+
+@settings(max_examples=60, deadline=None)
+@example(({1: Fraction(-3, 7), 2: Fraction(2 ** 101 + 1, 3), 3: Fraction(-(2 ** 120), 2 ** 61 - 1)}, 5, 3))
+@example(({1: Fraction(5, 2 ** 100 + 3), 4: Fraction(2 ** 100, 7), 9: Fraction(-(2 ** 130), 1009 * 1013)}, 33, 33))
+@given(reversible_series())
+def test_reverse_matches_sympy_reversion_at_every_precision(case):
+    # the reversal below t^target depends only on g below t^target
+    coeffs, g_accuracy, target = case
+    g = TruncatedSeries(coeffs, g_accuracy)
+    h = series_reverse(g, accuracy=target) if g_accuracy > target else series_reverse(g)
+    assert h.accuracy == target
+    kept = {k: c for k, c in coeffs.items() if k < target}
+    expected = rs_series_reversion(_to_ring(kept, x), x, target, y)
+    assert [h.coefficient(k) for k in range(target)] == [_ring_coeff(expected, y, k) for k in range(target)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

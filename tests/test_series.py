@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import legcurve.series
 from legcurve.errors import InsufficientPrecisionError, ValidationError
 from legcurve.series import (
     TruncatedSeries,
@@ -197,6 +198,37 @@ def test_reverse_of_an_exact_nonlinear_series_needs_an_accuracy():
 
 def test_reverse_at_accuracy_two_is_the_linear_inverse():
     assert series_reverse(S({1: 2, 2: 1}), accuracy=2) == S({1: Fraction(1, 2)}, 2)
+
+
+@pytest.mark.parametrize(
+    "g, expected, corrections",
+    [
+        (S({1: 3}, 20), S({1: Fraction(1, 3)}, 20), 0),
+        # the residual is t^30 at precision 33 alone: zero before, zero after the correction
+        (S({1: 1, 30: 1}, 40), S({1: 1, 30: -1}, 40), 1),
+    ],
+    ids=["3t", "t+t^30"],
+)
+def test_reverse_skips_the_correction_when_the_residual_vanishes(monkeypatch, g, expected, corrections):
+    derivatives = []
+    derivative = TruncatedSeries.derivative
+    monkeypatch.setattr(TruncatedSeries, "derivative", lambda self: derivatives.append(self) or derivative(self))
+    assert series_reverse(g) == expected
+    assert len(derivatives) == corrections
+
+
+def test_reverse_composes_once_per_newton_step_and_inverts_nothing(monkeypatch):
+    g = S({k: Fraction((-1) ** k * k, k + 2) for k in range(1, 44)}, 44)
+    expected = series_reverse(g)
+    precisions, inversions = [], []
+    compose = legcurve.series.series_compose
+    monkeypatch.setattr(
+        legcurve.series, "series_compose", lambda outer, inner: precisions.append(inner.accuracy) or compose(outer, inner)
+    )
+    monkeypatch.setattr(legcurve.series, "series_inverse_unit", lambda f: inversions.append(f))
+    assert series_reverse(g) == expected
+    assert precisions == [3, 5, 9, 17, 33, 44]
+    assert inversions == []
 
 
 @pytest.mark.parametrize("accuracy", [2.5, -1])
