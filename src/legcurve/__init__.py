@@ -71,7 +71,6 @@ from .semigroups import (
 from .series import (
     TruncatedSeries,
     series_compose,
-    series_inverse_unit,
     series_nth_root,
     series_reverse,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "rotate_point",
     "s_invariant",
     "series_compose",
-    "series_inverse_unit",
     "series_nth_root",
     "series_reverse",
     "solve_contact",

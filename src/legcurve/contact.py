@@ -431,7 +431,7 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     phi = solve_contact(alpha, beta0, accuracy)
     bound = order + 1
     moved = (phi.beta - Germ.variable(phi.weights, "p") * phi.alpha).truncate(bound)
-    shift = evaluate_on_series(moved, *(s.truncate(bound) for s in curve.triple()))
+    shift = evaluate_on_series(moved, *curve.triple())
     if not shift.truncate(order).is_zero() or shift.coefficient(order) != scale:
         raise ContactDefectError(
             f"the built transformation moves the curve by {shift.items()} below t^{bound}, "

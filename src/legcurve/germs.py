@@ -16,6 +16,9 @@ come in (w, i, j, l) order.  ``partial`` and ``p_parts`` subtract from the
 keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
 ``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
 
+``evaluate_on_series`` and ``ConormalOracle`` restrict monomials to a
+curve in the chart x = t^n with one routine, ``_chart_restriction``.
+
 Inputs are validated where they enter: ``Germ(...)`` checks the weights,
 the accuracy, every monomial (non-negative ``int``s, valuation below the
 limit) and every value (an ``int`` or a ``Fraction``, not a ``bool``),
@@ -253,13 +256,20 @@ def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
     return min(candidates)
 
 
-def _substitute(g: Germ, values, orders, one):
-    """g(values) in the ring of ``values``, whose unit element is ``one``."""
+def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
+    """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
+    values = (x_value, y_value, p_value)
+    for value in values:
+        g._check_ring(value)
+        if value.valuation_lower_bound() < 1:
+            raise ValidationError("substituted germs must vanish at the origin")
+    orders = tuple(v.valuation_lower_bound() for v in values)
     acc = _substitution_accuracy(g, orders, tuple(v.accuracy for v in values))
-    result = one.scale(0).truncate(acc)
+    one = Germ.constant(g.weights, 1)
+    result = Germ.zero(g.weights, acc)
     powers = [{0: one} for _ in range(3)]
 
-    def power(idx: int, e: int):
+    def power(idx: int, e: int) -> Germ:
         cache = powers[idx]
         while e not in cache:
             top = max(cache)
@@ -275,15 +285,25 @@ def _substitute(g: Germ, values, orders, one):
     return result.truncate(acc)
 
 
-def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
-    """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
-    values = (x_value, y_value, p_value)
-    for value in values:
-        g._check_ring(value)
-        if value.valuation_lower_bound() < 1:
-            raise ValidationError("substituted germs must vanish at the origin")
-    orders = tuple(v.valuation_lower_bound() for v in values)
-    return _substitute(g, values, orders, Germ.constant(g.weights, 1))
+def _chart_restriction(n: int, y: TruncatedSeries, p: TruncatedSeries, bound: Accuracy):
+    """The map x^i y^j p^l -> its restriction to the curve (t^n, y, p) below
+    ``bound``.  It keeps a table of y^j p^l below the bound, seeded with 1, y
+    and p; each missing entry is one product of a cached smaller power with
+    y or p, and x^i is a shift by n*i."""
+    table = {(0, 0): TruncatedSeries.monomial(0, 1, bound), (1, 0): y.truncate(bound), (0, 1): p.truncate(bound)}
+
+    def restrict(mono: Monomial) -> TruncatedSeries:
+        i, j, l = mono
+        key, missing = (j, l), []
+        while (j, l) not in table:
+            missing.append((j, l))
+            j, l = (j, l - 1) if l else (j - 1, 0)
+        for j, l in reversed(missing):
+            smaller, factor = ((j, l - 1), (0, 1)) if l else ((j - 1, 0), (1, 0))
+            table[j, l] = (table[smaller] * table[factor]).truncate(bound)
+        return table[key].shift(n * i).truncate(bound)
+
+    return restrict
 
 
 def evaluate_on_series(
@@ -292,9 +312,16 @@ def evaluate_on_series(
     y_series: TruncatedSeries,
     p_series: TruncatedSeries,
 ) -> TruncatedSeries:
-    """Restrict the germ along a parametrized triple of series in t."""
-    values = (x_series, y_series, p_series)
-    orders = tuple(s.order_lower_bound() for s in values)
-    if any(v < 1 for v in orders):
+    """Restrict the germ to the curve (t^n, y(t), p(t)), below the accuracy
+    that ``_substitution_accuracy`` certifies.  The chart is x = t^n:
+    ``x_series`` must be exactly t^n, n >= 1, of accuracy inf, as in
+    ``PlaneCurveGerm.triple()``, or ``ValidationError`` is raised."""
+    n = min(x_series.num, default=0)
+    if n < 1 or x_series != TruncatedSeries.monomial(n, 1):
+        raise ValidationError(f"evaluate_on_series works in the chart x = t^n, n >= 1; got x = {x_series!r}")
+    orders = (n, y_series.order_lower_bound(), p_series.order_lower_bound())
+    if min(orders) < 1:
         raise ValidationError("triple components must have positive order")
-    return _substitute(g, values, orders, TruncatedSeries.monomial(0, 1))
+    acc = _substitution_accuracy(g, orders, (math.inf, y_series.accuracy, p_series.accuracy))
+    restrict = _chart_restriction(n, y_series, p_series, acc)
+    return sum((restrict(mono).scale(coeff) for mono, coeff in g.items()), TruncatedSeries.zero(acc))

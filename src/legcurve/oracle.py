@@ -8,16 +8,18 @@ the conormal lift, i.e. its value semigroup, together with explicit
 witnesses for each attained order.
 
 Since x = t^n exactly, the restriction of x^i y^j p^l is that of y^j p^l
-shifted by n*i; each oracle caches the powers y^j p^l below its bound and
-builds each one from a smaller one with a single product.  The row
-reduction works on the restriction rows alone and is fraction-free
-(Bareiss 1968; Geddes, Czapor and Labahn, ch. 9): a row is kept as integer
-numerators over one denominator, eliminated by integer
-multiply-and-subtract on its tail from the pivot order with the tail's
-content divided out, and turned into ``Fraction`` values only when read.
-Each row records the multipliers and contents of its steps, so the
-monomial combination that witnesses its order is replayed from the
-combinations of its pivots only when ``combination_for`` asks.
+shifted by n*i.  Each oracle restricts its monomials with
+``germs._chart_restriction``, the routine behind ``evaluate_on_series``:
+its table of the powers y^j p^l below the bound builds each one from a
+smaller one with a single product.  The row reduction works on the
+restriction rows alone and is fraction-free (Bareiss 1968; Geddes, Czapor
+and Labahn, ch. 9): a row is kept as integer numerators over one
+denominator, eliminated by integer multiply-and-subtract on its tail from
+the pivot order with the tail's content divided out, and turned into
+``Fraction`` values only when read.  Each row records the multipliers and
+contents of its steps, so the monomial combination that witnesses its
+order is replayed from the combinations of its pivots only when
+``combination_for`` asks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
-from .germs import Germ, Monomial, check_monomial, contact_weights, monomials_in_valuation_range
+from .germs import Germ, Monomial, _chart_restriction, check_monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
 from .series import TruncatedSeries
 
@@ -79,15 +81,8 @@ class ConormalOracle:
                 f"curve accuracy {curve.accuracy} cannot certify restriction "
                 f"orders below {bound}; need at least {bound + n}"
             )
-        self.curve = curve
         self.bound = bound
-        _, y, p = curve.triple()
-        # (j, l) -> y^j p^l truncated below the bound
-        self._powers = {
-            (0, 0): TruncatedSeries.monomial(0, 1, bound),
-            (1, 0): y.truncate(bound),
-            (0, 1): p.truncate(bound),
-        }
+        self._restrict = _chart_restriction(n, curve.y_series(), curve.p_series(), bound)
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
         self.rows: dict[int, EchelonRow] = {}
@@ -96,24 +91,10 @@ class ConormalOracle:
         for mono in monomials:
             self._insert(mono)
 
-    def _power(self, j: int, l: int) -> TruncatedSeries:
-        """y^j p^l below the bound; each missing entry is one product of a
-        cached smaller power with y or p."""
-        powers, key = self._powers, (j, l)
-        missing = []
-        while (j, l) not in powers:
-            missing.append((j, l))
-            j, l = (j, l - 1) if l else (j - 1, 0)
-        for j, l in reversed(missing):
-            smaller, factor = ((j, l - 1), (0, 1)) if l else ((j - 1, 0), (1, 0))
-            powers[(j, l)] = (powers[smaller] * powers[factor]).truncate(self.bound)
-        return powers[key]
-
     def restriction(self, monomial: Monomial) -> TruncatedSeries:
-        """ι*(x^i y^j p^l) truncated below the oracle bound: x = t^n, so it is
-        y^j p^l shifted by n*i."""
-        i, j, l = check_monomial(monomial)
-        return self._power(j, l).shift(self.curve.n * i).truncate(self.bound)
+        """ι*(x^i y^j p^l) truncated below the oracle bound: y^j p^l from the
+        oracle's table, shifted by n*i."""
+        return self._restrict(check_monomial(monomial))
 
     def _insert(self, mono: Monomial) -> None:
         # the row is kept up to a non-zero rational factor, as integers: the

@@ -380,21 +380,6 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return outer._reduced({e: x for e, x in sums.items() if x}, den, acc)
 
 
-def series_inverse_unit(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse (f/c0)^(-1)/c0 of a series with invertible constant term c0."""
-    if f.accuracy == 0:
-        raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
-    c0 = f._get(0)
-    if not c0:
-        raise ValidationError("series has no invertible constant term")
-    if f.accuracy == math.inf and f.num.keys() == {0}:
-        return TruncatedSeries({0: 1 / c0}, math.inf)
-    if f.accuracy == math.inf:
-        raise ValidationError("inverse of a non-constant polynomial needs a finite accuracy; truncate first")
-    inv0 = 1 / c0
-    return _unit_power(f.scale(inv0), -1).scale(inv0)
-
-
 def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> TruncatedSeries:
     """Compositional inverse h with g(h) = h(g) = t.
 

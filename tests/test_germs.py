@@ -132,6 +132,18 @@ def test_evaluate_respects_products():
     assert lhs.agrees_with(rhs)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [TruncatedSeries({3: 1, 4: 1}, math.inf), TruncatedSeries({3: 2}, math.inf), TruncatedSeries({3: 1}, 20)],
+    ids=["t^n+t^(n+1)", "2t^n", "finite-accuracy"],
+)
+def test_evaluate_on_series_works_in_the_chart_x_equals_t_to_the_n(x):
+    curve = PlaneCurveGerm(3, {10: 1, 11: -3})
+    _, y, p = curve.triple()
+    with pytest.raises(ValidationError, match="chart x = t\\^n"):
+        evaluate_on_series(G({(1, 0, 0): 1, (0, 1, 0): 2}), x, y, p)
+
+
 def test_truncate_and_agrees_with():
     g = G({(1, 0, 0): 1, (0, 1, 1): 5})  # valuations 3 and 17
     cut = g.truncate(15)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
-from legcurve.germs import evaluate_on_series
+from legcurve.germs import Germ, contact_weights, evaluate_on_series
 from legcurve.oracle import (
     ConormalOracle,
     conormal_semigroup,
@@ -203,6 +203,60 @@ def reference_restriction(curve, monomial, bound):
             out = [sum((out[a] * factor[k - a] for a in range(k + 1)), Fraction(0)) for k in range(bound)]
     shift = n * i
     return [out[k - shift] if k >= shift else Fraction(0) for k in range(bound)]
+
+
+UNRELATED_CURVES = [unrelated_denominator_curve(3, 10, 24, seed) for seed in (310, 311)]
+
+
+@st.composite
+def germs_on_curves(draw):
+    """A curve with a non-monic drawn a_m (exact or truncated) or with
+    unrelated denominators, and a germ of its weights, at a finite or
+    infinite accuracy, with two or more monomials sharing its first (j, l)."""
+    if draw(st.booleans()):
+        curve = draw(st.sampled_from(UNRELATED_CURVES))
+    else:
+        n = draw(st.integers(2, 4))
+        m = draw(st.integers(n + 1, 3 * n + 2).filter(lambda m: math.gcd(n, m) == 1))
+        accuracy = draw(st.one_of(st.just(math.inf), st.integers(m + 1, m + 8)))
+        coefficients = {m: draw(COEFFICIENTS.filter(lambda c: c != 1))}
+        for e in draw(st.sets(st.integers(m + 1, m + 5), max_size=3)):
+            if e < accuracy:
+                coefficients[e] = draw(COEFFICIENTS)
+        curve = PlaneCurveGerm(n, coefficients, accuracy)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=3, unique=True))
+    coefficients = {}
+    for index, (j, l) in enumerate(pairs):
+        for i in draw(st.sets(st.integers(0, 3), min_size=2 if index == 0 else 1, max_size=3)):
+            coefficients[(i, j, l)] = draw(COEFFICIENTS)
+    accuracy = draw(st.one_of(st.just(math.inf), st.integers(0, 3 * curve.m)))
+    return curve, Germ(contact_weights(curve.n, curve.m), coefficients, accuracy)
+
+
+@settings(max_examples=60, deadline=None)
+@example((PlaneCurveGerm(3, {10: Fraction(-7, 2), 11: 1}, math.inf),
+          Germ(contact_weights(3, 10), {(0, 1, 0): 2, (1, 1, 0): Fraction(1, 3), (1, 0, 1): -1}, math.inf)))
+@example((UNRELATED_CURVES[0], Germ(contact_weights(3, 10), {(0, 0, 1): 1, (2, 0, 1): 5, (0, 2, 0): -1}, 26)))
+@given(germs_on_curves())
+def test_evaluate_on_series_is_the_sum_of_schoolbook_restrictions(case):
+    curve, g = case
+    n, m, a = curve.n, curve.m, curve.accuracy
+    # y and p are known below a and a - n and have orders m and m - n, so a
+    # term with a factor y or p is known below a + (its weight) - m
+    accuracy = min([g.accuracy] + [a + g.valuation_of(mono) - m for mono in g.coeffs if mono[1] or mono[2]])
+    if accuracy == math.inf:
+        top = max(curve.coefficients)
+        bound = 1 + max(n * i + top * j + (top - n) * l for i, j, l in g.coeffs)
+    else:
+        bound = accuracy
+    expected = [Fraction(0)] * bound
+    for mono, c in g.coeffs.items():
+        for k, v in enumerate(reference_restriction(curve, mono, bound)):
+            expected[k] += c * v
+    got = evaluate_on_series(g, *curve.triple())
+    assert got.accuracy == accuracy
+    assert all(k < bound for k in got.coeffs)
+    assert [got.coeffs.get(k, 0) for k in range(bound)] == expected
 
 
 def reference_echelon(curve, bound, monomials):
