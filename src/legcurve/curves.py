@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ContactDefectError, ValidationError
-from .series import (Accuracy, TruncatedSeries, _check_accuracy, series_compose, series_nth_root,
-                     series_reverse)
+from .series import (Accuracy, TruncatedSeries, _check_accuracy, _check_root_index, series_compose,
+                     series_nth_root, series_reverse)
 
 
 def default_accuracy(n: int, m: int) -> int:
@@ -24,11 +24,15 @@ def default_accuracy(n: int, m: int) -> int:
     return max((n - 1) * (m - 1), m + 1)
 
 
+def _check_multiplicity(n) -> None:
+    if type(n) is not int or n < 2:
+        raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
+
+
 def _chart_order(n: int, y: TruncatedSeries) -> int:
     """The y-order m of a curve (t^n, y(t)) in the chart: n is an integer at
     least 2, y is non-zero, m > n, gcd(n, m) = 1 and y is known beyond m."""
-    if type(n) is not int or n < 2:
-        raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
+    _check_multiplicity(n)
     if not y.num:
         raise ValidationError("curve needs at least one non-zero y-coefficient")
     m = min(y.num)
@@ -185,7 +189,8 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
 
 
 def integer_nth_root(value: int, n: int) -> int | None:
-    """Exact n-th root of a non-negative integer, or None."""
+    """Exact n-th root of a non-negative integer for an ``int`` n >= 1, or None."""
+    _check_root_index(n)
     if value < 0:
         return None
     if value < 2:
@@ -201,16 +206,12 @@ def integer_nth_root(value: int, n: int) -> int | None:
 
 
 def rational_nth_root(value: int | Fraction, n: int) -> Fraction | None:
-    """Exact rational n-th root with positive sign convention, or None."""
+    """Exact rational n-th root, positive sign convention, for an ``int`` n >= 1, or None."""
     if not isinstance(value, (int, Fraction)):
         raise ValidationError(f"{value!r} is not rational; no rational root of degree {n}")
     value = Fraction(value)
-    negative = value < 0
-    if negative and n % 2 == 0:
-        return None
     num = integer_nth_root(abs(value.numerator), n)
     den = integer_nth_root(value.denominator, n)
-    if num is None or den is None:
+    if num is None or den is None or (value < 0 and n % 2 == 0):
         return None
-    root = Fraction(num, den)
-    return -root if negative else root
+    return Fraction(-num if value < 0 else num, den)

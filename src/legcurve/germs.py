@@ -16,8 +16,9 @@ come in (w, i, j, l) order.  ``partial`` and ``p_parts`` subtract from the
 keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
 ``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
 
-``evaluate_on_series`` and ``ConormalOracle`` restrict monomials to a
-curve in the chart x = t^n with one routine, ``_chart_restriction``.
+One table of monomial powers, ``_powers``, serves ``substitute`` and the
+restriction to a curve in the chart x = t^n, ``_chart_restriction``, that
+``evaluate_on_series`` and ``ConormalOracle`` share.
 
 Inputs are validated where they enter: ``Germ(...)`` checks the weights,
 the accuracy, every monomial (non-negative ``int``s, valuation below the
@@ -50,6 +51,12 @@ _MASK = VALUATION_LIMIT - 1
 def format_monomial(mono: Monomial) -> str:
     """x^i y^j p^l as text, "x^2yp" style; empty for the constant monomial."""
     return "".join(f"{axis}^{e}" if e > 1 else axis for axis, e in zip(AXES, mono) if e)
+
+
+def _axis_index(axis) -> int:
+    if axis not in AXES:
+        raise ValidationError(f"unknown axis {axis!r}; the axes are x, y and p")
+    return AXES.index(axis)
 
 
 def check_monomial(mono) -> Monomial:
@@ -121,7 +128,7 @@ class Germ(_Truncated):
     @staticmethod
     def variable(weights: tuple[int, int, int], axis: str, accuracy: Accuracy = math.inf) -> "Germ":
         mono = [0, 0, 0]
-        mono[AXES.index(axis)] = 1
+        mono[_axis_index(axis)] = 1
         return Germ(weights, {tuple(mono): 1}, accuracy)
 
     def coefficient(self, mono: Monomial) -> Fraction:
@@ -159,7 +166,7 @@ class Germ(_Truncated):
     # -- operations of germs ---------------------------------------------------
 
     def partial(self, axis: str) -> "Germ":
-        idx = AXES.index(axis)
+        idx = _axis_index(axis)
         weight = self.weights[idx]
         field = WIDTH * (2 - idx)
         step = (weight << self._SHIFT) | (1 << field)  # the key of the variable
@@ -236,23 +243,14 @@ def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
 def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
     """Conservative accuracy for g at three values with the given order lower
     bounds and accuracies, measured in the target grading."""
-    ratios = []
-    for w, v in zip(g.weights, orders):
-        if v != math.inf:
-            ratios.append(Fraction(int(v), w))
-    rho = min(ratios) if ratios else None
+    ratios = [Fraction(v, w) for w, v in zip(g.weights, orders) if v != math.inf]
     candidates: list[Accuracy] = [math.inf]
     if g.accuracy != math.inf:
-        if rho is None:
-            candidates.append(g.accuracy)
-        else:
-            candidates.append(math.ceil(g.accuracy * rho))
+        candidates.append(math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
     for mono in map(Germ._unpack, g.num):
         base = sum(e * v for e, v in zip(mono, orders) if v != math.inf)
-        for idx in range(3):
-            if mono[idx] and accs[idx] != math.inf:
-                v_idx = orders[idx] if orders[idx] != math.inf else 0
-                candidates.append(accs[idx] + base - v_idx)
+        # a value known below acc has a finite order v
+        candidates += [acc + base - v for e, v, acc in zip(mono, orders, accs) if e and acc != math.inf]
     return min(candidates)
 
 
@@ -265,45 +263,38 @@ def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
             raise ValidationError("substituted germs must vanish at the origin")
     orders = tuple(v.valuation_lower_bound() for v in values)
     acc = _substitution_accuracy(g, orders, tuple(v.accuracy for v in values))
-    one = Germ.constant(g.weights, 1)
-    result = Germ.zero(g.weights, acc)
-    powers = [{0: one} for _ in range(3)]
+    power = _powers(values, acc)
+    return sum((power(mono).scale(coeff) for mono, coeff in g.items()), Germ.zero(g.weights, acc))
 
-    def power(idx: int, e: int) -> Germ:
-        cache = powers[idx]
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = (cache[top] * values[idx]).truncate(acc)
-        return cache[e]
 
-    for mono, coeff in g.items():
-        factors = [power(idx, e) for idx, e in enumerate(mono) if e]
-        term = (factors[0] if factors else one).scale(coeff)
-        for factor in factors[1:]:
-            term = (term * factor).truncate(acc)
-        result = result + term
-    return result.truncate(acc)
+def _powers(values, bound: Accuracy):
+    """The map x^i y^j p^l -> a^i b^j c^l below ``bound`` for three values
+    (a, b, c), all series or all germs.  A table keyed by monomial holds 1, a,
+    b and c; each missing entry is one product of a smaller entry with one
+    value, lowering l first, then j, then i; all are truncated at the bound."""
+    values = [value.truncate(bound) for value in values]
+    one = values[0]._unchecked({0: 1} if bound else {}, 1, bound)  # canonical at bound 0 too
+    table = {(0, 0, 0): one, (1, 0, 0): values[0], (0, 1, 0): values[1], (0, 0, 1): values[2]}
+
+    def power(mono: Monomial):
+        missing, key = [], mono
+        while key not in table:
+            i, j, l = key
+            smaller, axis = ((i, j, l - 1), 2) if l else ((i, j - 1, 0), 1) if j else ((i - 1, 0, 0), 0)
+            missing.append((key, smaller, axis))
+            key = smaller
+        for key, smaller, axis in reversed(missing):
+            table[key] = (table[smaller] * values[axis]).truncate(bound)
+        return table[mono]
+
+    return power
 
 
 def _chart_restriction(n: int, y: TruncatedSeries, p: TruncatedSeries, bound: Accuracy):
     """The map x^i y^j p^l -> its restriction to the curve (t^n, y, p) below
-    ``bound``.  It keeps a table of y^j p^l below the bound, seeded with 1, y
-    and p; each missing entry is one product of a cached smaller power with
-    y or p, and x^i is a shift by n*i."""
-    table = {(0, 0): TruncatedSeries.monomial(0, 1, bound), (1, 0): y.truncate(bound), (0, 1): p.truncate(bound)}
-
-    def restrict(mono: Monomial) -> TruncatedSeries:
-        i, j, l = mono
-        key, missing = (j, l), []
-        while (j, l) not in table:
-            missing.append((j, l))
-            j, l = (j, l - 1) if l else (j - 1, 0)
-        for j, l in reversed(missing):
-            smaller, factor = ((j, l - 1), (0, 1)) if l else ((j - 1, 0), (1, 0))
-            table[j, l] = (table[smaller] * table[factor]).truncate(bound)
-        return table[key].shift(n * i).truncate(bound)
-
-    return restrict
+    ``bound``: ``_powers`` of (t^n, y, p) at y^j p^l, shifted by n*i."""
+    power = _powers((TruncatedSeries.monomial(n, 1, bound), y, p), bound)
+    return lambda mono: power((0, mono[1], mono[2])).shift(n * mono[0]).truncate(bound)
 
 
 def evaluate_on_series(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import act_on_curve, forget_transform
-from .curves import PlaneCurveGerm
+from .curves import PlaneCurveGerm, _check_multiplicity
 from .cyclotomic import Cyclotomic
 from .errors import ContactDefectError, InsufficientPrecisionError, NonGenericCurveError
 from .oracle import conormal_semigroup
@@ -145,7 +145,8 @@ def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
 # -- residual reparametrization action -----------------------------------------
 
 
-def _rational_point(point: dict[int, object]) -> dict[int, object]:
+def _checked_point(point: dict[int, object], n: int) -> dict[int, object]:
+    _check_multiplicity(n)
     for v in point.values():
         _check_rational(v)
     return point
@@ -165,7 +166,7 @@ def rotate_point(point: dict[int, object], n: int, m: int, k: int) -> dict[int, 
     rational point: coordinate i becomes zeta^(k(i-m)) * v in Q(zeta_n)."""
     return {
         i: Cyclotomic.zeta(n, k * (i - m)) * v
-        for i, v in _rational_point(point).items()
+        for i, v in _checked_point(point, n).items()
     }
 
 
@@ -179,7 +180,7 @@ def orbit_equivalent(point1: dict[int, object], point2: dict[int, object],
     point2 = rotate_point(point1, k) is returned alongside; k = 0 means the
     points are equal outright.
     """
-    if set(_rational_point(point1)) != set(_rational_point(point2)):
+    if set(_checked_point(point1, n)) != set(_checked_point(point2, n)):
         return (False, None)
     for k in range(n):
         if all(_rotates_to(v, point2[i], k * (i - m) % n, n) for i, v in point1.items()):
@@ -195,7 +196,7 @@ def canonical_point(point: dict[int, object], n: int, m: int) -> dict[int, Cyclo
     arbitrary but fixed choice, enough to make equality of canonical
     points decide orbit equivalence.
     """
-    indices = sorted(point)
+    indices = sorted(_checked_point(point, n))
     best = None
     best_key = None
     for k in range(n):

@@ -59,6 +59,11 @@ def _check_exponent(k) -> int:
     return k
 
 
+def _check_root_index(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"root index must be a positive integer, got {n!r}")
+
+
 def _check_rational(value):
     if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise ValidationError(f"coefficient {value!r} is not rational")
@@ -424,8 +429,7 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """The n-th root f^(1/n) with constant term 1 of a unit series
     f = 1 + ..., by ``_unit_power``; an exact f other than 1 must be
     truncated first."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"root index must be a positive integer, got {n!r}")
+    _check_root_index(n)
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     if f._get(0) != 1:

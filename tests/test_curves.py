@@ -258,6 +258,9 @@ def test_integer_nth_root():
     assert integer_nth_root(10 ** 400 + 1, 2) is None
     assert integer_nth_root((10 ** 20 + 1) ** 3, 3) == 10 ** 20 + 1
     assert integer_nth_root((10 ** 20 + 1) ** 3 - 1, 3) is None
+    for degree in (0, -1, 2.0, True):
+        with pytest.raises(ValidationError, match="root index"):
+            integer_nth_root(8, degree)
 
 
 def test_rational_nth_root():
@@ -270,6 +273,10 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(-1, 10 ** 303), 101) == Fraction(-1, 1000)
     with pytest.raises(ValidationError):
         rational_nth_root(0.125, 3)
+    for value in (8, Fraction(-8), Fraction(-1, 8)):
+        for degree in (0, -1, 2.0, True):
+            with pytest.raises(ValidationError, match="root index"):
+                rational_nth_root(value, degree)
 
 
 # -- the stored form against a term-by-term Fraction reference -------------------------

@@ -1,6 +1,7 @@
 """Polynomial germs in (x, y, p) with weighted valuations."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,15 @@ def test_partial_derivatives():
     assert g.partial("x") == G({(1, 1, 0): 2, (0, 0, 2): 3})
     assert g.partial("y") == G({(2, 0, 0): 1})
     assert g.partial("p") == G({(1, 0, 1): 6})
+
+
+@pytest.mark.parametrize("axis", ["z", "X", "", 0, None])
+def test_an_unknown_axis_is_named(axis):
+    message = f"unknown axis {axis!r}; the axes are x, y and p"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Germ.variable(W, axis)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        G({(1, 0, 0): 1}).partial(axis)
 
 
 def test_p_parts_round_trip():
@@ -211,6 +221,65 @@ def test_product_matches_naive_fraction_convolution(a, b):
     assert product.coeffs == coeffs
     assert product.accuracy == acc
     assert all(type(v) in (int, Fraction) and v for v in product.coeffs.values())
+
+
+# -- substitution against a term-by-term reference ----------------------------------
+
+
+def reference_substitution(g, values):
+    """g at three germs, summed term by term: each monomial x^i y^j p^l is
+    coeff * X**i * Y**j * P**l, from plain germ powers and products.
+
+    The accuracy is the conservative bound of the contract.  A term is known
+    below the least, over its factors of finite accuracy, of that accuracy
+    plus the orders of the other factors, where an exact zero (order inf)
+    counts as order 0.  The unknown tail of g, of weights at or above its
+    accuracy, lands at orders at or above ceil(accuracy * rho), rho the least
+    ratio of a finite order to its variable's weight, or at the accuracy
+    itself when every value is an exact zero."""
+    orders = [value.valuation_lower_bound() for value in values]
+    finite = [0 if v == math.inf else v for v in orders]
+    acc, terms = math.inf, []
+    for mono, coeff in g.items():
+        term = Germ.constant(W, coeff)
+        for value, e in zip(values, mono):
+            term = term * value**e
+        terms.append(term)
+        base = sum(e * v for e, v in zip(mono, finite))
+        acc = min([acc] + [value.accuracy + base - v for value, e, v in zip(values, mono, finite) if e])
+    if g.accuracy != math.inf:
+        ratios = [Fraction(v, w) for v, w in zip(orders, W) if v != math.inf]
+        acc = min(acc, math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
+    return sum(terms, G({}, acc))
+
+
+# germs of positive order: non-constant monomials and a positive accuracy
+VALUES = st.builds(
+    G,
+    st.dictionaries(MONOMIALS.filter(any), RATIONALS, max_size=3),
+    st.one_of(st.just(math.inf), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+# repeated (j, l) with different i, and the constant monomial, in a finite-accuracy g
+@example(
+    G({(0, 0, 0): 5, (1, 1, 0): 2, (2, 1, 0): Fraction(-1, 3), (0, 0, 1): 7, (3, 0, 1): -2}, 30),
+    G({(1, 0, 0): 1, (0, 0, 1): Fraction(1, 2)}),
+    G({(0, 1, 0): 1, (2, 0, 0): -3}, 25),
+    G({(0, 0, 1): 1, (1, 0, 1): HUGE}, 19),
+)
+# every value an exact zero, and values that are zero below a finite accuracy
+@example(G({(0, 0, 0): 2, (1, 0, 0): 1}, 12), G({}), G({}), G({}))
+@example(G({(0, 2, 0): 1, (1, 0, 2): 3}), G({}, 8), G({(1, 0, 0): 1}), G({}, 5))
+@example(G({(0, 1, 0): 1, (1, 0, 1): 1}), G({}), G({(0, 0, 1): 1}), G({}, 1))
+@given(GERMS, VALUES, VALUES, VALUES)
+def test_substitute_matches_a_term_by_term_reference(g, x_value, y_value, p_value):
+    result = substitute(g, x_value, y_value, p_value)
+    expected = reference_substitution(g, (x_value, y_value, p_value))
+    assert result.coeffs == expected.coeffs
+    assert result.accuracy == expected.accuracy
+    assert_canonical(result)
 
 
 # -- the unchecked arithmetic path against the public constructor -------------------

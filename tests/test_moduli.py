@@ -226,6 +226,21 @@ def test_canonical_point_is_orbit_invariant():
     assert canonical_point({11: 0}, 3, 10) == {11: Cyclotomic.from_rational(3, 0)}
 
 
+@pytest.mark.parametrize("n", [0, 1, -3, 3.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: rotate_point({11: 1}, n, 10, 1),
+        lambda n: canonical_point({11: 1}, n, 10),
+        lambda n: orbit_equivalent({11: 1}, {11: 1}, n, 10),
+    ],
+    ids=["rotate_point", "canonical_point", "orbit_equivalent"],
+)
+def test_point_functions_reject_a_multiplicity_below_2(call, n):
+    with pytest.raises(ValidationError, match="multiplicity n must be an integer at least 2"):
+        call(n)
+
+
 @st.composite
 def rational_point_pairs(draw):
     n = draw(st.integers(2, 7))
