@@ -62,13 +62,6 @@ class ContactMap:
             and self.gamma.agrees_with(other.gamma)
         )
 
-    def truncate(self, accuracy) -> "ContactMap":
-        return ContactMap(
-            self.alpha.truncate(accuracy),
-            self.beta.truncate(accuracy),
-            self.gamma.truncate(accuracy),
-        )
-
     def __repr__(self) -> str:
         return (
             f"ContactMap(x + {self.alpha!r}, y + {self.beta!r}, p + {self.gamma!r})"
@@ -234,10 +227,15 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     def exact_zero(g: Germ) -> bool:
         return g.is_zero() and g.accuracy == math.inf
 
-    unit = Germ.constant(w, 1) + a_part(0).partial("x")
     if alpha.coefficient(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
-    unit_inv = invert_unit(unit, target)
+    # one inversion of 1 + d_x(alpha) + p*d_y(alpha) serves gamma, and its
+    # p-free part is the inverse of the recursion's unit 1 + d_x(alpha at p=0)
+    p = Germ.variable(w, "p")
+    d_x = alpha.partial("x")
+    d_y = alpha.partial("y")
+    full_unit_inv = invert_unit(Germ.constant(w, 1) + d_x + p * d_y, target)
+    unit_inv = full_unit_inv.p_parts()[0]
 
     # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
     # d_x b_r and r*b_r for each p-part b_r of beta as it is made (u_0 and
@@ -261,11 +259,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
         rb.append(parts_b[k + 1].scale(k + 1))
     beta = Germ.from_p_parts(w, dict(enumerate(parts_b))).truncate(target)
 
-    p = Germ.variable(w, "p")
-    d_x = alpha.partial("x")
-    d_y = alpha.partial("y")
-    full_unit = Germ.constant(w, 1) + d_x + p * d_y
-    gamma = invert_unit(full_unit, target) * (
+    gamma = full_unit_inv * (
         beta.partial("x") + p * (beta.partial("y") - d_x - p * d_y)
     )
     result = ContactMap(alpha.truncate(target), beta, gamma.truncate(target))

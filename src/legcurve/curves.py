@@ -24,22 +24,26 @@ def default_accuracy(n: int, m: int) -> int:
     return max((n - 1) * (m - 1), m + 1)
 
 
-def _check_multiplicity(n) -> None:
+def _check_type(n, m=None) -> None:
+    """The one check of a type (n, m): n is an ``int`` at least 2, m an
+    ``int`` greater than n and gcd(n, m) = 1.  With m None, n alone."""
     if type(n) is not int or n < 2:
         raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
+    if m is None:
+        return
+    if type(m) is not int or m <= n:
+        raise ValidationError(f"m must be an integer greater than n = {n}, got {m!r}")
+    if math.gcd(n, m) != 1:
+        raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
 
 
 def _chart_order(n: int, y: TruncatedSeries) -> int:
-    """The y-order m of a curve (t^n, y(t)) in the chart: n is an integer at
-    least 2, y is non-zero, m > n, gcd(n, m) = 1 and y is known beyond m."""
-    _check_multiplicity(n)
-    if not y.num:
+    """The y-order m of a curve (t^n, y(t)) in the chart: (n, m) is a type,
+    y is non-zero and y is known beyond m."""
+    m = min(y.num, default=None)
+    _check_type(n, m)
+    if m is None:
         raise ValidationError("curve needs at least one non-zero y-coefficient")
-    m = min(y.num)
-    if m <= n:
-        raise ValidationError(f"y-order m = {m} must exceed n = {n}")
-    if math.gcd(n, m) != 1:
-        raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
     if y.accuracy <= m:
         raise ValidationError("accuracy must exceed the y-order m")
     return m

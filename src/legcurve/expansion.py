@@ -26,6 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .curves import _check_type
 from .errors import ValidationError
 from .sympoly import Poly, _sum_of_products, pack, unpack
 
@@ -35,10 +36,7 @@ DIMENSION_CAP = 6
 
 class ExpansionContext:
     def __init__(self, n: int, m: int, cutoff: int | None = None):
-        if n < 2:
-            raise ValidationError(f"multiplicity n must be at least 2, got {n}")
-        if n >= m or math.gcd(n, m) != 1:
-            raise ValidationError(f"need coprime 0 < n < m, got ({n}, {m})")
+        _check_type(n, m)
         if cutoff is None:
             if n == 2:
                 raise ValidationError(

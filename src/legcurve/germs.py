@@ -35,6 +35,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
+from .curves import _check_type
 from .errors import InsufficientPrecisionError, ValidationError
 from .series import Accuracy, TruncatedSeries, _check_accuracy, _Truncated
 
@@ -66,8 +67,7 @@ def check_monomial(mono) -> Monomial:
 
 
 def contact_weights(n: int, m: int) -> tuple[int, int, int]:
-    if not (0 < n < m):
-        raise ValidationError(f"need 0 < n < m, got ({n}, {m})")
+    _check_type(n, m)
     return (n, m, m - n)
 
 
@@ -248,7 +248,9 @@ def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
     if g.accuracy != math.inf:
         candidates.append(math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
     for mono in map(Germ._unpack, g.num):
-        base = sum(e * v for e, v in zip(mono, orders) if v != math.inf)
+        base = sum(e * v for e, v in zip(mono, orders) if e)
+        if base == math.inf:
+            continue  # a positive power of an exact zero is exactly 0
         # a value known below acc has a finite order v
         candidates += [acc + base - v for e, v, acc in zip(mono, orders, accs) if e and acc != math.inf]
     return min(candidates)

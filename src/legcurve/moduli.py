@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import act_on_curve, forget_transform
-from .curves import PlaneCurveGerm, _check_multiplicity
+from .curves import PlaneCurveGerm, _check_type, default_accuracy
 from .cyclotomic import Cyclotomic
 from .errors import ContactDefectError, InsufficientPrecisionError, NonGenericCurveError
 from .oracle import conormal_semigroup
 from .semigroups import free_indices, generic_semigroup, try_s_invariant
-from .series import _check_rational
+from .series import TruncatedSeries, _check_rational
 
 
 def is_generic(curve: PlaneCurveGerm) -> bool:
@@ -75,7 +75,7 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
             f"{actual.gaps}, generic gaps are {expected.gaps}"
         )
     plane_conductor = (n - 1) * (m - 1)
-    keep = max(plane_conductor, m + 1)
+    keep = default_accuracy(n, m)
     if curve.accuracy < keep:
         raise InsufficientPrecisionError(
             f"normal form needs the y-coefficients below {keep}; "
@@ -103,28 +103,20 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
             continue
         phi = forget_transform(working, k, -coeff, accuracy=keep)
         candidate = act_on_curve(phi, working)
-        if candidate.equisingularity_type() != (n, m):
-            raise ContactDefectError(
-                f"reduction at order {k} changed the equisingularity type"
-            )
         if candidate.accuracy < keep:
             raise ContactDefectError(
                 f"reduction at order {k} returned a curve exact below "
                 f"{candidate.accuracy}; the short form needs accuracy {keep}"
             )
-        if candidate.coefficient(k) != 0:
+        # below t^(k+1) the step must clear t^k and move nothing else; as
+        # working has a_m and no lower term, that also keeps the type (n, m)
+        image = candidate.y_series().truncate(k + 1)
+        wanted = working.y_series().truncate(k + 1) - TruncatedSeries.monomial(k, coeff)
+        if image != wanted:
+            moved = [j for j in range(k + 1) if image.coefficient(j) != wanted.coefficient(j)]
             raise ContactDefectError(
-                f"reduction stalled: coefficient at t^{k} is still "
-                f"{candidate.coefficient(k)!r}"
-            )
-        moved = [
-            j
-            for j in range(m, k)
-            if candidate.coefficient(j) != working.coefficient(j)
-        ]
-        if moved:
-            raise ContactDefectError(
-                f"reduction at order {k} disturbed lower coefficients at {moved}"
+                f"reduction at order {k} must clear t^{k} alone below t^{k + 1}, "
+                f"but the coefficients at {moved} differ"
             )
         steps.append(ReductionStep(k, -coeff))
         working = candidate
@@ -146,7 +138,7 @@ def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
 
 
 def _checked_point(point: dict[int, object], n: int) -> dict[int, object]:
-    _check_multiplicity(n)
+    _check_type(n)
     for v in point.values():
         _check_rational(v)
     return point

@@ -159,9 +159,9 @@ class ConormalOracle:
         return {key: v / row.lead for key, v in combination.items() if v}
 
 
-def conormal_semigroup(curve: PlaneCurveGerm, bound: int | None = None) -> NumericalSemigroup:
+def conormal_semigroup(curve: PlaneCurveGerm) -> NumericalSemigroup:
     """Value semigroup of the conormal lift of the curve."""
-    return ConormalOracle(curve, bound).semigroup()
+    return ConormalOracle(curve).semigroup()
 
 
 def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .curves import _check_type
 from .errors import ContactDefectError, ValidationError
 from .germs import monomials_in_valuation_range
 
@@ -89,8 +90,8 @@ class NumericalSemigroup:
 
 def two_generator_semigroup(a: int, b: int) -> NumericalSemigroup:
     """The semigroup <a, b> for coprime positive generators."""
-    if a <= 0 or b <= 0 or math.gcd(a, b) != 1:
-        raise ValidationError(f"generators must be coprime and positive, got ({a}, {b})")
+    if type(a) is not int or type(b) is not int or a <= 0 or b <= 0 or math.gcd(a, b) != 1:
+        raise ValidationError(f"generators must be coprime positive integers, got ({a!r}, {b!r})")
     if 1 in (a, b):
         return NumericalSemigroup(0, ())
     bound = (a - 1) * (b - 1) + 1
@@ -121,17 +122,14 @@ class TrajectoryStep:
 
 
 def _validate_pair(n: int, m: int) -> None:
-    if n < 2:
-        raise ValidationError(f"multiplicity n must be at least 2, got {n}")
-    if math.gcd(n, m) != 1:
-        raise ValidationError(f"(n, m) must be coprime, got ({n}, {m})")
+    _check_type(n, m)
     if m < 2 * n + 1:
         raise ValidationError(
             f"strong generic position requires m >= 2n+1, got (n, m) = ({n}, {m})"
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # (3.0, 10) must not hit (3, 10)
 def generic_semigroup_descent(n: int, m: int) -> tuple[NumericalSemigroup, tuple[TrajectoryStep, ...]]:
     """Generic conormal semigroup of curves of type (n, m), with the full
     descent table."""

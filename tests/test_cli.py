@@ -288,7 +288,7 @@ def test_upsilon_names_an_invalid_multiplicity(capsys, check):
     for extra in ([], ["--json"]):
         code, out, err = run(capsys, ["upsilon", "1", "5", "--check", check] + extra)
         assert (code, out) == (2, "")
-        assert err == "error: multiplicity n must be at least 2, got 1\n"
+        assert err == "error: multiplicity n must be an integer at least 2, got 1\n"
 
 
 @pytest.mark.parametrize("check", ["direct-vs-closed", "mu-derivative", "det-invariance"])

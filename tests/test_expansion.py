@@ -41,6 +41,9 @@ def test_context_validation():
         ExpansionContext(3, 10, cutoff=9)
     with pytest.raises(ValidationError):
         ExpansionContext(5, 12)  # default cutoff 44 over the cap
+    for n, m in [(3.0, 10), (3, 10.0), (3, 9), (3, 2)]:
+        with pytest.raises(ValidationError):
+            ExpansionContext(n, m)
 
 
 def test_twisted_series(ctx):

@@ -31,6 +31,9 @@ def G(coeffs, accuracy=math.inf):
 def test_contact_weights():
     assert contact_weights(3, 10) == (3, 10, 7)
     assert contact_weights(2, 5) == (2, 5, 3)
+    for n, m in [(1.5, 3), (3, 10.0), (4, 10), (5, 3)]:
+        with pytest.raises(ValidationError):
+            contact_weights(n, m)
 
 
 def test_weighted_valuation():
@@ -230,23 +233,25 @@ def reference_substitution(g, values):
     """g at three germs, summed term by term: each monomial x^i y^j p^l is
     coeff * X**i * Y**j * P**l, from plain germ powers and products.
 
-    The accuracy is the conservative bound of the contract.  A term is known
-    below the least, over its factors of finite accuracy, of that accuracy
-    plus the orders of the other factors, where an exact zero (order inf)
-    counts as order 0.  The unknown tail of g, of weights at or above its
+    The accuracy is the conservative bound of the contract.  A term with a
+    positive power of an exact zero (no terms, order inf) is exactly 0 and
+    bounds nothing.  Any other term is known below the least, over its
+    factors of finite accuracy, of that accuracy plus the orders of the
+    other factors.  The unknown tail of g, of weights at or above its
     accuracy, lands at orders at or above ceil(accuracy * rho), rho the least
     ratio of a finite order to its variable's weight, or at the accuracy
     itself when every value is an exact zero."""
     orders = [value.valuation_lower_bound() for value in values]
-    finite = [0 if v == math.inf else v for v in orders]
     acc, terms = math.inf, []
     for mono, coeff in g.items():
         term = Germ.constant(W, coeff)
         for value, e in zip(values, mono):
             term = term * value**e
         terms.append(term)
-        base = sum(e * v for e, v in zip(mono, finite))
-        acc = min([acc] + [value.accuracy + base - v for value, e, v in zip(values, mono, finite) if e])
+        if any(e and v == math.inf for e, v in zip(mono, orders)):
+            continue
+        base = sum(e * v for e, v in zip(mono, orders) if e)
+        acc = min([acc] + [value.accuracy + base - v for value, e, v in zip(values, mono, orders) if e])
     if g.accuracy != math.inf:
         ratios = [Fraction(v, w) for v, w in zip(orders, W) if v != math.inf]
         acc = min(acc, math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
@@ -280,6 +285,13 @@ def test_substitute_matches_a_term_by_term_reference(g, x_value, y_value, p_valu
     assert result.coeffs == expected.coeffs
     assert result.accuracy == expected.accuracy
     assert_canonical(result)
+
+
+def test_a_power_of_an_exact_zero_bounds_no_accuracy():
+    # x*p is exactly 0 when x is, though p is known only below 1
+    result = substitute(G({(0, 1, 0): 1, (1, 0, 1): 1}), G({}), G({(0, 0, 1): 1}), G({}, 1))
+    assert result == G({(0, 0, 1): 1})
+    assert substitute(G({(0, 1, 1): 1}), G({}), G({}), G({}, 1)) == G({})
 
 
 # -- the unchecked arithmetic path against the public constructor -------------------

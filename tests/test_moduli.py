@@ -132,6 +132,31 @@ def test_a_step_that_loses_accuracy_is_reported(monkeypatch):
         normal_form(curve)
 
 
+def add_term(k):
+    """A corruption that adds t^k to every image."""
+
+    def corrupt(image):
+        coeffs = image.coefficients
+        coeffs[k] = coeffs.get(k, 0) + 1
+        return PlaneCurveGerm(image.n, coeffs, image.accuracy)
+
+    return corrupt
+
+
+# the first step clears t^13 of a curve of type (3, 10); a term at t^8 makes
+# the image's type (3, 8), one at t^11 moves a lower coefficient, and one at
+# t^13 leaves the target uncleared
+@pytest.mark.parametrize("k", [8, 11, 13], ids=["below-m", "below-k", "at-k"])
+def test_a_step_that_moves_the_wrong_coefficients_is_reported(monkeypatch, k):
+    spy_on_steps(monkeypatch, add_term(k))
+    curve = PlaneCurveGerm(3, {10: 1, 11: 1, 13: 2, 14: -1}, 30)
+    with pytest.raises(ContactDefectError) as excinfo:
+        normal_form(curve)
+    assert str(excinfo.value) == (
+        f"reduction at order 13 must clear t^13 alone below t^14, but the coefficients at [{k}] differ"
+    )
+
+
 @pytest.mark.parametrize("n, m", [(3, 10), (4, 11)])
 def test_document_with_unrelated_denominators(n, m):
     """Every coefficient below the short form's accuracy has its own pair of
@@ -237,8 +262,9 @@ def test_canonical_point_is_orbit_invariant():
     ids=["rotate_point", "canonical_point", "orbit_equivalent"],
 )
 def test_point_functions_reject_a_multiplicity_below_2(call, n):
-    with pytest.raises(ValidationError, match="multiplicity n must be an integer at least 2"):
+    with pytest.raises(ValidationError) as excinfo:
         call(n)
+    assert str(excinfo.value) == f"multiplicity n must be an integer at least 2, got {n!r}"
 
 
 @st.composite

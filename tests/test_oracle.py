@@ -149,9 +149,8 @@ def test_realize_order_scaled_lead():
 @pytest.mark.parametrize("bound", [0, -1, True, 5.5, "7"])
 def test_bound_must_be_a_positive_int(bound):
     curve = PlaneCurveGerm(3, {10: 1, 11: 1})
-    for build in (ConormalOracle, conormal_semigroup):
-        with pytest.raises(ValidationError, match=f"oracle bound must be a positive integer, got {bound!r}"):
-            build(curve, bound)
+    with pytest.raises(ValidationError, match=f"oracle bound must be a positive integer, got {bound!r}"):
+        ConormalOracle(curve, bound)
 
 
 # -- the shifted restrictions and the integer echelon against plain references -------

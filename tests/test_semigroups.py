@@ -158,6 +158,13 @@ def test_pair_validation():
         generic_semigroup(3, 5)  # not in strong generic position
     with pytest.raises(ValidationError):
         generic_semigroup(1, 5)
+    for n, m in [(3, 10.0), (True, 10), (3, 2), (2, 2)]:
+        with pytest.raises(ValidationError):
+            generic_semigroup(n, m)
+    # the cache is typed: (3.0, 10) does not hit the cached (3, 10)
+    generic_semigroup(3, 10)
+    with pytest.raises(ValidationError, match="multiplicity n must be an integer at least 2, got 3.0"):
+        generic_semigroup(3.0, 10)
 
 
 def test_two_generator_semigroup():
@@ -168,6 +175,9 @@ def test_two_generator_semigroup():
     assert two_generator_semigroup(3, 10).gaps == (1, 2, 4, 5, 7, 8, 11, 14, 17)
     with pytest.raises(ValidationError):
         two_generator_semigroup(4, 6)
+    for a, b in [(3.0, 7), (3, 7.0), (True, 7)]:
+        with pytest.raises(ValidationError, match="coprime positive integers"):
+            two_generator_semigroup(a, b)
 
 
 def test_semigroup_containers():

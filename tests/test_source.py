@@ -29,3 +29,9 @@ def test_no_builtin_arithmetic_or_value_errors_raised():
                 if isinstance(target, ast.Name) and target.id in banned:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_every_exported_name_resolves_once():
+    names = legcurve.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    assert [n for n in names if not hasattr(legcurve, n)] == []
