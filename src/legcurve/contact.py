@@ -152,9 +152,9 @@ def verify_contact(phi: ContactMap) -> ContactCheck:
     p = Germ.variable(w, "p")
     one = Germ.constant(w, 1)
     p_shift = p + gamma
-    multiplier = one + beta.partial("y") - p_shift * alpha.partial("y")
-    dp_residual = beta.partial("p") - p_shift * alpha.partial("p")
-    dx_residual = beta.partial("x") - p_shift * (one + alpha.partial("x")) + p * multiplier
+    multiplier = (one + beta.partial("y"))._accumulate(((-1, p_shift, alpha.partial("y")),))
+    dp_residual = beta.partial("p")._accumulate(((-1, p_shift, alpha.partial("p")),))
+    dx_residual = beta.partial("x")._accumulate(((-1, p_shift, one + alpha.partial("x")), (1, p, multiplier)))
     failures = []
     for residual, form in ((dp_residual, "dp"), (dx_residual, "dx")):
         if not residual.is_zero():
@@ -182,9 +182,10 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     differential relation in the p-direction; expanding everything in
     powers of p turns it into a recursion for the p-coefficients of beta,
     each step dividing by the unit 1 + d_x(alpha at p=0).  Each factor of
-    the recursion is built once, and a product is skipped only when a
-    factor is an exact zero (no terms, infinite accuracy): zero parts of
-    finite accuracy still bound the accuracy of the sum.  gamma is then
+    the recursion is built once, and each step's sum of products is one
+    ``_accumulate``, which skips a product only when a factor is an exact
+    zero (no terms, infinite accuracy): zero parts of finite accuracy
+    still bound the accuracy of the sum.  gamma is then
     determined rationally.  Raises ContactDefectError when that unit
     vanishes at the origin, and ValidationError for data no contact
     transformation can have.
@@ -224,9 +225,6 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
             return parts_a[j]
         return zero if alpha.accuracy == math.inf else Germ.zero(w, max(alpha.accuracy - j * wp, 0))
 
-    def exact_zero(g: Germ) -> bool:
-        return g.is_zero() and g.accuracy == math.inf
-
     if alpha.coefficient(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     # one inversion of 1 + d_x(alpha) + p*d_y(alpha) serves gamma, and its
@@ -247,16 +245,13 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     for k in range(steps):
         dy_b.append(parts_b[k].partial("y"))
         dx_b.append(parts_b[k].partial("x"))
-        total = ja[k]
-        for sign, f, g in chain(
+        total = ja[k]._accumulate(chain(
             ((1, ja[j], dy_b[k - j]) for j in range(1, k + 1)),
             ((1, ja[j + 1], dx_b[k - j]) for j in range(k + 1)),
             ((-1, u[k - r], rb[r + 1]) for r in range(k)),
-        ):
-            if not (exact_zero(f) or exact_zero(g)):
-                total = total._sum(f * g, sign)
-        parts_b.append((total * unit_inv).scale(Fraction(1, k + 1)))
-        rb.append(parts_b[k + 1].scale(k + 1))
+        ))
+        rb.append(total * unit_inv)  # (k + 1) * b_(k+1)
+        parts_b.append(rb[k + 1].scale(Fraction(1, k + 1)))
     beta = Germ.from_p_parts(w, dict(enumerate(parts_b))).truncate(target)
 
     gamma = full_unit_inv * (

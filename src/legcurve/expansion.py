@@ -45,6 +45,8 @@ class ExpansionContext:
                     f"left to expand"
                 )
             cutoff = (n - 1) * (m - 1)
+        if type(cutoff) is not int:
+            raise ValidationError(f"cutoff must be an integer, got {cutoff!r}")
         if cutoff <= m:
             raise ValidationError("cutoff must exceed m so at least a_m is present")
         if cutoff > CUTOFF_CAP:

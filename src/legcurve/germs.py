@@ -6,7 +6,8 @@ along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
 rational coefficients for monomials of weighted valuation below
 ``accuracy``, in the form and with the arithmetic of ``series._Truncated``,
-which builds its results without re-validating keys.
+which builds its results without re-validating keys and with one content
+reduction per result.
 
 The stored key of x^i y^j p^l of weighted valuation w is the ``int``
 ``(w << 3W) | (i << 2W) | (j << W) | l``, W = ``WIDTH``.  Each exponent is
@@ -17,16 +18,20 @@ keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
 ``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
 
 One table of monomial powers, ``_powers``, serves ``substitute`` and the
-restriction to a curve in the chart x = t^n, ``_chart_restriction``, that
-``evaluate_on_series`` and ``ConormalOracle`` share.
+restrictions to a curve in the chart x = t^n: ``ConormalOracle``'s, one
+monomial at a time through ``_chart_restriction``, and
+``evaluate_on_series``, which adds every term of a germ into one numerator
+dict and reduces the sum once.
 
 Inputs are validated where they enter: ``Germ(...)`` checks the weights,
 the accuracy, every monomial (non-negative ``int``s, valuation below the
 limit) and every value (an ``int`` or a ``Fraction``, not a ``bool``),
-``coefficient`` its monomial and ``truncate`` its accuracy.  Products look
-each key up in the table ``_Truncated._KEYS``, so equal monomials of
-different products share one key object; the table holds keys only, so it
-is bounded by the number of distinct monomials that products produce.
+as do ``zero``, ``constant`` and ``variable``, which build their one term
+directly; ``coefficient`` checks its monomial and ``truncate`` its
+accuracy.  Products look each key up in the table ``_Truncated._KEYS``, so
+equal monomials of different products share one key object; the table
+holds keys only, so it is bounded by the number of distinct monomials that
+products produce.
 """
 
 from __future__ import annotations
@@ -93,11 +98,14 @@ class Germ(_Truncated):
     _LIMIT = VALUATION_LIMIT
 
     def __init__(self, weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy):
+        self._set_ring(weights, accuracy)
+        self._store(coeffs, self._pack)
+
+    def _set_ring(self, weights: tuple[int, int, int], accuracy: Accuracy) -> None:
         if len(weights) != 3 or any(w <= 0 for w in weights):
             raise ValidationError(f"weights must be three positive integers, got {weights!r}")
         self.weights = tuple(weights)
         self.accuracy = _check_accuracy(accuracy)
-        self._store(coeffs, self._pack)
 
     # -- structure ---------------------------------------------------------
 
@@ -119,17 +127,27 @@ class Germ(_Truncated):
 
     @staticmethod
     def zero(weights: tuple[int, int, int], accuracy: Accuracy = math.inf) -> "Germ":
-        return Germ(weights, {}, accuracy)
+        out = object.__new__(Germ)
+        out._set_ring(weights, accuracy)
+        out.num, out.den = {}, 1
+        return out
 
     @staticmethod
     def constant(weights: tuple[int, int, int], value, accuracy: Accuracy = math.inf) -> "Germ":
-        return Germ(weights, {(0, 0, 0): value}, accuracy)
+        return Germ._monomial(weights, (0, 0, 0), value, accuracy)
 
     @staticmethod
     def variable(weights: tuple[int, int, int], axis: str, accuracy: Accuracy = math.inf) -> "Germ":
         mono = [0, 0, 0]
         mono[_axis_index(axis)] = 1
-        return Germ(weights, {tuple(mono): 1}, accuracy)
+        return Germ._monomial(weights, tuple(mono), 1, accuracy)
+
+    @staticmethod
+    def _monomial(weights: tuple[int, int, int], mono: Monomial, value, accuracy: Accuracy) -> "Germ":
+        out = object.__new__(Germ)
+        out._set_ring(weights, accuracy)
+        out._store_term(out._pack(mono), value)
+        return out
 
     def coefficient(self, mono: Monomial) -> Fraction:
         key = self._pack(mono)
@@ -243,10 +261,11 @@ def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
 def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
     """Conservative accuracy for g at three values with the given order lower
     bounds and accuracies, measured in the target grading."""
-    ratios = [Fraction(v, w) for w, v in zip(g.weights, orders) if v != math.inf]
     candidates: list[Accuracy] = [math.inf]
     if g.accuracy != math.inf:
-        candidates.append(math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
+        # the least ceil(accuracy * v / w) over the values of finite order v
+        ceilings = [-(-g.accuracy * v // w) for w, v in zip(g.weights, orders) if v != math.inf]
+        candidates.append(min(ceilings, default=g.accuracy))
     for mono in map(Germ._unpack, g.num):
         base = sum(e * v for e, v in zip(mono, orders) if e)
         if base == math.inf:
@@ -308,7 +327,11 @@ def evaluate_on_series(
     """Restrict the germ to the curve (t^n, y(t), p(t)), below the accuracy
     that ``_substitution_accuracy`` certifies.  The chart is x = t^n:
     ``x_series`` must be exactly t^n, n >= 1, of accuracy inf, as in
-    ``PlaneCurveGerm.triple()``, or ``ValidationError`` is raised."""
+    ``PlaneCurveGerm.triple()``, or ``ValidationError`` is raised.
+
+    The restriction of c x^i y^j p^l is c times y^j p^l from the ``_powers``
+    table, shifted by n*i.  Every term is added into one numerator dict over
+    the lcm of the table denominators, and the sum is reduced once."""
     n = min(x_series.num, default=0)
     if n < 1 or x_series != TruncatedSeries.monomial(n, 1):
         raise ValidationError(f"evaluate_on_series works in the chart x = t^n, n >= 1; got x = {x_series!r}")
@@ -316,5 +339,19 @@ def evaluate_on_series(
     if min(orders) < 1:
         raise ValidationError("triple components must have positive order")
     acc = _substitution_accuracy(g, orders, (math.inf, y_series.accuracy, p_series.accuracy))
-    restrict = _chart_restriction(n, y_series, p_series, acc)
-    return sum((restrict(mono).scale(coeff) for mono, coeff in g.items()), TruncatedSeries.zero(acc))
+    power = _powers((x_series, y_series, p_series), acc)
+    terms, den = [], 1
+    for key, v in g.num.items():
+        i, j, l = Germ._unpack(key)
+        part = power((0, j, l))
+        acc = min(acc, part.accuracy + n * i)  # the accuracy of the shifted power
+        terms.append((n * i, v, part))
+        den = math.lcm(den, part.den)
+    sums: dict[int, int] = {}
+    for offset, v, part in terms:
+        v *= den // part.den
+        for e, c in part.num.items():
+            e += offset
+            if e < acc:
+                sums[e] = sums.get(e, 0) + v * c
+    return x_series._reduced({e: c for e, c in sums.items() if c}, g.den * den, acc)

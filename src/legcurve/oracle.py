@@ -9,9 +9,9 @@ witnesses for each attained order.
 
 Since x = t^n exactly, the restriction of x^i y^j p^l is that of y^j p^l
 shifted by n*i.  Each oracle restricts its monomials with
-``germs._chart_restriction``, the routine behind ``evaluate_on_series``:
-its table of the powers y^j p^l below the bound builds each one from a
-smaller one with a single product.  The row reduction works on the
+``germs._chart_restriction``: its table of the powers y^j p^l below the
+bound, ``germs._powers`` (which ``evaluate_on_series`` also reads), builds
+each one from a smaller one with a single product.  The row reduction works on the
 restriction rows alone and is fraction-free (Bareiss 1968; Geddes, Czapor
 and Labahn, ch. 9): a row is kept as integer numerators over one
 denominator, eliminated by integer multiply-and-subtract on its tail from

@@ -11,10 +11,12 @@ The coefficients are rationals, stored as integer numerators over one
 shared denominator (Knuth, TAOCP Vol. 2, section 4.5.1): ``num`` maps each
 key to a non-zero ``int`` and ``den`` is a positive ``int``.  The stored
 form is canonical: gcd(den, *num.values()) == 1 and no key sits at or
-above the accuracy, so equal values have equal ``num`` and ``den``.  Sums,
-scalings and products are integer operations followed by one content
-``gcd``; a product is the convolution of two weight-sorted numerator
-lists over the product of the denominators.  ``Fraction``s are built only
+above the accuracy, so equal values have equal ``num`` and ``den``.  Each
+result takes one content reduction, after integer work: sums and scalings
+on the numerators, and sums of products base + sum of sign*f*g in one
+multiply-accumulate, ``_Truncated._accumulate``, which adds the
+convolutions of the weight-sorted numerator lists over the lcm of the term
+denominators (a product is its one-term case).  ``Fraction``s are built only
 when a value is read: ``coefficient``, ``items`` and the read-only
 ``coeffs`` return ``Fraction`` values, integral ones included.
 Composition expands the outer series about the linear part c*t of the
@@ -29,9 +31,10 @@ these series and for the germs of ``germs.py``.  It is written once, in
 up hold the weight (here the key is the exponent and ``_SHIFT`` is 0), so
 a product key is the sum of two keys.  The public constructors validate
 every key, every value (an ``int`` or a ``Fraction``, not a ``bool``) and
-the accuracy; arithmetic results are built by ``_Truncated._unchecked``,
-which keeps the numerators it is given, or by ``_Truncated._reduced``,
-which first divides out their common content.
+the accuracy; ``zero`` and ``monomial`` make the same checks and build
+their one term directly.  Arithmetic results are built by
+``_Truncated._unchecked``, which keeps the numerators it is given, or by
+``_Truncated._reduced``, which first divides out their common content.
 """
 
 from __future__ import annotations
@@ -70,12 +73,14 @@ def _check_rational(value):
     return value
 
 
-def _convolve(left_terms: list, right_terms: list, bound: Accuracy) -> dict:
-    """Integer sums, by key, of the products of two key-sorted (key,
-    numerator) lists whose keys add up to less than ``bound``."""
-    sums: dict = {}
+def _convolve(left_terms: list, right_terms: list, bound: Accuracy, sums: dict, factor: int = 1) -> dict:
+    """Add to ``sums``, by key, ``factor`` times the integer products of two
+    key-sorted (key, numerator) lists whose keys add up to less than
+    ``bound``, and return it."""
     for k1, v1 in left_terms:
         limit = bound - k1
+        if factor != 1:
+            v1 *= factor
         for k2, v2 in right_terms:
             if k2 >= limit:
                 break
@@ -118,6 +123,13 @@ class _Truncated:
             den = math.lcm(den, v.denominator)
         self.num = {k: v.numerator * (den // v.denominator) for k, v in kept.items()}
         self.den = den
+
+    def _store_term(self, key: int, value) -> None:
+        """``_store`` of the one ``value`` at the checked ``key``."""
+        if _check_rational(value) and key < self.accuracy * (1 << self._SHIFT):
+            self.num, self.den = {key: value.numerator}, value.denominator
+        else:
+            self.num, self.den = {}, 1
 
     def _unchecked(self, num: dict, den: int, accuracy: Accuracy):
         """A result in the ring of ``self``, built without checks: ``num``
@@ -206,21 +218,26 @@ class _Truncated:
         return self._sum(other, -1)
 
     def _sum(self, other, sign: int):
-        """self + sign*other, over the lcm of the two denominators."""
+        """self + sign*other, over the lcm of the two denominators; at unequal
+        accuracies only the keys below the smaller one are merged."""
         self._check_ring(other)
-        if self.accuracy != other.accuracy:
-            acc = min(self.accuracy, other.accuracy)
-            return self.truncate(acc)._sum(other.truncate(acc), sign)
         g = math.gcd(self.den, other.den)
         lift, other_lift = other.den // g, sign * (self.den // g)
-        merged = {k: v * lift for k, v in self.num.items()} if lift != 1 else dict(self.num)
-        for k, v in other.num.items():
+        acc, right = self.accuracy, other.num.items()
+        if other.accuracy == acc:
+            merged = {k: v * lift for k, v in self.num.items()} if lift != 1 else dict(self.num)
+        else:
+            acc = min(acc, other.accuracy)
+            bound = acc * (1 << self._SHIFT)
+            merged = {k: v * lift for k, v in self.num.items() if k < bound}
+            right = [(k, v) for k, v in right if k < bound]
+        for k, v in right:
             s = merged.get(k, 0) + v * other_lift
             if s:
                 merged[k] = s
             else:
                 del merged[k]
-        return self._reduced(merged, self.den * lift, self.accuracy)
+        return self._reduced(merged, self.den * lift, acc)
 
     def scale(self, scalar):
         p, q = _check_rational(scalar).numerator, scalar.denominator
@@ -229,16 +246,42 @@ class _Truncated:
         return self._reduced({k: p * v for k, v in self.num.items()}, q * self.den, self.accuracy)
 
     def __mul__(self, other):
-        self._check_ring(other)
-        if (not self.num and self.accuracy == math.inf) or (not other.num and other.accuracy == math.inf):
-            return self._unchecked({}, 1, math.inf)
-        left, right = sorted(self.num.items()), sorted(other.num.items())
-        acc = min(self.accuracy + other._weight_lower_bound(), other.accuracy + self._weight_lower_bound())
-        if acc > self._LIMIT and left and right and (left[-1][0] + right[-1][0]) >> self._SHIFT >= self._LIMIT:
-            raise ValidationError(f"a product reaches weight {self._LIMIT}, the limit of stored keys")
-        sums = _convolve(left, right, acc * (1 << self._SHIFT))
+        return self._accumulate(((1, self, other),), base=False)
+
+    def _accumulate(self, terms, base: bool = True):
+        """self + the sum of sign*f*g over the triples (sign, f, g) of
+        ``terms`` (the sum alone, in the ring of self, when ``base`` is
+        False): the fold of ``_sum(f * g, sign)`` from self, with one integer
+        accumulation over the lcm of the term denominators and one content
+        reduction.  A term with an exact zero factor (no terms, accuracy inf)
+        adds nothing; any other term bounds the accuracy by that of its
+        product, min(acc f + ord g, acc g + ord f)."""
+        acc, den, products = (self.accuracy, self.den, []) if base else (math.inf, 1, [])
+        for sign, f, g in terms:
+            if f is not self:
+                self._check_ring(f)
+            if g is not self:
+                self._check_ring(g)
+            if (not f.num and f.accuracy == math.inf) or (not g.num and g.accuracy == math.inf):
+                continue
+            left, right = sorted(f.num.items()), sorted(g.num.items())
+            term_acc = min(f.accuracy + g._weight_lower_bound(), g.accuracy + f._weight_lower_bound())
+            if term_acc > self._LIMIT and left and right and (left[-1][0] + right[-1][0]) >> self._SHIFT >= self._LIMIT:
+                raise ValidationError(f"a product reaches weight {self._LIMIT}, the limit of stored keys")
+            if term_acc < acc:
+                acc = term_acc
+            term_den = f.den * g.den
+            den = term_den if den == 1 else math.lcm(den, term_den)
+            products.append((sign, left, right, term_den))
+        bound = acc * (1 << self._SHIFT)
+        sums = {}
+        if base and self.num:
+            lift = den // self.den
+            sums = {k: v * lift for k, v in self.num.items() if k < bound}
+        for sign, left, right, term_den in products:
+            _convolve(left, right, bound, sums, sign if term_den == den else sign * (den // term_den))
         shared = self._KEYS.setdefault
-        return self._reduced({shared(k, k): v for k, v in sums.items() if v}, self.den * other.den, acc)
+        return self._reduced({shared(k, k): v for k, v in sums.items() if v}, den, acc)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -270,11 +313,14 @@ class TruncatedSeries(_Truncated):
 
     @staticmethod
     def zero(accuracy: Accuracy = math.inf) -> "TruncatedSeries":
-        return TruncatedSeries({}, accuracy)
+        return TruncatedSeries.monomial(0, 0, accuracy)
 
     @staticmethod
     def monomial(exponent: int, coefficient: object = 1, accuracy: Accuracy = math.inf) -> "TruncatedSeries":
-        return TruncatedSeries({exponent: coefficient}, accuracy)
+        out = object.__new__(TruncatedSeries)
+        out.accuracy = _check_accuracy(accuracy)
+        out._store_term(_check_exponent(exponent), coefficient)
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -371,7 +417,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     for j in range(depth, -1, -1):
         limit = acc - j * v
         if sums:
-            sums = _convolve([(e, x) for e, x in sorted(sums.items()) if x], delta, limit)
+            sums = _convolve([(e, x) for e, x in sorted(sums.items()) if x], delta, limit, {})
             scale *= inner.den
         for e in range(min(len(lift), top - j + 1, limit)):
             a = numerators.get(j + e)

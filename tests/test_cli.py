@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
 from legcurve.errors import ValidationError
 from legcurve.expansion import ExpansionContext
+from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup
 
 
@@ -385,3 +387,222 @@ def test_sampling_rejects_a_negative_spread():
     with pytest.raises(ValidationError, match="spread"):
         random_germ(3, 10, trial_rng(0, 0), 3, 20, spread=-1)
     assert random_curve(3, 10, trial_rng(0, 0), spread=0).coefficients == {10: 1}
+
+
+# -- normalize stdout, byte for byte ------------------------------------------------
+# Recorded output: a change to the arithmetic must leave every printed digit alone.
+
+NORMALIZE_RANDOM_4_11 = (
+    'short form of the curve of type (4, 11)\n'
+    '  t^11: 1\n'
+    '  t^13: -192083\n'
+    'precision: 30\n'
+    'y-unit applied first: 1\n'
+    'reduction steps (order, added coefficient):\n'
+    '  12: -770880\n'
+    '  14: -589545\n'
+    '  15: -866976\n'
+    '  16: -267661780012\n'
+    '  17: 275822863941\n'
+    '  18: 334201785956461138/11\n'
+    '  19: 38114461385872633933178760469/295167031112\n'
+    '  20: 1540605713086535681026234/121\n'
+    '  21: -239239942130685336442716658933/4225826\n'
+    '  22: -30791097958311826462583575521885333/23242043\n'
+    '  23: -218855450927996345856583341243554835069101479021/6860284829287441816\n'
+    '  24: -11826848402759884778404038133032606328588/23242043\n'
+    '  25: 17149729263681594367192155547218974585671835528/4464401345569\n'
+    '  26: 436292365595330101147646542172481928897003120835721/8928802691138\n'
+    '  27: 5395329585325352709454427286150875293044511372424734115784216014187/2551152559912742112759521408\n'
+    '  28: 3686209233299518413676918693265596427505496920444109127949/196433659205036\n'
+    '  29: -22527752298073830340860757714047514457838740661653063277795066895/75463133122161859976\n'
+    'free exponents: {13}\n'
+    'moduli coordinate a_13: -192083\n'
+)
+NORMALIZE_RANDOM_4_11_JSON = (
+    '{\n'
+    '  "schema": "legcurve/normalize/1",\n'
+    '  "curve": {\n'
+    '    "n": 4,\n'
+    '    "terms": [\n'
+    '      {\n'
+    '        "e": 11,\n'
+    '        "c": "1"\n'
+    '      },\n'
+    '      {\n'
+    '        "e": 13,\n'
+    '        "c": "-192083"\n'
+    '      }\n'
+    '    ],\n'
+    '    "precision": 30\n'
+    '  },\n'
+    '  "unit": "1",\n'
+    '  "steps": [\n'
+    '    {\n'
+    '      "order": 12,\n'
+    '      "scale": "-770880"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 14,\n'
+    '      "scale": "-589545"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 15,\n'
+    '      "scale": "-866976"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 16,\n'
+    '      "scale": "-267661780012"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 17,\n'
+    '      "scale": "275822863941"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 18,\n'
+    '      "scale": "334201785956461138/11"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 19,\n'
+    '      "scale": "38114461385872633933178760469/295167031112"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 20,\n'
+    '      "scale": "1540605713086535681026234/121"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 21,\n'
+    '      "scale": "-239239942130685336442716658933/4225826"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 22,\n'
+    '      "scale": "-30791097958311826462583575521885333/23242043"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 23,\n'
+    '      "scale": "-218855450927996345856583341243554835069101479021/6860284829287441816"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 24,\n'
+    '      "scale": "-11826848402759884778404038133032606328588/23242043"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 25,\n'
+    '      "scale": "17149729263681594367192155547218974585671835528/4464401345569"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 26,\n'
+    '      "scale": "436292365595330101147646542172481928897003120835721/8928802691138"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 27,\n'
+    '      "scale": "5395329585325352709454427286150875293044511372424734115784216014187/2551152559912742112759521408"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 28,\n'
+    '      "scale": "3686209233299518413676918693265596427505496920444109127949/196433659205036"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 29,\n'
+    '      "scale": "-22527752298073830340860757714047514457838740661653063277795066895/75463133122161859976"\n'
+    '    }\n'
+    '  ],\n'
+    '  "free": [\n'
+    '    13\n'
+    '  ],\n'
+    '  "point": {\n'
+    '    "13": "-192083"\n'
+    '  }\n'
+    '}\n'
+)
+NORMALIZE_COPRIME_3_10 = (
+    'short form of the curve of type (3, 10)\n'
+    '  t^10: 1\n'
+    '  t^11: 14/11\n'
+    'precision: 18\n'
+    'y-unit applied first: 7\n'
+    'reduction steps (order, added coefficient):\n'
+    '  13: 21/13\n'
+    '  14: -10003/2431\n'
+    '  15: 140042/12155\n'
+    '  16: 154707609/15011425\n'
+    '  17: -57823324573/3797890525\n'
+    'free exponents: {11}\n'
+    'moduli coordinate a_11: 14/11\n'
+)
+NORMALIZE_COPRIME_3_10_JSON = (
+    '{\n'
+    '  "schema": "legcurve/normalize/1",\n'
+    '  "curve": {\n'
+    '    "n": 3,\n'
+    '    "terms": [\n'
+    '      {\n'
+    '        "e": 10,\n'
+    '        "c": "1"\n'
+    '      },\n'
+    '      {\n'
+    '        "e": 11,\n'
+    '        "c": "14/11"\n'
+    '      }\n'
+    '    ],\n'
+    '    "precision": 18\n'
+    '  },\n'
+    '  "unit": "7",\n'
+    '  "steps": [\n'
+    '    {\n'
+    '      "order": 13,\n'
+    '      "scale": "21/13"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 14,\n'
+    '      "scale": "-10003/2431"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 15,\n'
+    '      "scale": "140042/12155"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 16,\n'
+    '      "scale": "154707609/15011425"\n'
+    '    },\n'
+    '    {\n'
+    '      "order": 17,\n'
+    '      "scale": "-57823324573/3797890525"\n'
+    '    }\n'
+    '  ],\n'
+    '  "free": [\n'
+    '    11\n'
+    '  ],\n'
+    '  "point": {\n'
+    '    "11": "14/11"\n'
+    '  }\n'
+    '}\n'
+)
+
+
+PINNED_CURVES = {
+    "random-4-11": lambda: random_curve(4, 11, trial_rng(0, 0)),
+    # pairwise coprime denominators, so the stored forms carry their lcm
+    "coprime-3-10": lambda: PlaneCurveGerm(
+        3,
+        {10: Fraction(1, 7), 11: Fraction(2, 11), 13: Fraction(-3, 13), 14: Fraction(5, 17),
+         16: Fraction(1, 19), 17: Fraction(-4, 23), 20: Fraction(6, 29)},
+        22,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("curve", "flags", "expected"),
+    [
+        ("random-4-11", [], NORMALIZE_RANDOM_4_11),
+        ("random-4-11", ["--json"], NORMALIZE_RANDOM_4_11_JSON),
+        ("coprime-3-10", [], NORMALIZE_COPRIME_3_10),
+        ("coprime-3-10", ["--json"], NORMALIZE_COPRIME_3_10_JSON),
+    ],
+    ids=["random-4-11", "random-4-11-json", "coprime-3-10", "coprime-3-10-json"],
+)
+def test_normalize_stdout_is_pinned(capsys, tmp_path, curve, flags, expected):
+    path = tmp_path / "c.json"
+    path.write_text(dump_curve(PINNED_CURVES[curve]()))
+    assert run(capsys, ["normalize", str(path), *flags]) == (0, expected, "")

@@ -76,7 +76,45 @@ def test_an_unknown_axis_is_named(axis):
     with pytest.raises(ValidationError, match=re.escape(message)):
         Germ.variable(W, axis)
     with pytest.raises(ValidationError, match=re.escape(message)):
+        Germ.variable((0, 0, 0), axis, -1)  # the axis is checked first
+    with pytest.raises(ValidationError, match=re.escape(message)):
         G({(1, 0, 0): 1}).partial(axis)
+
+
+@pytest.mark.parametrize("accuracy", [0, 1, 3, 7, 10, 11, math.inf])
+@pytest.mark.parametrize("value", [1, 0, -7, Fraction(2, 3), Fraction(6, 3), Fraction(0), 10**30])
+def test_zero_constant_and_variable_equal_the_public_constructor(value, accuracy):
+    # accuracies at and above the weights 3, 7 and 10 of x, p and y
+    assert Germ.constant(W, value, accuracy) == G({(0, 0, 0): value}, accuracy)
+    assert Germ.zero(W, accuracy) == G({}, accuracy)
+    for axis, mono in zip(AXES, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        assert Germ.variable(W, axis, accuracy) == G({mono: 1}, accuracy)
+    assert_canonical(Germ.constant(W, value, accuracy))
+
+
+@pytest.mark.parametrize(
+    ("direct", "public"),
+    [
+        (lambda: Germ.constant(W, True), lambda: Germ(W, {(0, 0, 0): True}, math.inf)),
+        (lambda: Germ.constant(W, 1.5, 5), lambda: Germ(W, {(0, 0, 0): 1.5}, 5)),
+        (lambda: Germ.constant((3, 10), 1), lambda: Germ((3, 10), {(0, 0, 0): 1}, math.inf)),
+        (lambda: Germ.zero((3, 0, 7)), lambda: Germ((3, 0, 7), {}, math.inf)),
+        (lambda: Germ.variable((3, -10, 7), "y"), lambda: Germ((3, -10, 7), {(0, 1, 0): 1}, math.inf)),
+        (lambda: Germ.variable((3, VALUATION_LIMIT, 7), "y"),
+         lambda: Germ((3, VALUATION_LIMIT, 7), {(0, 1, 0): 1}, math.inf)),
+        (lambda: Germ.variable(W, "p", 2.5), lambda: Germ(W, {(0, 0, 1): 1}, 2.5)),
+        (lambda: Germ.constant(W, 1, -1), lambda: Germ(W, {(0, 0, 0): 1}, -1)),
+        (lambda: Germ.zero(W, 2.5), lambda: Germ(W, {}, 2.5)),
+        (lambda: Germ.constant((3, 0, 7), True, -1), lambda: Germ((3, 0, 7), {(0, 0, 0): True}, -1)),
+    ],
+    ids=["bool", "float", "two-weights", "zero-weight", "negative-weight", "weight-at-the-limit",
+         "float-accuracy", "negative-accuracy", "zero-float-accuracy", "weights-first"],
+)
+def test_zero_constant_and_variable_reject_what_the_public_constructor_rejects(direct, public):
+    with pytest.raises(ValidationError) as expected:
+        public()
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+        direct()
 
 
 def test_p_parts_round_trip():

@@ -1,6 +1,7 @@
 """Truncated power series arithmetic against hand-computed expansions."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import legcurve.series
 from legcurve.errors import InsufficientPrecisionError, ValidationError
+from legcurve.germs import Germ
 from legcurve.series import (
     TruncatedSeries,
     series_compose,
@@ -447,7 +449,7 @@ def assert_canonical(value):
     assert type(value.den) is int and value.den > 0
     assert all(type(v) is int and v for v in value.num.values())
     assert math.gcd(value.den, *value.num.values()) == 1
-    assert all(k < value.accuracy for k in value.num)
+    assert all(k >> value._SHIFT < value.accuracy for k in value.num)  # the weight of a key
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
@@ -492,3 +494,125 @@ def test_results_keep_the_canonical_form(a, b, c, scalar, cut, offset, f, n, g):
     assert (a * b).scale(scalar) == a.scale(scalar) * b
     assert a + a == a.scale(2)
     assert a - a == S({}, a.accuracy)
+
+
+# -- the multiply-accumulate kernel against the sequential fold ---------------------
+
+
+def fold(base, terms):
+    """base + sum of sign*f*g, one product and one sum at a time."""
+    total = base
+    for sign, f, g in terms:
+        total = total._sum(f * g, sign)
+    return total
+
+
+def assert_same_stored_form(x, y):
+    assert x.coeffs == y.coeffs
+    assert x.accuracy == y.accuracy
+    assert (x.num, x.den) == (y.num, y.den)
+
+
+WEIGHTS = (3, 10, 7)
+
+
+def G(coeffs, accuracy=math.inf):
+    return Germ(WEIGHTS, coeffs, accuracy)
+
+
+# exact zeros, empty factors of finite accuracy, and pairwise coprime denominators
+SERIES_FACTORS = st.one_of(
+    SERIES,
+    st.just(S({})),
+    st.builds(S, st.just({}), st.integers(0, 14)),
+    st.builds(_coprime, st.dictionaries(st.integers(0, 10), st.integers(-HUGE, HUGE), max_size=5),
+              st.integers(0, 12), ACCURACIES),
+)
+MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
+GERM_ACCURACIES = st.one_of(st.just(math.inf), st.integers(0, 40))
+GERM_FACTORS = st.one_of(
+    st.builds(G, st.dictionaries(MONOMIALS, RATIONALS, max_size=6), GERM_ACCURACIES),
+    st.just(G({})),
+    st.builds(G, st.just({}), st.integers(0, 40)),
+    st.builds(G, st.dictionaries(MONOMIALS, st.sampled_from(PRIMES).map(lambda q: Fraction(1, q)), max_size=5),
+              GERM_ACCURACIES),
+)
+SIGNS = st.sampled_from([1, -1])
+
+
+@settings(max_examples=150, deadline=None)
+@example(S({0: 1}, 5), [(1, S({}), S({1: 2}, 3)), (-1, S({}, 4), S({2: 1}))])  # exact and finite zeros
+@example(S({0: Fraction(1, 2)}, 9), [(1, S({1: Fraction(1, 3)}, 6), S({2: Fraction(1, 5)})),
+                                     (-1, S({0: Fraction(1, 7)}), S({3: Fraction(1, 11)}, 8))])
+@example(S({2: 1}), [(1, S({1: 1}), S({1: -1}))])  # the sum cancels the base
+@given(SERIES_FACTORS, st.lists(st.tuples(SIGNS, SERIES_FACTORS, SERIES_FACTORS), max_size=4))
+def test_series_accumulate_equals_the_sequential_fold(base, terms):
+    result = base._accumulate(terms)
+    assert_same_stored_form(result, fold(base, terms))
+    assert_canonical(result)
+
+
+@settings(max_examples=150, deadline=None)
+@example(G({(0, 0, 0): 1}, 12), [(1, G({}), G({(1, 0, 0): 2}, 5)), (-1, G({}, 4), G({(0, 0, 1): 1}))])
+@example(G({}), [(1, G({(1, 0, 0): Fraction(1, 3)}), G({(0, 1, 0): Fraction(1, 5)}, 20)),
+                 (-1, G({(0, 0, 1): Fraction(1, 7)}, 15), G({(0, 0, 0): Fraction(1, 11)}))])
+@given(GERM_FACTORS, st.lists(st.tuples(SIGNS, GERM_FACTORS, GERM_FACTORS), max_size=4))
+def test_germ_accumulate_equals_the_sequential_fold(base, terms):
+    result = base._accumulate(terms)
+    assert_same_stored_form(result, fold(base, terms))
+    assert_canonical(result)
+
+
+def test_accumulate_checks_every_factor_and_the_weight_limit():
+    with pytest.raises(TypeError):
+        S({0: 1})._accumulate([(1, S({1: 1}), G({(1, 0, 0): 1}))])
+    with pytest.raises(ValidationError, match="weights"):
+        G({})._accumulate([(1, G({(1, 0, 0): 1}), Germ((3, 11, 8), {(0, 1, 0): 1}, 30))])
+    big = G({(0, 0, 74899): 1})  # valuation 7 * 74899, below 2^20; its square is not
+    with pytest.raises(ValidationError, match="limit of stored keys"):
+        G({})._accumulate([(1, big, big)])
+
+
+@settings(max_examples=150, deadline=None)
+@example((S({0: 1, 4: Fraction(1, 3)}, 9), S({1: Fraction(1, 5), 7: 2}, 3)), 1)
+@example((G({(0, 0, 0): Fraction(1, 2), (0, 1, 0): 3}, 30), G({(1, 0, 0): Fraction(1, 7)}, 10)), -1)
+@given(st.one_of(st.tuples(SERIES_FACTORS, SERIES_FACTORS), st.tuples(GERM_FACTORS, GERM_FACTORS)), SIGNS)
+def test_a_sum_at_unequal_accuracies_equals_the_truncated_sum(pair, sign):
+    a, b = pair
+    acc = min(a.accuracy, b.accuracy)
+    assert_same_stored_form(a._sum(b, sign), a.truncate(acc)._sum(b.truncate(acc), sign))
+
+
+# -- the direct constructors against the public one -----------------------------------
+
+
+@pytest.mark.parametrize("accuracy", [0, 1, 3, 4, math.inf])
+@pytest.mark.parametrize("coefficient", [1, 0, -7, Fraction(2, 3), Fraction(6, 3), Fraction(0), HUGE])
+def test_monomial_and_zero_equal_the_public_constructor(coefficient, accuracy):
+    assert TruncatedSeries.monomial(3, coefficient, accuracy) == S({3: coefficient}, accuracy)
+    assert TruncatedSeries.monomial(0, coefficient, accuracy) == S({0: coefficient}, accuracy)
+    assert TruncatedSeries.zero(accuracy) == S({}, accuracy)
+    assert_canonical(TruncatedSeries.monomial(3, coefficient, accuracy))
+
+
+@pytest.mark.parametrize(
+    ("direct", "public"),
+    [
+        (lambda: TruncatedSeries.monomial(2, True, 5), lambda: S({2: True}, 5)),
+        (lambda: TruncatedSeries.monomial(2, 1.5, 5), lambda: S({2: 1.5}, 5)),
+        (lambda: TruncatedSeries.monomial(-1, 1, 5), lambda: S({-1: 1}, 5)),
+        (lambda: TruncatedSeries.monomial(2.0, 1, 5), lambda: S({2.0: 1}, 5)),
+        (lambda: TruncatedSeries.monomial(2, 1, 2.5), lambda: S({2: 1}, 2.5)),
+        (lambda: TruncatedSeries.monomial(2, 1, -1), lambda: S({2: 1}, -1)),
+        (lambda: TruncatedSeries.monomial(-1, True, -1), lambda: S({-1: True}, -1)),  # accuracy first
+        (lambda: TruncatedSeries.zero(2.5), lambda: S({}, 2.5)),
+        (lambda: TruncatedSeries.zero(True), lambda: S({}, True)),
+    ],
+    ids=["bool", "float", "negative-exponent", "float-exponent", "float-accuracy", "negative-accuracy",
+         "check-order", "zero-float-accuracy", "zero-bool-accuracy"],
+)
+def test_monomial_and_zero_reject_what_the_public_constructor_rejects(direct, public):
+    with pytest.raises(ValidationError) as expected:
+        public()
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+        direct()
