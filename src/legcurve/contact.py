@@ -21,6 +21,7 @@ from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
 from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
+from .series import _check_accuracy
 
 X_MONO = (1, 0, 0)
 Y_MONO = (0, 1, 0)
@@ -198,8 +199,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
         raise ValidationError("beta0 must not involve p")
     if not alpha.in_maximal_ideal() or not beta0.in_maximal_ideal():
         raise ValidationError("displacements must vanish at the origin")
-    if accuracy is None:
-        accuracy = min(alpha.accuracy, beta0.accuracy)
+    accuracy = min(alpha.accuracy, beta0.accuracy) if accuracy is None else _check_accuracy(accuracy)
     if accuracy == math.inf:
         raise ValidationError("an explicit finite accuracy is required for exact input data")
     target = min(accuracy, alpha.accuracy, beta0.accuracy)

@@ -17,21 +17,23 @@ come in (w, i, j, l) order.  ``partial`` and ``p_parts`` subtract from the
 keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
 ``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
 
-One table of monomial powers, ``_powers``, serves ``substitute`` and the
-restrictions to a curve in the chart x = t^n: ``ConormalOracle``'s, one
-monomial at a time through ``_chart_restriction``, and
-``evaluate_on_series``, which adds every term of a germ into one numerator
-dict and reduces the sum once.
+One table of monomial powers, ``_powers``, serves ``substitute``, the
+restriction ``evaluate_on_series`` to a curve in the chart x = t^n, and
+``ConormalOracle``'s restriction of one monomial at a time.  One sum,
+``_substitute``, serves the first two: it adds every term of a germ times
+its table entry (in the chart, that of y^j p^l shifted by n*i) into one
+numerator dict and reduces the sum once.
 
-Inputs are validated where they enter: ``Germ(...)`` checks the weights,
-the accuracy, every monomial (non-negative ``int``s, valuation below the
-limit) and every value (an ``int`` or a ``Fraction``, not a ``bool``),
-as do ``zero``, ``constant`` and ``variable``, which build their one term
+Inputs are validated where they enter: ``Germ(...)`` checks the weights
+(a tuple of three ``int``s of at least 1, not ``bool``s), the accuracy,
+every monomial (non-negative ``int``s, valuation below the limit) and
+every value (an ``int`` or a ``Fraction``, not a ``bool``), as do
+``zero``, ``constant`` and ``variable``, which build their one term
 directly; ``coefficient`` checks its monomial and ``truncate`` its
-accuracy.  Products look each key up in the table ``_Truncated._KEYS``, so
-equal monomials of different products share one key object; the table
-holds keys only, so it is bounded by the number of distinct monomials that
-products produce.
+accuracy.  Products and ``_substitute`` look each key up in the table
+``_Truncated._KEYS``, so equal monomials of different results share one
+key object; the table holds keys only, so it is bounded by the number of
+distinct monomials that they produce.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Germ(_Truncated):
         self._store(coeffs, self._pack)
 
     def _set_ring(self, weights: tuple[int, int, int], accuracy: Accuracy) -> None:
-        if len(weights) != 3 or any(w <= 0 for w in weights):
+        if not isinstance(weights, tuple) or len(weights) != 3 or any(type(w) is not int or w < 1 for w in weights):
             raise ValidationError(f"weights must be three positive integers, got {weights!r}")
         self.weights = tuple(weights)
         self.accuracy = _check_accuracy(accuracy)
@@ -229,7 +231,7 @@ class Germ(_Truncated):
 
 def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
     """Inverse of a germ with invertible value at the origin."""
-    acc = g.accuracy if accuracy is None else min(g.accuracy, accuracy)
+    acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
     c0 = g._get(0)
     if not c0:
         raise ValidationError("germ vanishes at the origin; it is not a unit")
@@ -258,9 +260,10 @@ def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
 # -- substitution -------------------------------------------------------------
 
 
-def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
-    """Conservative accuracy for g at three values with the given order lower
-    bounds and accuracies, measured in the target grading."""
+def _substitution_accuracy(g: Germ, values) -> Accuracy:
+    """Conservative accuracy for g at three values, all series or all germs,
+    from their order lower bounds and accuracies, in the target grading."""
+    orders = [value._weight_lower_bound() for value in values]
     candidates: list[Accuracy] = [math.inf]
     if g.accuracy != math.inf:
         # the least ceil(accuracy * v / w) over the values of finite order v
@@ -270,22 +273,8 @@ def _substitution_accuracy(g: Germ, orders, accs) -> Accuracy:
         base = sum(e * v for e, v in zip(mono, orders) if e)
         if base == math.inf:
             continue  # a positive power of an exact zero is exactly 0
-        # a value known below acc has a finite order v
-        candidates += [acc + base - v for e, v, acc in zip(mono, orders, accs) if e and acc != math.inf]
+        candidates += [value.accuracy + base - v for e, v, value in zip(mono, orders, values) if e]
     return min(candidates)
-
-
-def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
-    """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
-    values = (x_value, y_value, p_value)
-    for value in values:
-        g._check_ring(value)
-        if value.valuation_lower_bound() < 1:
-            raise ValidationError("substituted germs must vanish at the origin")
-    orders = tuple(v.valuation_lower_bound() for v in values)
-    acc = _substitution_accuracy(g, orders, tuple(v.accuracy for v in values))
-    power = _powers(values, acc)
-    return sum((power(mono).scale(coeff) for mono, coeff in g.items()), Germ.zero(g.weights, acc))
 
 
 def _powers(values, bound: Accuracy):
@@ -311,47 +300,54 @@ def _powers(values, bound: Accuracy):
     return power
 
 
-def _chart_restriction(n: int, y: TruncatedSeries, p: TruncatedSeries, bound: Accuracy):
-    """The map x^i y^j p^l -> its restriction to the curve (t^n, y, p) below
-    ``bound``: ``_powers`` of (t^n, y, p) at y^j p^l, shifted by n*i."""
-    power = _powers((TruncatedSeries.monomial(n, 1, bound), y, p), bound)
-    return lambda mono: power((0, mono[1], mono[2])).shift(n * mono[0]).truncate(bound)
+def _substitute(g: Germ, values, n: int):
+    """g at three values, all germs or all series, below the accuracy that
+    ``_substitution_accuracy`` certifies.  The term c x^i y^j p^l adds c
+    times the ``_powers`` entry of x^i y^j p^l, or with n >= 1 (the chart
+    x = t^n) that of y^j p^l shifted by n*i, into one numerator dict over
+    the lcm of the entry denominators; the sum is reduced once.  Its keys
+    are looked up in ``_Truncated._KEYS``, as products' keys are."""
+    acc = _substitution_accuracy(g, values)
+    power = _powers(values, acc)
+    terms, den = [], 1
+    for key, c in g.num.items():
+        i, j, l = Germ._unpack(key)
+        entry = power((0, j, l) if n else (i, j, l))
+        acc = min(acc, entry.accuracy + n * i)  # the accuracy of the shifted entry
+        terms.append((n * i, c, entry))
+        den = math.lcm(den, entry.den)
+    sums: dict[int, int] = {}
+    for offset, c, entry in terms:
+        c *= den // entry.den
+        for k, v in entry.num.items():
+            k += offset
+            sums[k] = sums.get(k, 0) + c * v
+    bound, shared = acc * (1 << values[0]._SHIFT), _Truncated._KEYS.setdefault
+    return values[0]._reduced({shared(k, k): v for k, v in sums.items() if v and k < bound}, g.den * den, acc)
 
 
-def evaluate_on_series(
-    g: Germ,
-    x_series: TruncatedSeries,
-    y_series: TruncatedSeries,
-    p_series: TruncatedSeries,
-) -> TruncatedSeries:
+def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
+    """g(x_value, y_value, p_value) for germ arguments of positive weighted order."""
+    values = (x_value, y_value, p_value)
+    for value in values:
+        g._check_ring(value)
+        if value.valuation_lower_bound() < 1:
+            raise ValidationError("substituted germs must vanish at the origin")
+    return _substitute(g, values, 0)
+
+
+def evaluate_on_series(g: Germ, x_series: TruncatedSeries, y_series: TruncatedSeries,
+                       p_series: TruncatedSeries) -> TruncatedSeries:
     """Restrict the germ to the curve (t^n, y(t), p(t)), below the accuracy
     that ``_substitution_accuracy`` certifies.  The chart is x = t^n:
     ``x_series`` must be exactly t^n, n >= 1, of accuracy inf, as in
     ``PlaneCurveGerm.triple()``, or ``ValidationError`` is raised.
 
-    The restriction of c x^i y^j p^l is c times y^j p^l from the ``_powers``
-    table, shifted by n*i.  Every term is added into one numerator dict over
-    the lcm of the table denominators, and the sum is reduced once."""
+    The restriction of c x^i y^j p^l is c times y^j p^l shifted by n*i;
+    ``_substitute`` sums them."""
     n = min(x_series.num, default=0)
     if n < 1 or x_series != TruncatedSeries.monomial(n, 1):
         raise ValidationError(f"evaluate_on_series works in the chart x = t^n, n >= 1; got x = {x_series!r}")
-    orders = (n, y_series.order_lower_bound(), p_series.order_lower_bound())
-    if min(orders) < 1:
+    if min(y_series.order_lower_bound(), p_series.order_lower_bound()) < 1:
         raise ValidationError("triple components must have positive order")
-    acc = _substitution_accuracy(g, orders, (math.inf, y_series.accuracy, p_series.accuracy))
-    power = _powers((x_series, y_series, p_series), acc)
-    terms, den = [], 1
-    for key, v in g.num.items():
-        i, j, l = Germ._unpack(key)
-        part = power((0, j, l))
-        acc = min(acc, part.accuracy + n * i)  # the accuracy of the shifted power
-        terms.append((n * i, v, part))
-        den = math.lcm(den, part.den)
-    sums: dict[int, int] = {}
-    for offset, v, part in terms:
-        v *= den // part.den
-        for e, c in part.num.items():
-            e += offset
-            if e < acc:
-                sums[e] = sums.get(e, 0) + v * c
-    return x_series._reduced({e: c for e, c in sums.items() if c}, g.den * den, acc)
+    return _substitute(g, (x_series, y_series, p_series), n)

@@ -8,12 +8,12 @@ the conormal lift, i.e. its value semigroup, together with explicit
 witnesses for each attained order.
 
 Since x = t^n exactly, the restriction of x^i y^j p^l is that of y^j p^l
-shifted by n*i.  Each oracle restricts its monomials with
-``germs._chart_restriction``: its table of the powers y^j p^l below the
-bound, ``germs._powers`` (which ``evaluate_on_series`` also reads), builds
-each one from a smaller one with a single product.  The row reduction works on the
-restriction rows alone and is fraction-free (Bareiss 1968; Geddes, Czapor
-and Labahn, ch. 9): a row is kept as integer numerators over one
+shifted by n*i.  Each oracle keeps a table of the powers y^j p^l below
+its bound, ``germs._powers`` (which ``substitute`` and
+``evaluate_on_series`` also read), that builds each one from a smaller
+one with a single product.  The row reduction works on the restriction
+rows alone and is fraction-free (Bareiss 1968; Geddes, Czapor and
+Labahn, ch. 9): a row is kept as integer numerators over one
 denominator, eliminated by integer multiply-and-subtract on its tail from
 the pivot order with the tail's content divided out, and turned into
 ``Fraction`` values only when read.  Each row records the multipliers and
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
-from .germs import Germ, Monomial, _chart_restriction, check_monomial, contact_weights, monomials_in_valuation_range
+from .germs import Germ, Monomial, _powers, check_monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
 from .series import TruncatedSeries
 
@@ -82,7 +82,8 @@ class ConormalOracle:
                 f"orders below {bound}; need at least {bound + n}"
             )
         self.bound = bound
-        self._restrict = _chart_restriction(n, curve.y_series(), curve.p_series(), bound)
+        self._n = n
+        self._power = _powers((TruncatedSeries.monomial(n, 1, bound), curve.y_series(), curve.p_series()), bound)
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
         self.rows: dict[int, EchelonRow] = {}
@@ -94,7 +95,8 @@ class ConormalOracle:
     def restriction(self, monomial: Monomial) -> TruncatedSeries:
         """ι*(x^i y^j p^l) truncated below the oracle bound: y^j p^l from the
         oracle's table, shifted by n*i."""
-        return self._restrict(check_monomial(monomial))
+        i, j, l = check_monomial(monomial)
+        return self._power((0, j, l)).shift(self._n * i).truncate(self.bound)
 
     def _insert(self, mono: Monomial) -> None:
         # the row is kept up to a non-zero rational factor, as integers: the

@@ -9,6 +9,7 @@ beta = -p^2, gamma = 0, i.e. the lift of the shear (x, p) -> (x - 2p, p).
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,18 @@ def test_solve_contact_at_an_accuracy_up_to_m_names_it():
     with pytest.raises(InsufficientPrecisionError, match=r"accuracy above m = 10, the weight of y; got 10"):
         solve_contact(Germ.zero(w, 40), Germ.zero(w, 40), 10)
     assert solve_contact(Germ.zero(w, 40), Germ.zero(w, 40), 11).beta == Germ.zero(w, 11)
+
+
+@pytest.mark.parametrize("accuracy", ["30", -5, True, 2.5])
+def test_solve_contact_checks_an_explicit_accuracy(accuracy):
+    message = f"accuracy must be a non-negative integer or infinity, got {accuracy!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        solve_contact(germ({}), germ({(4, 0, 0): -1}), accuracy)
+
+
+def test_forget_transform_checks_an_explicit_accuracy():
+    with pytest.raises(ValidationError, match="accuracy must be a non-negative integer or infinity, got '25'"):
+        forget_transform(PlaneCurveGerm(3, {10: 1}), 13, 1, accuracy="25")
 
 
 def test_zero_parts_of_finite_accuracy_still_bound_the_accuracy():

@@ -1,10 +1,13 @@
-"""Series roots, reversion and reparametrization against sympy.
+"""Series roots, reversion, reparametrization and substitution against sympy.
 
 The library's own routines no longer re-check their results at run time
 (reparametrize checks x(t(s)) = s^n once), so these tests compare them with
 sympy's independent series code on seeded random rational input.
+Substitution into germs, and their restriction to a curve, are compared
+with the expansion in sympy's polynomial rings.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,10 +20,13 @@ from sympy.polys.ring_series import rs_nth_root, rs_series_reversion, rs_subs
 from sympy.polys.rings import ring
 
 from legcurve.curves import reparametrize
+from legcurve.germs import Germ, contact_weights, evaluate_on_series, monomials_in_valuation_range, substitute
 from legcurve.series import TruncatedSeries, series_nth_root, series_reverse
 
 SEEDS = range(6)
 R, x, y = ring("x, y", QQ)
+RG, gx, gy, gp = ring("x, y, p", QQ)
+RT, t = ring("t", QQ)
 
 
 def _random_coeffs(rng, low, high):
@@ -28,7 +34,7 @@ def _random_coeffs(rng, low, high):
 
 
 def _to_ring(coeffs, var):
-    return sum((QQ(c.numerator, c.denominator) * var ** k for k, c in coeffs.items()), R(0))
+    return sum((QQ(c.numerator, c.denominator) * var ** k for k, c in coeffs.items()), var.ring.zero)
 
 
 def _ring_coeff(p, var, k):
@@ -114,3 +120,79 @@ def test_reparametrize_matches_sympy(seed):
     expected = rs_subs(_to_ring(y_coeffs, x), {x: t_of_s}, y, accuracy)
     for k in range(accuracy):
         assert curve.coefficient(k) == _ring_coeff(expected, y, k), (n, m, k)
+
+
+# -- substitution into germs -------------------------------------------------
+
+
+def _random_germ(rng, n, m, low, high, terms, accuracy):
+    """Up to ``terms`` monomials of weighted valuation in [low, high) with
+    random rational coefficients, as a germ of type (n, m)."""
+    monomials = monomials_in_valuation_range(n, m, low, high)
+    chosen = rng.sample(monomials, min(terms, len(monomials)))
+    coeffs = {mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for mono in chosen}
+    return Germ(contact_weights(n, m), coeffs, accuracy)
+
+
+def _rational(c):
+    return QQ(c.numerator, c.denominator)
+
+
+def _expand(g, values, ring):
+    """The sum of c * a^i b^j c^l over the terms c x^i y^j p^l of g, for the
+    elements (a, b, c) of a sympy polynomial ring (a zero value may be raised
+    only to positive powers)."""
+    total = ring.zero
+    for mono, coeff in g.coeffs.items():
+        term = ring(_rational(coeff))
+        for value, e in zip(values, mono):
+            if e:
+                term *= value ** e
+        total += term
+    return total
+
+
+def _below(poly, weights, accuracy):
+    """The terms of a sympy polynomial whose weight, under the given weights
+    of its generators, is below ``accuracy``."""
+    return {
+        mono: Fraction(int(c.numerator), int(c.denominator))
+        for mono, c in poly.terms()
+        if sum(e * w for e, w in zip(mono, weights)) < accuracy
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substitute_matches_a_sympy_expansion(seed):
+    rng = random.Random(seed)
+    n, m = rng.choice([(2, 5), (3, 7), (3, 10)])
+    weights = contact_weights(n, m)
+
+    def accuracy(low, high):
+        return rng.choice([math.inf, rng.randint(low, high)])
+
+    g = _random_germ(rng, n, m, 0, 3 * m, 6, accuracy(2 * m, 5 * m))
+    # each value of order at least the weight of its variable, as in compose
+    values = [_random_germ(rng, n, m, w, w + m, 3, accuracy(w + m, 5 * m)) for w in weights]
+    result = substitute(g, *values)
+    assert result.accuracy >= min(g.accuracy, *(value.accuracy for value in values))
+    expected = _expand(g, [_expand(value, (gx, gy, gp), RG) for value in values], RG)
+    assert result.coeffs == _below(expected, weights, result.accuracy)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_on_series_matches_a_sympy_expansion(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    m = rng.choice([k for k in range(n + 1, 3 * n + 2) if k % n])
+    g = _random_germ(rng, n, m, 0, 3 * m, 6, rng.choice([math.inf, rng.randint(m, 4 * m)]))
+    # y and p of orders m and m - n, each exact or known below a random accuracy
+    y_coeffs = {m: Fraction(1), **_random_coeffs(rng, m + 1, m + 6)}
+    p_coeffs = {m - n: Fraction(m, n), **_random_coeffs(rng, m - n + 1, m - n + 6)}
+    y_series = TruncatedSeries(y_coeffs, rng.choice([math.inf, rng.randint(m + 1, 3 * m)]))
+    p_series = TruncatedSeries(p_coeffs, rng.choice([math.inf, rng.randint(m - n + 1, 3 * m)]))
+    result = evaluate_on_series(g, TruncatedSeries.monomial(n, 1), y_series, p_series)
+    assert result.accuracy >= min(g.accuracy, y_series.accuracy, p_series.accuracy)
+    values = (t ** n, _to_ring(y_series.coeffs, t), _to_ring(p_series.coeffs, t))
+    expected = _expand(g, values, RT)
+    assert {(k,): c for k, c in result.coeffs.items()} == _below(expected, (1,), result.accuracy)

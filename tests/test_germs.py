@@ -117,6 +117,24 @@ def test_zero_constant_and_variable_reject_what_the_public_constructor_rejects(d
         direct()
 
 
+@pytest.mark.parametrize(
+    ("build", "weights"),
+    [
+        (lambda: Germ((3.0, 10, 7), {(1, 0, 0): 1}, 20), (3.0, 10, 7)),
+        (lambda: Germ.zero((3.0, 10, 7)), (3.0, 10, 7)),
+        (lambda: Germ((True, 10, 7), {(1, 0, 0): 1}, 20), (True, 10, 7)),
+        (lambda: Germ.variable((3, 10, True), "p"), (3, 10, True)),
+        (lambda: Germ(5, {}, 20), 5),
+        (lambda: Germ.constant(None, 1), None),
+    ],
+    ids=["float-weight", "float-weight-zero", "bool-weight", "bool-weight-variable", "an-int", "none"],
+)
+def test_weights_other_than_three_positive_ints_are_named(build, weights):
+    message = f"weights must be three positive integers, got {weights!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_p_parts_round_trip():
     g = G({(1, 0, 0): 1, (1, 0, 1): 2, (0, 1, 2): -1}, 40)
     parts = g.p_parts()
@@ -145,6 +163,13 @@ def test_invert_unit_geometric():
 def test_invert_unit_rejects_non_units():
     with pytest.raises(ValidationError):
         invert_unit(Germ.variable(W, "x"), 5)
+
+
+@pytest.mark.parametrize("accuracy", ["5", 2.5, -1, True])
+def test_invert_unit_checks_an_explicit_accuracy(accuracy):
+    one_plus_x = Germ.constant(W, 1) + Germ.variable(W, "x")
+    with pytest.raises(ValidationError, match=f"accuracy must be a non-negative integer or infinity, got {accuracy!r}"):
+        invert_unit(one_plus_x, accuracy)
 
 
 def test_substitute_is_a_ring_map():
@@ -366,6 +391,15 @@ def test_products_share_monomial_keys():
     (key_a,), (key_b,) = a.num, b.num
     assert type(key_a) is int
     assert key_a is key_b
+
+
+def test_substitute_shares_monomial_keys_with_products():
+    ref = G({(1, 0, 0): 1}) * G({(0, 1, 1): 1})
+    x, y, p = (Germ.variable(W, axis) for axis in AXES)
+    result = substitute(G({(1, 1, 1): 1}), x, y, p)
+    assert result == ref
+    (key,), (ref_key,) = result.num, ref.num
+    assert key is ref_key
 
 
 def test_monomials_at_the_valuation_limit_are_rejected():
