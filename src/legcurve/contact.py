@@ -21,7 +21,7 @@ from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
 from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
-from .series import _check_accuracy
+from .series import _check_accuracy, _check_rational
 
 X_MONO = (1, 0, 0)
 Y_MONO = (0, 1, 0)
@@ -79,7 +79,7 @@ def identity_map(n: int, m: int) -> ContactMap:
 
 def homothety(n: int, m: int, lam, mu) -> ContactMap:
     """(x, y, p) -> (lam*x, mu*y, (mu/lam)*p)."""
-    if not lam or not mu:
+    if not _check_rational(lam) or not _check_rational(mu):
         raise ValidationError("homothety factors must be non-zero")
     w = contact_weights(n, m)
     return ContactMap(
@@ -95,6 +95,8 @@ def linear_symplectic(n: int, m: int, a, b, c, d) -> ContactMap:
     The y-coordinate picks up the quadratic correction that keeps
     dy - p dx invariant; the multiplier is exactly 1.
     """
+    for value in (a, b, c, d):
+        _check_rational(value)
     if a * d - b * c != 1:
         raise ValidationError("need a*d - b*c = 1")
     w = contact_weights(n, m)
@@ -217,14 +219,6 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
             "1 + d_y(beta0) vanishes at the origin; the multiplier would not be a unit"
         )
 
-    parts_a = alpha.p_parts()
-    zero = Germ.zero(w)
-
-    def a_part(j: int) -> Germ:
-        if j in parts_a:
-            return parts_a[j]
-        return zero if alpha.accuracy == math.inf else Germ.zero(w, max(alpha.accuracy - j * wp, 0))
-
     if alpha.coefficient(X_MONO) == -1:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     # one inversion of 1 + d_x(alpha) + p*d_y(alpha) serves gamma, and its
@@ -232,15 +226,18 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     p = Germ.variable(w, "p")
     d_x = alpha.partial("x")
     d_y = alpha.partial("y")
-    full_unit_inv = invert_unit(Germ.constant(w, 1) + d_x + p * d_y, target)
+    full_unit_inv = invert_unit((Germ.constant(w, 1) + d_x + p * d_y).truncate(target))
     unit_inv = full_unit_inv.p_parts()[0]
 
     # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
     # d_x b_r and r*b_r for each p-part b_r of beta as it is made (u_0 and
-    # 0*b_0 are never read)
+    # 0*b_0 are never read); for a finite alpha.accuracy >= target, p_parts
+    # has a part of every degree up to steps
     steps = (target - 1) // wp  # the k with (k + 1) * wp < target
-    ja = [a_part(j).scale(j) for j in range(steps + 1)]
-    u = [zero] + [a_part(s).partial("x") + a_part(s - 1).partial("y") for s in range(1, steps)]
+    zero, parts_a = Germ.zero(w), alpha.p_parts()
+    a = [parts_a.get(j, zero) for j in range(steps + 1)]
+    ja = [a[j].scale(j) for j in range(steps + 1)]
+    u = [zero] + [a[s].partial("x") + a[s - 1].partial("y") for s in range(1, steps)]
     parts_b, dy_b, dx_b, rb = [beta0], [], [], [zero]
     for k in range(steps):
         dy_b.append(parts_b[k].partial("y"))

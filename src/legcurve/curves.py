@@ -121,7 +121,7 @@ class PlaneCurveGerm:
     # -- rebuilding -----------------------------------------------------------
 
     def truncate(self, accuracy: int) -> "PlaneCurveGerm":
-        if accuracy <= self.m:
+        if _check_accuracy(accuracy) <= self.m:
             raise ValidationError("truncation would discard the leading y-coefficient")
         return curve_from_y_series(self.n, self._y.truncate(accuracy))
 
@@ -131,10 +131,10 @@ class PlaneCurveGerm:
         Only sound when higher-order terms cannot influence the result the
         caller is after (for example anything read off below the conductor).
         """
-        if accuracy < self.accuracy:
+        if _check_accuracy(accuracy) < self.accuracy:
             raise ValidationError("use truncate to lower the accuracy")
         y = self._y
-        return curve_from_y_series(self.n, y._unchecked(y.num, y.den, _check_accuracy(accuracy)))
+        return curve_from_y_series(self.n, y._unchecked(y.num, y.den, accuracy))
 
     def scale_y(self, scalar) -> "PlaneCurveGerm":
         if not scalar:

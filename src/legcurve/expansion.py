@@ -35,20 +35,15 @@ DIMENSION_CAP = 6
 
 
 class ExpansionContext:
-    def __init__(self, n: int, m: int, cutoff: int | None = None):
+    def __init__(self, n: int, m: int):
         _check_type(n, m)
-        if cutoff is None:
-            if n == 2:
-                raise ValidationError(
-                    f"the upsilon checks need n >= 3: for n = 2 the default cutoff, the plane "
-                    f"conductor (n-1)(m-1) = {m - 1}, is below m = {m}, so no coefficient a_s is "
-                    f"left to expand"
-                )
-            cutoff = (n - 1) * (m - 1)
-        if type(cutoff) is not int:
-            raise ValidationError(f"cutoff must be an integer, got {cutoff!r}")
-        if cutoff <= m:
-            raise ValidationError("cutoff must exceed m so at least a_m is present")
+        if n == 2:
+            raise ValidationError(
+                f"the upsilon checks need n >= 3: for n = 2 the default cutoff, the plane "
+                f"conductor (n-1)(m-1) = {m - 1}, is below m = {m}, so no coefficient a_s is "
+                f"left to expand"
+            )
+        cutoff = (n - 1) * (m - 1)  # at least 2(m - 1) >= m + 2
         if cutoff > CUTOFF_CAP:
             raise ValidationError(f"cutoff {cutoff} exceeds the symbolic layer cap {CUTOFF_CAP}")
         self.n, self.m, self.cutoff = n, m, cutoff
@@ -215,15 +210,8 @@ class ExpansionContext:
             matrix.append(row)
         return matrix
 
-    def family_determinant(
-        self,
-        q: int,
-        count: int,
-        columns: list[int],
-        rows: list[int] | None = None,
-        mu_value=None,
-    ) -> Poly:
-        matrix = self.family_matrix(q, count, columns, rows, mu_value)
+    def family_determinant(self, q: int, count: int, columns: list[int], rows: list[int] | None = None) -> Poly:
+        matrix = self.family_matrix(q, count, columns, rows)
         if len(matrix) != len(columns):
             raise ValidationError(
                 f"determinant needs a square block: {len(matrix)} rows, {len(columns)} columns"

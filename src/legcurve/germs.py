@@ -44,7 +44,7 @@ from typing import Mapping
 
 from .curves import _check_type
 from .errors import InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy, _Truncated
+from .series import Accuracy, TruncatedSeries, _check_accuracy, _check_int, _Truncated
 
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
@@ -82,6 +82,7 @@ def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Mo
     """All (i, j, l) with low <= n*i + m*j + (m-n)*l < high, sorted by
     (valuation, i, j, l)."""
     wx, wy, wp = contact_weights(n, m)
+    low, high = _check_int(low, "low"), _check_int(high, "high")
     found = []
     for j in range(high // wy + 1):
         for l in range((high - wy * j) // wp + 1):
@@ -218,6 +219,8 @@ class Germ(_Truncated):
         coeffs: dict[Monomial, object] = {}
         acc: Accuracy = math.inf
         for l, part in parts.items():
+            if part.weights != weights:
+                raise ValidationError(f"p-part {l} has weights {part.weights}, not {weights}")
             acc = min(acc, part.accuracy + l * wp)
             for (i, j, zero), value in part.coeffs.items():
                 if zero:
@@ -229,24 +232,24 @@ class Germ(_Truncated):
 # -- unit inversion -----------------------------------------------------------
 
 
-def invert_unit(g: Germ, accuracy: Accuracy | None = None) -> Germ:
-    """Inverse of a germ with invertible value at the origin."""
-    acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
-    c0 = g._get(0)
-    if not c0:
+def invert_unit(g: Germ) -> Germ:
+    """Inverse of a germ with invertible value at the origin; one that is
+    not constant needs a finite accuracy, so an exact germ must be
+    truncated first."""
+    if g.in_maximal_ideal():
         raise ValidationError("germ vanishes at the origin; it is not a unit")
-    rest = g - Germ.constant(g.weights, c0, g.accuracy)
+    acc = g.accuracy
+    c0 = g._get(0)
+    rest = g - Germ.constant(g.weights, c0, acc)
     inv_c0 = 1 / c0
     if rest.is_zero():
         return Germ.constant(g.weights, inv_c0, acc)
     if acc == math.inf:
         raise ValidationError("inverting a non-constant unit needs a finite accuracy; truncate first")
-    w = rest.scale(-inv_c0).truncate(acc)
+    w = rest.scale(-inv_c0)
     result = Germ.constant(g.weights, 1, acc)
     power = Germ.constant(g.weights, 1, acc)
-    v = w.valuation_lower_bound()
-    if v <= 0:
-        raise ValidationError("unit remainder must have positive weighted order")
+    v = w.valuation_lower_bound()  # at least 1, as w has no constant term
     k = 1
     while k * v < acc:
         power = (power * w).truncate(acc)

@@ -24,7 +24,7 @@ from .cyclotomic import Cyclotomic
 from .errors import ContactDefectError, InsufficientPrecisionError, NonGenericCurveError
 from .oracle import conormal_semigroup
 from .semigroups import free_indices, generic_semigroup, try_s_invariant
-from .series import TruncatedSeries, _check_rational
+from .series import TruncatedSeries, _check_int, _check_rational
 
 
 def is_generic(curve: PlaneCurveGerm) -> bool:
@@ -137,8 +137,8 @@ def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
 # -- residual reparametrization action -----------------------------------------
 
 
-def _checked_point(point: dict[int, object], n: int) -> dict[int, object]:
-    _check_type(n)
+def _checked_point(point: dict[int, object], n: int, m: int) -> dict[int, object]:
+    _check_type(n, m)
     for v in point.values():
         _check_rational(v)
     return point
@@ -156,23 +156,29 @@ def _rotates_to(v1, v2, e: int, n: int) -> bool:
 def rotate_point(point: dict[int, object], n: int, m: int, k: int) -> dict[int, Cyclotomic]:
     """Action of t -> zeta^k t (followed by re-normalizing a_m = 1) on a
     rational point: coordinate i becomes zeta^(k(i-m)) * v in Q(zeta_n)."""
+    _check_int(k, "rotation exponent k")
     return {
         i: Cyclotomic.zeta(n, k * (i - m)) * v
-        for i, v in _checked_point(point, n).items()
+        for i, v in _checked_point(point, n, m).items()
     }
 
 
 def orbit_equivalent(point1: dict[int, object], point2: dict[int, object],
                      n: int, m: int) -> tuple[bool, int | None]:
     """Are two rational moduli points related by a root-of-unity
-    reparametrization?
+    reparametrization t -> zeta*t?
+
+    The short form divides out the contact maps whose linear x-coefficient
+    is 1, so on moduli points this decides equivalence under those maps and
+    t -> zeta*t.  Other contact maps are not divided out: the homothety
+    x -> lam*x, lam != 1, can move a point to one not related to it.
 
     zeta^e * v is rational only when v = 0, e = 0 or 2e = n (mod n), so this
     is decided over Q.  On success the least witness exponent k with
     point2 = rotate_point(point1, k) is returned alongside; k = 0 means the
     points are equal outright.
     """
-    if set(_checked_point(point1, n)) != set(_checked_point(point2, n)):
+    if set(_checked_point(point1, n, m)) != set(_checked_point(point2, n, m)):
         return (False, None)
     for k in range(n):
         if all(_rotates_to(v, point2[i], k * (i - m) % n, n) for i, v in point1.items()):
@@ -188,7 +194,7 @@ def canonical_point(point: dict[int, object], n: int, m: int) -> dict[int, Cyclo
     arbitrary but fixed choice, enough to make equality of canonical
     points decide orbit equivalence.
     """
-    indices = sorted(_checked_point(point, n))
+    indices = sorted(_checked_point(point, n, m))
     best = None
     best_key = None
     for k in range(n):
@@ -202,7 +208,9 @@ def canonical_point(point: dict[int, object], n: int, m: int) -> dict[int, Cyclo
 def equivalent_curves(
     first: PlaneCurveGerm, second: PlaneCurveGerm
 ) -> tuple[bool, int | None]:
-    """Contact equivalence of two generic curves, with the witness exponent."""
+    """Equivalence of two generic curves under the contact maps whose linear
+    x-coefficient is 1 and t -> zeta*t, with the witness exponent; other
+    contact maps, such as x -> lam*x for lam != 1, are not divided out."""
     if first.equisingularity_type() != second.equisingularity_type():
         return (False, None)
     nf1 = normal_form(first)

@@ -31,7 +31,7 @@ from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from .germs import Germ, Monomial, _powers, check_monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_int
 
 
 class EchelonRow:
@@ -177,7 +177,7 @@ def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
     """
     n, m = curve.n, curve.m
     weights = contact_weights(n, m)
-    if order < 0:
+    if _check_int(order, "order") < 0:
         raise NotRealizableError("restriction orders are non-negative")
     exact = monomials_in_valuation_range(n, m, order, order + 1)
     if exact:

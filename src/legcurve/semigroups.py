@@ -18,6 +18,7 @@ from functools import lru_cache
 from .curves import _check_type
 from .errors import ContactDefectError, ValidationError
 from .germs import monomials_in_valuation_range
+from .series import _check_int
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class NumericalSemigroup:
         return NumericalSemigroup.from_gaps(gaps)
 
     def __contains__(self, k: int) -> bool:
-        if k < 0:
+        if k < 0 or k % 1:  # a non-integral number is not a member
             return False
         if k >= self.conductor:
             return True
@@ -66,9 +67,7 @@ class NumericalSemigroup:
     def multiplicity(self) -> int:
         if self.conductor == 0:
             return 1
-        for k in self.members_below(self.conductor + 1)[1:]:
-            return k
-        return self.conductor  # semigroup is {0, conductor, conductor+1, ...}
+        return self.members_below(self.conductor + 1)[1]  # 0 and the conductor are members
 
     def generators(self) -> tuple[int, ...]:
         """Minimal generating set."""
@@ -107,7 +106,7 @@ def two_generator_semigroup(a: int, b: int) -> NumericalSemigroup:
 def weighted_monomial_count(value: int, n: int, m: int) -> int:
     """Number of monomials x^a y^b p^c of weighted order exactly ``value``
     for the weights (n, m, m-n)."""
-    return len(monomials_in_valuation_range(n, m, value, value + 1))
+    return len(monomials_in_valuation_range(n, m, _check_int(value, "value"), value + 1))
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,9 @@ def s_invariant(n: int, m: int) -> int:
 
 
 def moduli_dimension(n: int, m: int) -> int:
-    """Dimension of the moduli space of generic curves of type (n, m)."""
+    """Dimension of the moduli space of generic curves of type (n, m) up to
+    contact maps whose linear x-coefficient is 1 and t -> zeta*t: the
+    number of free coordinates of the short form."""
     semigroup = generic_semigroup(n, m)
     high_gaps = [g for g in semigroup.gaps if g >= m]
     return len(high_gaps) + (1 if try_s_invariant(n, m) is not None else 0)

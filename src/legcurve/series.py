@@ -56,6 +56,12 @@ def _check_accuracy(value: Accuracy) -> Accuracy:
     raise ValidationError(f"accuracy must be a non-negative integer or infinity, got {value!r}")
 
 
+def _check_int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_exponent(k) -> int:
     if type(k) is not int or k < 0:
         raise ValidationError(f"exponent must be a non-negative integer, got {k!r}")
@@ -393,8 +399,6 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         candidates.append(outer.accuracy * v_inner)
     if inner.accuracy != math.inf:
         positive = [k for k in outer.num if k >= 1]
-        if outer.accuracy != math.inf:
-            positive.append(int(outer.accuracy))
         if positive:
             candidates.append(inner.accuracy + (min(positive) - 1) * v_inner)
     acc = min(candidates)
@@ -431,13 +435,12 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return outer._reduced({e: x for e, x in sums.items() if x}, den, acc)
 
 
-def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> TruncatedSeries:
+def series_reverse(g: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse h with g(h) = h(g) = t.
 
     Requires order(g) = 1 with invertible leading coefficient.  An exact
-    c*t reverses to the exact t/c; any other g needs a finite target
-    accuracy (from g or the argument), and below accuracy 2 the reversal
-    is the zero series.
+    c*t reverses to the exact t/c; any other g needs a finite accuracy, so
+    an exact polynomial must be truncated first.
 
     Newton iteration (Brent & Kung, J. ACM 25 (1978)) with h' in place of
     1/g'(h): if h is exact below t^p and g(h) = t + r, then r = O(t^p)
@@ -452,14 +455,11 @@ def series_reverse(g: TruncatedSeries, accuracy: Accuracy | None = None) -> Trun
         )
     if g.order_lower_bound() < 1 or 1 not in g.num:
         raise ValidationError("series must have order exactly 1 to be reversed")
-    acc = g.accuracy if accuracy is None else min(g.accuracy, _check_accuracy(accuracy))
+    acc = g.accuracy  # at least 2, as g has a t^1 term
     if acc == math.inf:
         if len(g.num) == 1:
             return TruncatedSeries({1: 1 / g._get(1)}, math.inf)
-        raise ValidationError("reversal of an exact polynomial needs an explicit finite accuracy")
-    if acc <= 1:
-        return TruncatedSeries.zero(acc)
-    g = g.truncate(acc)
+        raise ValidationError("reversal of an exact polynomial needs a finite accuracy; truncate first")
     h = TruncatedSeries({1: 1 / g._get(1)}, 2)
     precision = 2
     while precision < acc:

@@ -10,8 +10,6 @@ from legcurve import cli
 from legcurve.cli import _join_expression_flags, main
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
-from legcurve.errors import ValidationError
-from legcurve.expansion import ExpansionContext
 from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup
 
@@ -304,16 +302,12 @@ def test_upsilon_rejects_n_2_naming_the_plane_conductor(capsys, check):
         )
 
 
-def test_det_invariance_rejects_a_cutoff_below_m_plus_2(monkeypatch):
-    """No family fits below m + 2; the check must fail before drawing one,
-    so a draw (which could never succeed) fails this test instead of hanging."""
-
-    def no_draw(seed, trial):
-        raise AssertionError("drew a family for a cutoff no family fits")
-
-    monkeypatch.setattr(cli, "trial_rng", no_draw)
-    with pytest.raises(ValidationError, match=r"cutoff of at least m \+ 2 = 6, got 5"):
-        cli._check_det_invariance(ExpansionContext(3, 4, cutoff=5), 0)
+@pytest.mark.parametrize("check, checked", [("direct-vs-closed", 22), ("mu-derivative", 4), ("det-invariance", 50)])
+def test_upsilon_passes_at_3_4_where_the_cutoff_is_m_plus_2(capsys, check, checked):
+    # the plane conductor (n-1)(m-1) = 6 is the least cutoff any type with n >= 3 has
+    code, out, _ = run(capsys, ["upsilon", "3", "4", "--check", check, "--json"])
+    report = json.loads(out)
+    assert (code, report["pass"], report["checked"]) == (0, True, checked)
 
 
 def test_upsilon_pass_json_exits_0(capsys):

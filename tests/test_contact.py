@@ -80,6 +80,22 @@ def test_identity_and_homothety_verify():
         homothety(3, 10, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: homothety(3, 10, True, 2), True),
+        (lambda: homothety(3, 10, "2", 1), "2"),
+        (lambda: homothety(3, 10, 2, 0.5), 0.5),
+        (lambda: linear_symplectic(3, 10, "1", 0, 0, 1), "1"),
+        (lambda: linear_symplectic(3, 10, 1, 0, 0, True), True),
+    ],
+    ids=["homothety-bool", "homothety-str", "homothety-float", "symplectic-str", "symplectic-bool"],
+)
+def test_a_linear_factor_that_is_not_rational_is_named(call, value):
+    with pytest.raises(ValidationError, match=f"coefficient {re.escape(repr(value))} is not rational"):
+        call()
+
+
 def test_legendre_passes_and_squares_to_minus_one():
     leg = legendre_transformation(3, 10)
     check = verify_contact(leg)
@@ -169,7 +185,7 @@ def _reference_solve_contact(alpha, beta0, accuracy):
     def u_part(s):
         return a_part(s).partial("x") + a_part(s - 1).partial("y")
 
-    unit_inv = invert_unit(Germ.constant(w, 1) + a_part(0).partial("x"), target)
+    unit_inv = invert_unit((Germ.constant(w, 1) + a_part(0).partial("x")).truncate(target))
     parts_b = {0: beta0}
     k = 0
     while (k + 1) * wp < target:
@@ -188,7 +204,7 @@ def _reference_solve_contact(alpha, beta0, accuracy):
     d_x = alpha.partial("x")
     d_y = alpha.partial("y")
     full_unit = Germ.constant(w, 1) + d_x + p * d_y
-    gamma = invert_unit(full_unit, target) * (
+    gamma = invert_unit(full_unit.truncate(target)) * (
         beta.partial("x") + p * (beta.partial("y") - d_x - p * d_y)
     )
     result = ContactMap(alpha.truncate(target), beta, gamma.truncate(target))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legcurve import moduli
-from legcurve.contact import act_on_curve
+from legcurve.contact import act_on_curve, homothety
 from legcurve.curves import PlaneCurveGerm
 from legcurve.cyclotomic import Cyclotomic
 from legcurve.documents import load_curve
@@ -298,6 +298,20 @@ def test_orbit_equivalence_agrees_with_canonical_points_and_rotation(data):
     expected = {i: Cyclotomic.from_rational(n, v) for i, v in second.items()}
     matches = [k for k in range(n) if rotate_point(first, n, m, k) == expected]
     assert (verdict, witness) == ((True, matches[0]) if matches else (False, None))
+
+
+@pytest.mark.parametrize("lam", [8, Fraction(1, 27), -1, -8])
+def test_equivalence_divides_out_only_maps_with_linear_x_coefficient_1(lam):
+    # x -> lam*x is a contact map outside the group divided out: it moves
+    # a_11 relative to a_10, so c1 and its image are not equivalent, while
+    # the verdicts among images of one such map are those of the originals
+    c1 = PlaneCurveGerm(3, {10: 1, 11: 1}, 40)
+    c2 = PlaneCurveGerm(3, {10: 1, 11: 2}, 40)
+    c3 = act_on_curve(random_tangent_transform(3, 10, trial_rng(0, 1), 40), c1)
+    assert (equivalent_curves(c1, c2)[0], equivalent_curves(c1, c3)[0]) == (False, True)
+    d1, d2, d3 = (act_on_curve(homothety(3, 10, lam, 1), c) for c in (c1, c2, c3))
+    assert (equivalent_curves(d1, d2)[0], equivalent_curves(d1, d3)[0]) == (False, True)
+    assert equivalent_curves(c1, d1) == (False, None)
 
 
 def test_equivalent_curves():

@@ -15,9 +15,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from legcurve.contact import forget_transform
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from legcurve.germs import Germ, contact_weights, evaluate_on_series
+from legcurve.moduli import canonical_point, orbit_equivalent, rotate_point
 from legcurve.oracle import (
     ConormalOracle,
     conormal_semigroup,
@@ -25,7 +27,7 @@ from legcurve.oracle import (
     realize_order,
 )
 from legcurve.sampling import random_curve, trial_rng
-from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup
+from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup, weighted_monomial_count
 from legcurve.series import TruncatedSeries
 
 
@@ -427,3 +429,32 @@ def test_monomials_must_be_triples_of_non_negative_ints(monomial):
         oracle.restriction(monomial)
     with pytest.raises(ValidationError, match=message):
         ConormalOracle(curve, 12, [(0, 1, 0), monomial])
+
+
+INTEGER_ARGUMENT_CURVE = PlaneCurveGerm(3, {10: 1, 11: 1}, 30)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: realize_order(INTEGER_ARGUMENT_CURVE, 10.5), "order must be an integer, got 10.5"),
+        (lambda: realize_order(INTEGER_ARGUMENT_CURVE, "10"), "order must be an integer, got '10'"),
+        (lambda: realize_order(INTEGER_ARGUMENT_CURVE, True), "order must be an integer, got True"),
+        (lambda: forget_transform(INTEGER_ARGUMENT_CURVE, 11.0, 1, accuracy=25), "order must be an integer, got 11.0"),
+        (lambda: monomials_in_valuation_range(3, 10, 0, 10.5), "high must be an integer, got 10.5"),
+        (lambda: weighted_monomial_count(10.5, 3, 10), "value must be an integer, got 10.5"),
+        (lambda: rotate_point({11: 1}, 3, 10, 1.5), "rotation exponent k must be an integer, got 1.5"),
+        (lambda: canonical_point({11: 1}, 3, "10"), "m must be an integer greater than n = 3, got '10'"),
+        (lambda: orbit_equivalent({11: 1}, {11: 1}, 3, 10.5), "m must be an integer greater than n = 3, got 10.5"),
+        (lambda: INTEGER_ARGUMENT_CURVE.truncate("20"),
+         "accuracy must be a non-negative integer or infinity, got '20'"),
+        (lambda: INTEGER_ARGUMENT_CURVE.as_polynomial("x"),
+         "accuracy must be a non-negative integer or infinity, got 'x'"),
+    ],
+    ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
+         "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial"],
+)
+def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -1,6 +1,7 @@
 """Numerical semigroups and the descent that produces the generic one."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,13 @@ def test_semigroup_containers():
     assert s.members_below(10) == [0, 3, 6, 7, 9]
     assert s.multiplicity() == 3
     assert s.genus() == 5
+
+
+def test_a_non_integral_number_is_not_a_member():
+    # as with range: 2.5 in range(10) is False, 9.0 in range(10) is True
+    s = generic_semigroup(3, 10)
+    assert 9.0 in s and 9 in s
+    assert 2.5 not in s and Fraction(21, 2) not in s and 1000.5 not in s
 
 
 @pytest.mark.parametrize("n, m", [(2, 5), (3, 10), (3, 14), (4, 11), (5, 12), (6, 25), (7, 16)])
