@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import chain
 
 from .curves import PlaneCurveGerm, reparametrize
-from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError
+from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError, _check_accuracy, _check_rational
 from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
-from .series import _check_accuracy, _check_rational
 
 X_MONO = (1, 0, 0)
 Y_MONO = (0, 1, 0)

@@ -13,28 +13,14 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ContactDefectError, ValidationError
-from .series import (Accuracy, TruncatedSeries, _check_accuracy, _check_root_index, series_compose,
-                     series_nth_root, series_reverse)
+from .errors import ContactDefectError, ValidationError, _check_accuracy, _check_int, _check_type
+from .series import Accuracy, TruncatedSeries, series_compose, series_nth_root, series_reverse
 
 
 def default_accuracy(n: int, m: int) -> int:
     """Conductor of the plane semigroup <n, m>, raised just enough to keep
     the leading y-coefficient for very small types."""
     return max((n - 1) * (m - 1), m + 1)
-
-
-def _check_type(n, m=None) -> None:
-    """The one check of a type (n, m): n is an ``int`` at least 2, m an
-    ``int`` greater than n and gcd(n, m) = 1.  With m None, n alone."""
-    if type(n) is not int or n < 2:
-        raise ValidationError(f"multiplicity n must be an integer at least 2, got {n!r}")
-    if m is None:
-        return
-    if type(m) is not int or m <= n:
-        raise ValidationError(f"m must be an integer greater than n = {n}, got {m!r}")
-    if math.gcd(n, m) != 1:
-        raise ValidationError(f"(n, m) = ({n}, {m}) must be coprime")
 
 
 def _chart_order(n: int, y: TruncatedSeries) -> int:
@@ -194,7 +180,7 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
 
 def integer_nth_root(value: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer for an ``int`` n >= 1, or None."""
-    _check_root_index(n)
+    _check_int(n, "root index", 1)
     if value < 0:
         return None
     if value < 2:

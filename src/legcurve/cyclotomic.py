@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContactDefectError, ValidationError
+from .errors import ContactDefectError, ValidationError, _check_int
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -39,7 +39,7 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
     return quot, num
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # True must not hit 1
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial.
 
@@ -50,8 +50,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(6)
     (1, -1, 1)
     """
-    if n < 1:
-        raise ValidationError("n must be positive")
+    _check_int(n, "n", 1)
     num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -91,9 +90,8 @@ class Cyclotomic:
         >>> Cyclotomic.zeta(3, 3) == Cyclotomic.from_rational(3, 1)
         True
         """
-        power %= n
-        raw = [Fraction(0)] * power + [Fraction(1)]
         modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
+        raw = [Fraction(0)] * (_check_int(power, "power") % n) + [Fraction(1)]
         _, rem = _poly_divmod(raw, modulus)
         degree = len(modulus) - 1
         return Cyclotomic(n, tuple(rem + [Fraction(0)] * (degree - len(rem))))

@@ -26,12 +26,22 @@ import itertools
 import math
 from fractions import Fraction
 
-from .curves import _check_type
-from .errors import ValidationError
+from .errors import ValidationError, _check_int, _check_type
 from .sympoly import Poly, _sum_of_products, pack, unpack
 
 CUTOFF_CAP = 40
 DIMENSION_CAP = 6
+
+
+def _check_index(index) -> tuple[int, int, int]:
+    """A monomial index (i, j, l): i an ``int``, j and l non-negative ``int``s."""
+    i, j, l = index
+    # tested inline, as every memo lookup passes here; _check_int only names the fault
+    if type(i) is not int or type(j) is not int or type(l) is not int or j < 0 or l < 0:
+        _check_int(i, "x exponent i")
+        _check_int(j, "y exponent j", 0)
+        _check_int(l, "p exponent l", 0)
+    return i, j, l
 
 
 class ExpansionContext:
@@ -97,12 +107,9 @@ class ExpansionContext:
 
     def monomial_series(self, index: tuple[int, int, int]) -> dict[int, Poly]:
         """t-expansion of x^i y^j p~^l below the cutoff (exponent -> Poly)."""
-        index = tuple(index)
+        index = i, j, l = _check_index(index)
         if index in self._series_memo:
             return self._series_memo[index]
-        i, j, l = index
-        if j < 0 or l < 0:
-            raise ValidationError("y and p exponents must be non-negative")
         series = self._power(j, l, self.cutoff - self.n * i)
         shifted = {e + self.n * i: c for e, c in series.items() if e + self.n * i < self.cutoff}
         if any(e < 0 for e in shifted):
@@ -115,7 +122,7 @@ class ExpansionContext:
 
     def entry(self, index: tuple[int, int, int], k: int) -> Poly:
         """Coefficient of t^k in the expansion of x^i y^j p~^l."""
-        if not (0 <= k < self.cutoff):
+        if not (0 <= _check_int(k, "column k") < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
         return self.monomial_series(index).get(k) or Poly.const(self.gens, 0)
 
@@ -128,11 +135,9 @@ class ExpansionContext:
         the multinomial j! l! / ((alpha-gamma)! gamma!) times
         prod a_s^alpha_s * prod (mu + s - m)^gamma_s.
         """
-        i, j, l = index
-        if not (0 <= k < self.cutoff):
+        i, j, l = _check_index(index)
+        if not (0 <= _check_int(k, "column k") < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
-        if j < 0 or l < 0:
-            raise ValidationError("y and p exponents must be non-negative")
         # the lowest term mu^l a_m^(j+l) t^(n*i + m*j + (m-n)*l) never cancels
         if self.n * i + self.m * j + (self.m - self.n) * l < 0:
             raise ValidationError(f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
@@ -180,7 +185,8 @@ class ExpansionContext:
     def family_indices(self, q: int, count: int) -> list[tuple[int, int, int]]:
         """The count+1 monomial indices (q+l, count-l, l) sharing the weighted
         valuation n*q + m*count."""
-        if count < 0:
+        _check_int(q, "q")
+        if _check_int(count, "family size") < 0:
             raise ValidationError("family size must be non-negative")
         if self.n * q + self.m * count < 0:
             raise ValidationError("family valuation must be non-negative")
@@ -202,7 +208,7 @@ class ExpansionContext:
             rows = list(range(count + 1))
         matrix = []
         for l in rows:
-            if not (0 <= l <= count):
+            if not (0 <= _check_int(l, "row") <= count):
                 raise ValidationError(f"row {l} outside the family 0..{count}")
             row = [self.entry(indices[l], k) for k in columns]
             if mu_value is not None:
@@ -235,7 +241,7 @@ class ExpansionContext:
     def minor_survives_twist(self, low: int, count: int, q: int, columns: list[int]) -> bool:
         """Determinant of family rows low..count on the given columns: accept
         when it is the zero polynomial or does not vanish at mu = m."""
-        if not (0 <= low <= count):
+        if not (0 <= _check_int(low, "low") <= count):
             raise ValidationError(f"need 0 <= {low} <= {count}")
         if len(columns) != count - low + 1:
             raise ValidationError(

@@ -42,9 +42,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .curves import _check_type
-from .errors import InsufficientPrecisionError, ValidationError
-from .series import Accuracy, TruncatedSeries, _check_accuracy, _check_int, _Truncated
+from .errors import InsufficientPrecisionError, ValidationError, _check_accuracy, _check_int, _check_type
+from .series import Accuracy, TruncatedSeries, _Truncated
 
 Monomial = tuple[int, int, int]
 AXES = ("x", "y", "p")
@@ -219,6 +218,9 @@ class Germ(_Truncated):
         coeffs: dict[Monomial, object] = {}
         acc: Accuracy = math.inf
         for l, part in parts.items():
+            _check_int(l, "p-degree", 0)
+            if not isinstance(part, Germ):
+                raise ValidationError(f"p-part {l} must be a Germ, got {part!r}")
             if part.weights != weights:
                 raise ValidationError(f"p-part {l} has weights {part.weights}, not {weights}")
             acc = min(acc, part.accuracy + l * wp)

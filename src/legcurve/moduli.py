@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import act_on_curve, forget_transform
-from .curves import PlaneCurveGerm, _check_type, default_accuracy
+from .curves import PlaneCurveGerm, default_accuracy
 from .cyclotomic import Cyclotomic
-from .errors import ContactDefectError, InsufficientPrecisionError, NonGenericCurveError
+from .errors import (ContactDefectError, InsufficientPrecisionError, NonGenericCurveError, _check_int, _check_rational,
+                     _check_type)
 from .oracle import conormal_semigroup
 from .semigroups import free_indices, generic_semigroup, try_s_invariant
-from .series import TruncatedSeries, _check_int, _check_rational
+from .series import TruncatedSeries
 
 
 def is_generic(curve: PlaneCurveGerm) -> bool:

@@ -28,10 +28,10 @@ import math
 from fractions import Fraction
 
 from .curves import PlaneCurveGerm
-from .errors import InsufficientPrecisionError, NotRealizableError, ValidationError
+from .errors import InsufficientPrecisionError, NotRealizableError, _check_int
 from .germs import Germ, Monomial, _powers, check_monomial, contact_weights, monomials_in_valuation_range
 from .semigroups import NumericalSemigroup
-from .series import TruncatedSeries, _check_int
+from .series import TruncatedSeries
 
 
 class EchelonRow:
@@ -74,9 +74,7 @@ class ConormalOracle:
             # above this everything is an order of a pure monomial in x, p;
             # at least 1, so that order 0 is counted when m = n+1
             bound = max((n - 1) * (m - n - 1), 1)
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-            raise ValidationError(f"oracle bound must be a positive integer, got {bound!r}")
-        if curve.accuracy < bound + n:
+        if curve.accuracy < _check_int(bound, "oracle bound", 1) + n:
             raise InsufficientPrecisionError(
                 f"curve accuracy {curve.accuracy} cannot certify restriction "
                 f"orders below {bound}; need at least {bound + n}"

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import _check_type
-from .errors import ContactDefectError, ValidationError
+from .errors import ContactDefectError, ValidationError, _check_int, _check_type
 from .germs import monomials_in_valuation_range
-from .series import _check_int
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,9 @@ class NumericalSemigroup:
     gaps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.conductor < 0:
-            raise ValidationError("conductor must be non-negative")
+        _check_int(self.conductor, "conductor", 0)
+        for gap in self.gaps:
+            _check_int(gap, "gap")
         if list(self.gaps) != sorted(set(self.gaps)):
             raise ValidationError("gaps must be strictly increasing")
         if any(g <= 0 or g >= self.conductor for g in self.gaps):
@@ -190,9 +189,7 @@ def moduli_dimension(n: int, m: int) -> int:
     """Dimension of the moduli space of generic curves of type (n, m) up to
     contact maps whose linear x-coefficient is 1 and t -> zeta*t: the
     number of free coordinates of the short form."""
-    semigroup = generic_semigroup(n, m)
-    high_gaps = [g for g in semigroup.gaps if g >= m]
-    return len(high_gaps) + (1 if try_s_invariant(n, m) is not None else 0)
+    return len(free_indices(n, m))
 
 
 def free_indices(n: int, m: int) -> tuple[int, ...]:

@@ -43,40 +43,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import InsufficientPrecisionError, ValidationError
+from .errors import InsufficientPrecisionError, ValidationError, _check_accuracy, _check_int, _check_rational
 
 Accuracy = int | float  # int, or math.inf for exact data
-
-
-def _check_accuracy(value: Accuracy) -> Accuracy:
-    if value == math.inf:
-        return math.inf
-    if type(value) is int and value >= 0:
-        return value
-    raise ValidationError(f"accuracy must be a non-negative integer or infinity, got {value!r}")
-
-
-def _check_int(value, name: str) -> int:
-    if type(value) is not int:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _check_exponent(k) -> int:
-    if type(k) is not int or k < 0:
-        raise ValidationError(f"exponent must be a non-negative integer, got {k!r}")
-    return k
-
-
-def _check_root_index(n) -> None:
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"root index must be a positive integer, got {n!r}")
-
-
-def _check_rational(value):
-    if type(value) is bool or not isinstance(value, (int, Fraction)):
-        raise ValidationError(f"coefficient {value!r} is not rational")
-    return value
 
 
 def _convolve(left_terms: list, right_terms: list, bound: Accuracy, sums: dict, factor: int = 1) -> dict:
@@ -313,7 +282,7 @@ class TruncatedSeries(_Truncated):
 
     def __init__(self, coeffs: Mapping[int, object], accuracy: Accuracy):
         self.accuracy = _check_accuracy(accuracy)
-        self._store(coeffs, _check_exponent)
+        self._store(coeffs, lambda k: _check_int(k, "exponent", 0))
 
     # -- constructors ----------------------------------------------------
 
@@ -325,13 +294,13 @@ class TruncatedSeries(_Truncated):
     def monomial(exponent: int, coefficient: object = 1, accuracy: Accuracy = math.inf) -> "TruncatedSeries":
         out = object.__new__(TruncatedSeries)
         out.accuracy = _check_accuracy(accuracy)
-        out._store_term(_check_exponent(exponent), coefficient)
+        out._store_term(_check_int(exponent, "exponent", 0), coefficient)
         return out
 
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, k: int) -> Fraction:
-        if _check_exponent(k) >= self.accuracy:
+        if _check_int(k, "exponent", 0) >= self.accuracy:
             raise InsufficientPrecisionError(
                 f"coefficient of t^{k} requested but series is only exact below t^{self.accuracy}"
             )
@@ -356,8 +325,7 @@ class TruncatedSeries(_Truncated):
 
     def shift(self, offset: int) -> "TruncatedSeries":
         """Multiply by t^offset; offset may be negative if no exponent drops below zero."""
-        if type(offset) is not int:
-            raise ValidationError(f"shift offset must be an integer, got {offset!r}")
+        _check_int(offset, "shift offset")
         if self.num and min(self.num) + offset < 0:
             raise ValidationError("shift would create negative exponents")
         acc = self.accuracy if self.accuracy == math.inf else max(self.accuracy + offset, 0)
@@ -475,7 +443,7 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """The n-th root f^(1/n) with constant term 1 of a unit series
     f = 1 + ..., by ``_unit_power``; an exact f other than 1 must be
     truncated first."""
-    _check_root_index(n)
+    _check_int(n, "root index", 1)
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
     if f._get(0) != 1:

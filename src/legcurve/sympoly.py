@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_rational
 
 Exponents = tuple[int, ...]
 Coefficient = Fraction | int
@@ -77,8 +77,7 @@ class Poly:
         for e, c in terms.items():
             if type(e) is not int or not 0 <= e < limit or e & guard:
                 raise ValidationError(f"{e!r} is not a packed exponent key over {len(gens)} generators")
-            if type(c) is bool or not isinstance(c, (int, Fraction)):
-                raise ValidationError(f"coefficient {c!r} is not rational")
+            _check_rational(c)
         self.gens = gens
         self.terms: dict[int, Coefficient] = {e: c for e, c in terms.items() if c}
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from legcurve.contact import forget_transform
 from legcurve.curves import PlaneCurveGerm
+from legcurve.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
+from legcurve.expansion import ExpansionContext
 from legcurve.germs import Germ, contact_weights, evaluate_on_series
 from legcurve.moduli import canonical_point, orbit_equivalent, rotate_point
 from legcurve.oracle import (
@@ -434,6 +436,12 @@ def test_monomials_must_be_triples_of_non_negative_ints(monomial):
 INTEGER_ARGUMENT_CURVE = PlaneCurveGerm(3, {10: 1, 11: 1}, 30)
 
 
+def _after_cached_y(ctx):
+    # (0, 1.0, 0) == (0, 1, 0), so a check after the memo lookup would return the cached y
+    ctx.monomial_series((0, 1, 0))
+    return ctx
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -450,9 +458,40 @@ INTEGER_ARGUMENT_CURVE = PlaneCurveGerm(3, {10: 1, 11: 1}, 30)
          "accuracy must be a non-negative integer or infinity, got '20'"),
         (lambda: INTEGER_ARGUMENT_CURVE.as_polynomial("x"),
          "accuracy must be a non-negative integer or infinity, got 'x'"),
+        (lambda: NumericalSemigroup.from_gaps([1.5]), "conductor must be a non-negative integer, got 2.5"),
+        (lambda: NumericalSemigroup(-1, ()), "conductor must be a non-negative integer, got -1"),
+        (lambda: NumericalSemigroup.from_gaps([1.0, 2]), "gap must be an integer, got 1.0"),
+        (lambda: ExpansionContext(3, 10).entry((0, 1, 0), 10.5), "column k must be an integer, got 10.5"),
+        (lambda: ExpansionContext(3, 10).entry_closed_form((0.5, 1, 0), 10), "x exponent i must be an integer, got 0.5"),
+        (lambda: ExpansionContext(3, 10).entry_closed_form((0, 1, -1), 10),
+         "p exponent l must be a non-negative integer, got -1"),
+        (lambda: ExpansionContext(3, 10).monomial_series((0, 1.0, 0)),
+         "y exponent j must be a non-negative integer, got 1.0"),
+        (lambda: _after_cached_y(ExpansionContext(3, 10)).monomial_series((0, 1.0, 0)),
+         "y exponent j must be a non-negative integer, got 1.0"),
+        (lambda: ExpansionContext(3, 10).monomial_series((0, -1, 0)),
+         "y exponent j must be a non-negative integer, got -1"),
+        (lambda: ExpansionContext(3, 10).family_indices(1.5, 2), "q must be an integer, got 1.5"),
+        (lambda: ExpansionContext(3, 10).family_indices(1, 2.0), "family size must be an integer, got 2.0"),
+        (lambda: ExpansionContext(3, 10).family_matrix(1, 2, [10], rows=[0.5]), "row must be an integer, got 0.5"),
+        (lambda: ExpansionContext(3, 10).minor_survives_twist(0.5, 1, 1, [10]), "low must be an integer, got 0.5"),
+        (lambda: Germ.from_p_parts((3, 10, 7), {0: 5}), "p-part 0 must be a Germ, got 5"),
+        (lambda: Germ.from_p_parts((3, 10, 7), {0.5: Germ.zero((3, 10, 7))}),
+         "p-degree must be a non-negative integer, got 0.5"),
+        (lambda: Germ.from_p_parts((3, 10, 7), {True: Germ.zero((3, 10, 7))}),
+         "p-degree must be a non-negative integer, got True"),
+        (lambda: cyclotomic_polynomial(3.0), "n must be a positive integer, got 3.0"),
+        (lambda: (cyclotomic_polynomial(1), cyclotomic_polynomial(True)), "n must be a positive integer, got True"),
+        (lambda: Cyclotomic.zeta(2.5), "n must be a positive integer, got 2.5"),
+        (lambda: Cyclotomic.zeta(4, 1.5), "power must be an integer, got 1.5"),
+        (lambda: Cyclotomic.from_rational(4.0, 1), "n must be a positive integer, got 4.0"),
     ],
     ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
-         "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial"],
+         "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial",
+         "conductor-float", "conductor-negative", "gap-float", "entry-column", "closed-form-i", "closed-form-l",
+         "series-j", "series-j-cached", "series-j-negative", "family-q", "family-size", "family-row", "minor-low",
+         "p-part-value", "p-degree-float", "p-degree-bool", "cyclotomic-float", "cyclotomic-bool-cached",
+         "zeta-n", "zeta-power", "from-rational-n"],
 )
 def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
     with pytest.raises(ValidationError) as excinfo:

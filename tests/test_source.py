@@ -35,3 +35,19 @@ def test_every_exported_name_resolves_once():
     names = legcurve.__all__
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     assert [n for n in names if not hasattr(legcurve, n)] == []
+
+
+def test_the_argument_checks_live_in_errors_alone():
+    # one definition of each rule; the symbolic layer reaches the type check without the numeric one
+    checks = {"_check_int", "_check_rational", "_check_accuracy", "_check_type"}
+    defined, curves_imports = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in checks:
+                defined.append((node.name, path.name))
+            if path.name in {"germs.py", "semigroups.py", "expansion.py"} and isinstance(node, ast.ImportFrom):
+                if node.module == "curves":
+                    curves_imports.append(f"{path.name}:{node.lineno}")
+    assert sorted(defined) == sorted((name, "errors.py") for name in checks)
+    assert curves_imports == []
