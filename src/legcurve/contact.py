@@ -19,7 +19,7 @@ from itertools import chain
 
 from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError, _check_accuracy, _check_rational
-from .germs import Germ, contact_weights, evaluate_on_series, invert_unit, substitute
+from .germs import Germ, _substitute, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
 
 X_MONO = (1, 0, 0)
@@ -378,10 +378,10 @@ def decompose_triangular(phi: ContactMap) -> TriangularDecomposition:
 def act_on_curve(phi: ContactMap, curve: PlaneCurveGerm) -> PlaneCurveGerm:
     """The image of the curve under the map, back in the chart x = t^n.
 
-    Restricts x + alpha and y + beta to the conormal lift of the curve and
-    hands the moved pair to ``reparametrize``, which renormalizes it: the
-    moved x-series must keep order n, and its leading coefficient must
-    admit an exact rational n-th root.
+    Restricts alpha and beta to the conormal lift of the curve through one
+    table of powers (``germs._substitute``) and hands x + alpha, y + beta to
+    ``reparametrize``, which renormalizes them: the moved x-series must keep
+    order n, and its leading coefficient must admit an exact rational n-th root.
     """
     n, m = curve.n, curve.m
     if phi.weights != contact_weights(n, m):
@@ -389,9 +389,8 @@ def act_on_curve(phi: ContactMap, curve: PlaneCurveGerm) -> PlaneCurveGerm:
             f"map built for weights {phi.weights} cannot act on a curve of type ({n}, {m})"
         )
     X, Y, P = curve.triple()
-    x_new = X + evaluate_on_series(phi.alpha, X, Y, P)
-    y_new = Y + evaluate_on_series(phi.beta, X, Y, P)
-    return reparametrize(x_new, y_new, n)
+    alpha, beta = _substitute((phi.alpha, phi.beta), (X, Y, P), n)
+    return reparametrize(X + alpha, Y + beta, n)
 
 
 def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) -> ContactMap:

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContactDefectError, ValidationError, _check_int
+from .errors import ContactDefectError, ValidationError, _check_int, _check_rational
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -78,7 +78,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(n: int, value: Fraction | int) -> "Cyclotomic":
         degree = len(cyclotomic_polynomial(n)) - 1
-        coeffs = [Fraction(value)] + [Fraction(0)] * (degree - 1)
+        coeffs = [Fraction(_check_rational(value))] + [Fraction(0)] * (degree - 1)
         return Cyclotomic(n, tuple(coeffs))
 
     @staticmethod

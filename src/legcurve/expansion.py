@@ -35,7 +35,10 @@ DIMENSION_CAP = 6
 
 def _check_index(index) -> tuple[int, int, int]:
     """A monomial index (i, j, l): i an ``int``, j and l non-negative ``int``s."""
-    i, j, l = index
+    try:
+        i, j, l = index
+    except (TypeError, ValueError):
+        raise ValidationError(f"monomial index must be a triple (i, j, l), got {index!r}") from None
     # tested inline, as every memo lookup passes here; _check_int only names the fault
     if type(i) is not int or type(j) is not int or type(l) is not int or j < 0 or l < 0:
         _check_int(i, "x exponent i")

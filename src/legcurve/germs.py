@@ -17,12 +17,13 @@ come in (w, i, j, l) order.  ``partial`` and ``p_parts`` subtract from the
 keys.  The layout stays in this module: ``Germ(...)``, ``coefficient``,
 ``items`` and ``coeffs`` take and give monomial triples and ``Fraction``s.
 
-One table of monomial powers, ``_powers``, serves ``substitute``, the
-restriction ``evaluate_on_series`` to a curve in the chart x = t^n, and
-``ConormalOracle``'s restriction of one monomial at a time.  One sum,
-``_substitute``, serves the first two: it adds every term of a germ times
-its table entry (in the chart, that of y^j p^l shifted by n*i) into one
-numerator dict and reduces the sum once.
+One table of monomial powers, ``_powers``, each entry formed only below the
+table's bound, serves ``substitute``, the restriction ``evaluate_on_series``
+to a curve in the chart x = t^n, and ``ConormalOracle``'s restriction of one
+monomial at a time.  One sum, ``_substitute``, serves the first two and
+``contact.act_on_curve``, which restricts two germs through one table: it
+adds every term of a germ times its table entry (in the chart, that of
+y^j p^l shifted by n*i) into one numerator dict and reduces the sum once.
 
 Inputs are validated where they enter: ``Germ(...)`` checks the weights
 (a tuple of three ``int``s of at least 1, not ``bool``s), the accuracy,
@@ -237,7 +238,8 @@ class Germ(_Truncated):
 def invert_unit(g: Germ) -> Germ:
     """Inverse of a germ with invertible value at the origin; one that is
     not constant needs a finite accuracy, so an exact germ must be
-    truncated first."""
+    truncated first.  The powers w^k of w = 1 - g/g(0) with k*ord(w) below
+    the accuracy, each one product bounded there, sum to g(0) / g."""
     if g.in_maximal_ideal():
         raise ValidationError("germ vanishes at the origin; it is not a unit")
     acc = g.accuracy
@@ -249,16 +251,11 @@ def invert_unit(g: Germ) -> Germ:
     if acc == math.inf:
         raise ValidationError("inverting a non-constant unit needs a finite accuracy; truncate first")
     w = rest.scale(-inv_c0)
-    result = Germ.constant(g.weights, 1, acc)
-    power = Germ.constant(g.weights, 1, acc)
-    v = w.valuation_lower_bound()  # at least 1, as w has no constant term
-    k = 1
-    while k * v < acc:
-        power = (power * w).truncate(acc)
-        if power.is_zero():
-            break
+    zero = Germ.zero(g.weights, acc)
+    result = power = Germ.constant(g.weights, 1, acc)
+    for _ in range((acc - 1) // w.valuation_lower_bound()):
+        power = zero._accumulate(((1, power, w),))
         result = result + power
-        k += 1
     return result.scale(inv_c0)
 
 
@@ -286,8 +283,9 @@ def _powers(values, bound: Accuracy):
     """The map x^i y^j p^l -> a^i b^j c^l below ``bound`` for three values
     (a, b, c), all series or all germs.  A table keyed by monomial holds 1, a,
     b and c; each missing entry is one product of a smaller entry with one
-    value, lowering l first, then j, then i; all are truncated at the bound."""
+    value, lowering l first, then j, then i, formed only below the bound."""
     values = [value.truncate(bound) for value in values]
+    zero = values[0]._unchecked({}, 1, bound)
     one = values[0]._unchecked({0: 1} if bound else {}, 1, bound)  # canonical at bound 0 too
     table = {(0, 0, 0): one, (1, 0, 0): values[0], (0, 1, 0): values[1], (0, 0, 1): values[2]}
 
@@ -299,36 +297,41 @@ def _powers(values, bound: Accuracy):
             missing.append((key, smaller, axis))
             key = smaller
         for key, smaller, axis in reversed(missing):
-            table[key] = (table[smaller] * values[axis]).truncate(bound)
+            table[key] = zero._accumulate(((1, table[smaller], values[axis]),))
         return table[mono]
 
     return power
 
 
-def _substitute(g: Germ, values, n: int):
-    """g at three values, all germs or all series, below the accuracy that
-    ``_substitution_accuracy`` certifies.  The term c x^i y^j p^l adds c
-    times the ``_powers`` entry of x^i y^j p^l, or with n >= 1 (the chart
-    x = t^n) that of y^j p^l shifted by n*i, into one numerator dict over
-    the lcm of the entry denominators; the sum is reduced once.  Its keys
-    are looked up in ``_Truncated._KEYS``, as products' keys are."""
-    acc = _substitution_accuracy(g, values)
-    power = _powers(values, acc)
-    terms, den = [], 1
-    for key, c in g.num.items():
-        i, j, l = Germ._unpack(key)
-        entry = power((0, j, l) if n else (i, j, l))
-        acc = min(acc, entry.accuracy + n * i)  # the accuracy of the shifted entry
-        terms.append((n * i, c, entry))
-        den = math.lcm(den, entry.den)
-    sums: dict[int, int] = {}
-    for offset, c, entry in terms:
-        c *= den // entry.den
-        for k, v in entry.num.items():
-            k += offset
-            sums[k] = sums.get(k, 0) + c * v
-    bound, shared = acc * (1 << values[0]._SHIFT), _Truncated._KEYS.setdefault
-    return values[0]._reduced({shared(k, k): v for k, v in sums.items() if v and k < bound}, g.den * den, acc)
+def _substitute(germs, values, n: int) -> list:
+    """Each germ at three values, all germs or all series, below the
+    accuracy that ``_substitution_accuracy`` certifies for it, from one
+    ``_powers`` table at the largest of those accuracies.  The term
+    c x^i y^j p^l adds c times the entry of x^i y^j p^l, or with n >= 1
+    (the chart x = t^n) that of y^j p^l shifted by n*i, into one numerator
+    dict over the lcm of the entry denominators; the keys below the germ's
+    accuracy are kept, looked up in ``_Truncated._KEYS``, and reduced once."""
+    accuracies = [_substitution_accuracy(g, values) for g in germs]
+    power = _powers(values, max(accuracies))
+    shared, results = _Truncated._KEYS.setdefault, []
+    for g, acc in zip(germs, accuracies):
+        terms, den = [], 1
+        for key, c in g.num.items():
+            i, j, l = Germ._unpack(key)
+            entry = power((0, j, l) if n else (i, j, l))
+            acc = min(acc, entry.accuracy + n * i)  # the accuracy of the shifted entry
+            terms.append((n * i, c, entry))
+            den = math.lcm(den, entry.den)
+        sums: dict[int, int] = {}
+        for offset, c, entry in terms:
+            c *= den // entry.den
+            for k, v in entry.num.items():
+                k += offset
+                sums[k] = sums.get(k, 0) + c * v
+        bound = acc * (1 << values[0]._SHIFT)
+        kept = {shared(k, k): v for k, v in sums.items() if v and k < bound}
+        results.append(values[0]._reduced(kept, g.den * den, acc))
+    return results
 
 
 def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
@@ -338,7 +341,7 @@ def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
         g._check_ring(value)
         if value.valuation_lower_bound() < 1:
             raise ValidationError("substituted germs must vanish at the origin")
-    return _substitute(g, values, 0)
+    return _substitute((g,), values, 0)[0]
 
 
 def evaluate_on_series(g: Germ, x_series: TruncatedSeries, y_series: TruncatedSeries,
@@ -355,4 +358,4 @@ def evaluate_on_series(g: Germ, x_series: TruncatedSeries, y_series: TruncatedSe
         raise ValidationError(f"evaluate_on_series works in the chart x = t^n, n >= 1; got x = {x_series!r}")
     if min(y_series.order_lower_bound(), p_series.order_lower_bound()) < 1:
         raise ValidationError("triple components must have positive order")
-    return _substitute(g, (x_series, y_series, p_series), n)
+    return _substitute((g,), (x_series, y_series, p_series), n)[0]

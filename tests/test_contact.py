@@ -33,7 +33,7 @@ from legcurve.contact import (
     solve_contact,
     verify_contact,
 )
-from legcurve.curves import PlaneCurveGerm
+from legcurve.curves import PlaneCurveGerm, default_accuracy, reparametrize
 from legcurve.errors import (
     ContactDefectError,
     InsufficientPrecisionError,
@@ -41,13 +41,14 @@ from legcurve.errors import (
     NotRealizableError,
     ValidationError,
 )
-from legcurve.germs import Germ, contact_weights, evaluate_on_series, invert_unit
+from legcurve.germs import Germ, _substitution_accuracy, contact_weights, evaluate_on_series, invert_unit
 from legcurve.oracle import conormal_semigroup, realize_order
 from legcurve.sampling import (
     random_curve,
     random_germ,
     random_solvable_data,
     random_tangent_transform,
+    trial_rng,
 )
 
 W = contact_weights(3, 10)
@@ -392,6 +393,40 @@ def test_act_homothety_rescales_parameter():
     assert moved.coefficients == {10: Fraction(1, 1024), 11: Fraction(1, 2048)}
     with pytest.raises(ValidationError, match="rational root"):
         act_on_curve(homothety(3, 10, 2, 1), curve)
+
+
+def _restricted_one_at_a_time(phi, curve):
+    X, Y, P = curve.triple()
+    return reparametrize(X + evaluate_on_series(phi.alpha, X, Y, P), Y + evaluate_on_series(phi.beta, X, Y, P), curve.n)
+
+
+def _acted(act, phi, curve):
+    try:
+        return act(phi, curve)
+    except LegcurveError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("nm, trial", [((4, 11), 0), ((4, 11), 1), ((5, 12), 0)])
+def test_act_on_curve_equals_the_restrictions_one_at_a_time(nm, trial):
+    """alpha and beta restricted through one power table give the curve that
+    two separate restrictions give, also where their accuracies differ: on a
+    curve of finite accuracy, as in the steps of normal_form, and with beta
+    known to a lower accuracy than alpha."""
+    n, m = nm
+    keep = default_accuracy(n, m)
+    curve = random_curve(n, m, trial_rng(0, trial), spread=5, accuracy=keep)
+    semigroup, unequal = conormal_semigroup(curve), 0
+    for order in range(m + 1, keep):
+        coeff = curve.coefficient(order)
+        if not coeff or order not in semigroup:
+            continue
+        phi = forget_transform(curve, order, -coeff, accuracy=keep)
+        values = curve.triple()
+        unequal += _substitution_accuracy(phi.alpha, values) != _substitution_accuracy(phi.beta, values)
+        for psi in (phi, ContactMap(phi.alpha, phi.beta.truncate(keep - 2 * n), phi.gamma)):
+            assert _acted(act_on_curve, psi, curve) == _acted(_restricted_one_at_a_time, psi, curve)
+    assert unequal
 
 
 def test_act_rejects_chart_leaving_map():

@@ -14,6 +14,7 @@ from legcurve.germs import (
     AXES,
     VALUATION_LIMIT,
     Germ,
+    _powers,
     contact_weights,
     evaluate_on_series,
     invert_unit,
@@ -359,6 +360,36 @@ def test_a_power_of_an_exact_zero_bounds_no_accuracy():
     result = substitute(G({(0, 1, 0): 1, (1, 0, 1): 1}), G({}), G({(0, 0, 1): 1}), G({}, 1))
     assert result == G({(0, 0, 1): 1})
     assert substitute(G({(0, 1, 1): 1}), G({}), G({}), G({}, 1)) == G({})
+
+
+# -- the power table against plain powers --------------------------------------------
+
+# series of positive order, as in the chart x = t^n
+SERIES_VALUES = st.builds(
+    TruncatedSeries,
+    st.dictionaries(st.integers(1, 6), RATIONALS, max_size=3),
+    st.one_of(st.just(math.inf), st.integers(1, 40)),
+)
+# bound 0, bounds among the accuracies, and bounds above every one of them
+TABLE_BOUNDS = st.one_of(st.just(0), st.integers(0, 60), st.just(100), st.just(math.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@example((G({(1, 0, 0): 1}), G({(0, 1, 0): HUGE}, 12), G({}, 5)), 0, [(2, 1, 1)])
+@example((G({}), G({(0, 0, 1): Fraction(1, 3)}), G({(1, 0, 0): 1}, 9)), 100, [(3, 2, 3), (0, 0, 2), (1, 1, 0)])
+@given(
+    st.one_of(st.tuples(VALUES, VALUES, VALUES), st.tuples(SERIES_VALUES, SERIES_VALUES, SERIES_VALUES)),
+    TABLE_BOUNDS,
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=8),
+)
+def test_power_table_entries_equal_truncated_powers(values, bound, monomials):
+    """Every entry, whichever entries were built before it, is the plain
+    power a^i b^j c^l truncated at the bound: the same num, den and accuracy."""
+    power = _powers(values, bound)
+    a, b, c = values
+    for i, j, l in monomials + [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        entry = power((i, j, l))
+        assert entry == (a**i * b**j * c**l).truncate(bound)
 
 
 # -- the unchecked arithmetic path against the public constructor -------------------

@@ -485,13 +485,22 @@ def _after_cached_y(ctx):
         (lambda: Cyclotomic.zeta(2.5), "n must be a positive integer, got 2.5"),
         (lambda: Cyclotomic.zeta(4, 1.5), "power must be an integer, got 1.5"),
         (lambda: Cyclotomic.from_rational(4.0, 1), "n must be a positive integer, got 4.0"),
+        (lambda: ExpansionContext(3, 10).entry((0, 1), 5), "monomial index must be a triple (i, j, l), got (0, 1)"),
+        (lambda: ExpansionContext(3, 10).monomial_series((0, 1)),
+         "monomial index must be a triple (i, j, l), got (0, 1)"),
+        (lambda: ExpansionContext(3, 10).entry_closed_form((0, 1, 0, 0), 5),
+         "monomial index must be a triple (i, j, l), got (0, 1, 0, 0)"),
+        (lambda: Cyclotomic.from_rational(4, 0.5), "coefficient 0.5 is not rational"),
+        (lambda: Cyclotomic.from_rational(4, True), "coefficient True is not rational"),
+        (lambda: Cyclotomic.from_rational(4, "x"), "coefficient 'x' is not rational"),
     ],
     ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
          "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial",
          "conductor-float", "conductor-negative", "gap-float", "entry-column", "closed-form-i", "closed-form-l",
          "series-j", "series-j-cached", "series-j-negative", "family-q", "family-size", "family-row", "minor-low",
          "p-part-value", "p-degree-float", "p-degree-bool", "cyclotomic-float", "cyclotomic-bool-cached",
-         "zeta-n", "zeta-power", "from-rational-n"],
+         "zeta-n", "zeta-power", "from-rational-n", "entry-pair", "series-pair", "closed-form-quadruple",
+         "from-rational-float", "from-rational-bool", "from-rational-str"],
 )
 def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
     with pytest.raises(ValidationError) as excinfo:

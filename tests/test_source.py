@@ -51,3 +51,18 @@ def test_the_argument_checks_live_in_errors_alone():
                     curves_imports.append(f"{path.name}:{node.lineno}")
     assert sorted(defined) == sorted((name, "errors.py") for name in checks)
     assert curves_imports == []
+
+
+def test_no_product_is_truncated_after_it_is_formed():
+    # (f * g).truncate(bound) convolves every term up to the product's own
+    # accuracy and then drops those at or above bound; accumulating onto the
+    # zero of accuracy bound (_Truncated._accumulate) stops at the bound
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "truncate":
+                receiver = node.func.value
+                if isinstance(receiver, ast.BinOp) and isinstance(receiver.op, ast.Mult):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
