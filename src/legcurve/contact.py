@@ -225,7 +225,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     p = Germ.variable(w, "p")
     d_x = alpha.partial("x")
     d_y = alpha.partial("y")
-    full_unit_inv = invert_unit((Germ.constant(w, 1) + d_x + p * d_y).truncate(target))
+    full_unit_inv = invert_unit((Germ.constant(w, 1, target) + d_x)._accumulate(((1, p, d_y),)))
     unit_inv = full_unit_inv.p_parts()[0]
 
     # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
@@ -414,7 +414,7 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     beta0 = b.p_parts().get(0, Germ.zero(b.weights))
     phi = solve_contact(alpha, beta0, accuracy)
     bound = order + 1
-    moved = (phi.beta - Germ.variable(phi.weights, "p") * phi.alpha).truncate(bound)
+    moved = phi.beta.truncate(bound)._accumulate(((-1, Germ.variable(phi.weights, "p"), phi.alpha),))
     shift = evaluate_on_series(moved, *curve.triple())
     if not shift.truncate(order).is_zero() or shift.coefficient(order) != scale:
         raise ContactDefectError(

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ContactDefectError, ValidationError, _check_accuracy, _check_int, _check_type
+from .errors import ContactDefectError, ValidationError, _check_accuracy, _check_int, _check_rational, _check_type
 from .series import Accuracy, TruncatedSeries, series_compose, series_nth_root, series_reverse
 
 
@@ -26,10 +26,10 @@ def default_accuracy(n: int, m: int) -> int:
 def _chart_order(n: int, y: TruncatedSeries) -> int:
     """The y-order m of a curve (t^n, y(t)) in the chart: (n, m) is a type,
     y is non-zero and y is known beyond m."""
-    m = min(y.num, default=None)
-    _check_type(n, m)
-    if m is None:
+    if not y.num:
         raise ValidationError("curve needs at least one non-zero y-coefficient")
+    m = min(y.num)
+    _check_type(n, m)
     if y.accuracy <= m:
         raise ValidationError("accuracy must exceed the y-order m")
     return m
@@ -142,14 +142,14 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
     x must have order n and a leading coefficient c with a rational n-th
     root eta, else ``ValidationError``.  The new parameter is
     s = eta*t*(x/(c*t^n))^(1/n), and the result is y(t(s)) for the reversal
-    t(s); when x = c*t^n below its accuracy A, s = eta*t and t(s) = t/eta
-    are exact.  The result is exact below A - n + k0, k0 the least positive
-    exponent of y (or its accuracy): the general path's composition keeps
-    that bound, and the exact shortcut is capped at it, since an unknown
-    t^A term of x moves y(t(s)) from s^(A - n + k0) on.  One explicit check
-    covers the root, the rescale and the reversal: x(t(s)) = s^n with
-    [s^1] t(s) = 1/eta holds only when t(s) reverses s(t) for the root with
-    constant term 1.
+    t(s).  When x = c*t^n below its accuracy A, s = eta*t below A - n + 1,
+    so t(s) = s/eta known below A - n + 1 needs no root or reversal, and
+    x(t(s)) = s^n there since eta^n = c; ``series_compose`` bounds y(t(s))
+    at A - n + k0, k0 the least positive exponent of y, where an unknown
+    t^A term of x first moves it.  Otherwise one explicit check covers the
+    root, the rescale and the reversal: x(t(s)) = s^n with [s^1] t(s) =
+    1/eta holds only when t(s) reverses s(t) for the root with constant
+    term 1.
     """
     order = x_series.order()
     if order != n:
@@ -161,27 +161,20 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
     if eta is None:
         raise ValidationError(f"cannot renormalize: {lead} admits no exact rational root of degree {n}")
     unit = x_series.shift(-n).scale(1 / lead)
-    exact = unit.num.keys() == {0}  # x = lead*t^n below its accuracy
-    root = TruncatedSeries.monomial(0, 1) if exact else series_nth_root(unit, n)
-    s_of_t = TruncatedSeries.monomial(1, eta) * root
-    if exact and eta == 1:
-        new_y = y_series
+    if unit.num.keys() == {0}:  # x = lead*t^n below its accuracy
+        t_of_s = TruncatedSeries.monomial(1, 1 / eta, x_series.accuracy - n + 1)
     else:
-        t_of_s = series_reverse(s_of_t)
+        t_of_s = series_reverse(TruncatedSeries.monomial(1, eta) * series_nth_root(unit, n))
         x_back = series_compose(x_series, t_of_s)
         if t_of_s.coefficient(1) != 1 / eta or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
             raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
-        new_y = series_compose(y_series, t_of_s)
-    if exact:
-        k0 = min((k for k in y_series.num if k >= 1), default=y_series.accuracy)
-        new_y = new_y.truncate(x_series.accuracy - n + k0)
-    return curve_from_y_series(n, new_y)
+    return curve_from_y_series(n, series_compose(y_series, t_of_s))
 
 
 def integer_nth_root(value: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer for an ``int`` n >= 1, or None."""
     _check_int(n, "root index", 1)
-    if value < 0:
+    if _check_int(value, "radicand") < 0:
         return None
     if value < 2:
         return value
@@ -197,9 +190,10 @@ def integer_nth_root(value: int, n: int) -> int | None:
 
 def rational_nth_root(value: int | Fraction, n: int) -> Fraction | None:
     """Exact rational n-th root, positive sign convention, for an ``int`` n >= 1, or None."""
-    if not isinstance(value, (int, Fraction)):
-        raise ValidationError(f"{value!r} is not rational; no rational root of degree {n}")
-    value = Fraction(value)
+    try:
+        value = Fraction(_check_rational(value))
+    except ValidationError:
+        raise ValidationError(f"{value!r} is not rational; no rational root of degree {n}") from None
     num = integer_nth_root(abs(value.numerator), n)
     den = integer_nth_root(value.denominator, n)
     if num is None or den is None or (value < 0 and n % 2 == 0):

@@ -63,12 +63,10 @@ def _check_accuracy(value):
     raise ValidationError(f"accuracy must be a non-negative integer or infinity, got {value!r}")
 
 
-def _check_type(n, m=None) -> None:
+def _check_type(n, m) -> None:
     """The one check of a type (n, m): n is an ``int`` at least 2, m an
-    ``int`` greater than n and gcd(n, m) = 1.  With m None, n alone."""
+    ``int`` greater than n and gcd(n, m) = 1."""
     _check_int(n, "multiplicity n", 2)
-    if m is None:
-        return
     if type(m) is not int or m <= n:
         raise ValidationError(f"m must be an integer greater than n = {n}, got {m!r}")
     if math.gcd(n, m) != 1:

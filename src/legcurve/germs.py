@@ -24,6 +24,8 @@ monomial at a time.  One sum, ``_substitute``, serves the first two and
 ``contact.act_on_curve``, which restricts two germs through one table: it
 adds every term of a germ times its table entry (in the chart, that of
 y^j p^l shifted by n*i) into one numerator dict and reduces the sum once.
+Its accuracy is read off those entries, as ``_accumulate`` formed them,
+and off the germ's own accuracy; no second rule recomputes it.
 
 Inputs are validated where they enter: ``Germ(...)`` checks the weights
 (a tuple of three ``int``s of at least 1, not ``bool``s), the accuracy,
@@ -262,23 +264,6 @@ def invert_unit(g: Germ) -> Germ:
 # -- substitution -------------------------------------------------------------
 
 
-def _substitution_accuracy(g: Germ, values) -> Accuracy:
-    """Conservative accuracy for g at three values, all series or all germs,
-    from their order lower bounds and accuracies, in the target grading."""
-    orders = [value._weight_lower_bound() for value in values]
-    candidates: list[Accuracy] = [math.inf]
-    if g.accuracy != math.inf:
-        # the least ceil(accuracy * v / w) over the values of finite order v
-        ceilings = [-(-g.accuracy * v // w) for w, v in zip(g.weights, orders) if v != math.inf]
-        candidates.append(min(ceilings, default=g.accuracy))
-    for mono in map(Germ._unpack, g.num):
-        base = sum(e * v for e, v in zip(mono, orders) if e)
-        if base == math.inf:
-            continue  # a positive power of an exact zero is exactly 0
-        candidates += [value.accuracy + base - v for e, v, value in zip(mono, orders, values) if e]
-    return min(candidates)
-
-
 def _powers(values, bound: Accuracy):
     """The map x^i y^j p^l -> a^i b^j c^l below ``bound`` for three values
     (a, b, c), all series or all germs.  A table keyed by monomial holds 1, a,
@@ -304,17 +289,26 @@ def _powers(values, bound: Accuracy):
 
 
 def _substitute(germs, values, n: int) -> list:
-    """Each germ at three values, all germs or all series, below the
-    accuracy that ``_substitution_accuracy`` certifies for it, from one
-    ``_powers`` table at the largest of those accuracies.  The term
-    c x^i y^j p^l adds c times the entry of x^i y^j p^l, or with n >= 1
-    (the chart x = t^n) that of y^j p^l shifted by n*i, into one numerator
-    dict over the lcm of the entry denominators; the keys below the germ's
-    accuracy are kept, looked up in ``_Truncated._KEYS``, and reduced once."""
-    accuracies = [_substitution_accuracy(g, values) for g in germs]
-    power = _powers(values, max(accuracies))
+    """Each germ at three values, all germs or all series.  The unknown
+    terms of a germ known below A land at or above its ceiling, the least
+    ceil(A*v/w) over the values of finite order v and their variables'
+    weights w (A when every value is an exact zero, inf for an exact
+    germ); one ``_powers`` table, bounded by the largest ceiling, serves
+    all germs.  The term c x^i y^j p^l adds c times the entry of
+    x^i y^j p^l, or with n >= 1 (the chart x = t^n) that of y^j p^l
+    shifted by n*i, into one numerator dict over the lcm of the entry
+    denominators.  The sum is known below the ceiling and each shifted
+    entry's accuracy; its keys below that are kept, looked up in
+    ``_Truncated._KEYS``, and reduced once."""
+    orders = [value._weight_lower_bound() for value in values]
+    ceilings = [
+        math.inf if g.accuracy == math.inf
+        else min((-(-g.accuracy * v // w) for w, v in zip(g.weights, orders) if v != math.inf), default=g.accuracy)
+        for g in germs
+    ]
+    power = _powers(values, max(ceilings))
     shared, results = _Truncated._KEYS.setdefault, []
-    for g, acc in zip(germs, accuracies):
+    for g, acc in zip(germs, ceilings):
         terms, den = [], 1
         for key, c in g.num.items():
             i, j, l = Germ._unpack(key)
@@ -347,7 +341,7 @@ def substitute(g: Germ, x_value: Germ, y_value: Germ, p_value: Germ) -> Germ:
 def evaluate_on_series(g: Germ, x_series: TruncatedSeries, y_series: TruncatedSeries,
                        p_series: TruncatedSeries) -> TruncatedSeries:
     """Restrict the germ to the curve (t^n, y(t), p(t)), below the accuracy
-    that ``_substitution_accuracy`` certifies.  The chart is x = t^n:
+    that ``_substitute`` reads off its terms.  The chart is x = t^n:
     ``x_series`` must be exactly t^n, n >= 1, of accuracy inf, as in
     ``PlaneCurveGerm.triple()``, or ``ValidationError`` is raised.
 

@@ -91,10 +91,12 @@ class ConormalOracle:
             self._insert(mono)
 
     def restriction(self, monomial: Monomial) -> TruncatedSeries:
-        """ι*(x^i y^j p^l) truncated below the oracle bound: y^j p^l from the
-        oracle's table, shifted by n*i."""
+        """ι*(x^i y^j p^l) truncated below the oracle bound: the table entry
+        of y^j p^l, read once, its exponents shifted by n*i."""
         i, j, l = check_monomial(monomial)
-        return self._power((0, j, l)).shift(self._n * i).truncate(self.bound)
+        entry, offset, bound = self._power((0, j, l)), self._n * i, self.bound
+        shifted = {k + offset: v for k, v in entry.num.items() if k + offset < bound}
+        return entry._reduced(shifted, entry.den, min(bound, entry.accuracy + offset))
 
     def _insert(self, mono: Monomial) -> None:
         # the row is kept up to a non-zero rational factor, as integers: the

@@ -41,7 +41,7 @@ from legcurve.errors import (
     NotRealizableError,
     ValidationError,
 )
-from legcurve.germs import Germ, _substitution_accuracy, contact_weights, evaluate_on_series, invert_unit
+from legcurve.germs import Germ, contact_weights, evaluate_on_series, invert_unit
 from legcurve.oracle import conormal_semigroup, realize_order
 from legcurve.sampling import (
     random_curve,
@@ -423,7 +423,7 @@ def test_act_on_curve_equals_the_restrictions_one_at_a_time(nm, trial):
             continue
         phi = forget_transform(curve, order, -coeff, accuracy=keep)
         values = curve.triple()
-        unequal += _substitution_accuracy(phi.alpha, values) != _substitution_accuracy(phi.beta, values)
+        unequal += evaluate_on_series(phi.alpha, *values).accuracy != evaluate_on_series(phi.beta, *values).accuracy
         for psi in (phi, ContactMap(phi.alpha, phi.beta.truncate(keep - 2 * n), phi.gamma)):
             assert _acted(act_on_curve, psi, curve) == _acted(_restricted_one_at_a_time, psi, curve)
     assert unequal

@@ -1,6 +1,7 @@
 """Plane curve germs, their conormal series and reparametrization."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,9 @@ def test_constructor_validation():
         PlaneCurveGerm(3.0, {10: 1})
     with pytest.raises(ValidationError, match="multiplicity"):
         PlaneCurveGerm(True, {3: 1})
+    for n in (3, 1):  # the empty series is named before the multiplicity is checked
+        with pytest.raises(ValidationError, match="curve needs at least one non-zero y-coefficient"):
+            PlaneCurveGerm(n, {})
     with pytest.raises(ValidationError, match="accuracy"):
         PlaneCurveGerm(3, {10: 1}, 20.5)
     with pytest.raises(ValidationError, match="accuracy"):
@@ -261,6 +265,9 @@ def test_integer_nth_root():
     for degree in (0, -1, 2.0, True):
         with pytest.raises(ValidationError, match="root index"):
             integer_nth_root(8, degree)
+    for value in (4.0, Fraction(4), True):  # a bool is not read as 1
+        with pytest.raises(ValidationError, match=f"radicand must be an integer, got {re.escape(repr(value))}"):
+            integer_nth_root(value, 2)
 
 
 def test_rational_nth_root():
@@ -271,8 +278,9 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(121, 4), 2) == Fraction(11, 2)
     assert rational_nth_root((10 ** 20 + 1) ** 3, 3) == 10 ** 20 + 1
     assert rational_nth_root(Fraction(-1, 10 ** 303), 101) == Fraction(-1, 1000)
-    with pytest.raises(ValidationError):
-        rational_nth_root(0.125, 3)
+    for value in (0.125, True, "8"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(value))} is not rational; no rational root of degree 3$"):
+            rational_nth_root(value, 3)
     for value in (8, Fraction(-8), Fraction(-1, 8)):
         for degree in (0, -1, 2.0, True):
             with pytest.raises(ValidationError, match="root index"):

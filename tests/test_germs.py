@@ -392,6 +392,39 @@ def test_power_table_entries_equal_truncated_powers(values, bound, monomials):
         assert entry == (a**i * b**j * c**l).truncate(bound)
 
 
+def reference_restriction(g, y, p):
+    """g on the curve (t^3, y, p), summed term by term: each monomial
+    x^i y^j p^l is coeff * t^(3i) * y**j * p**l, from plain series products,
+    known below the accuracy rule of ``reference_substitution``."""
+    values = (TruncatedSeries.monomial(3, 1), y, p)
+    orders = [value.order_lower_bound() for value in values]
+    acc, terms = math.inf, []
+    for (i, j, l), coeff in g.items():
+        terms.append(TruncatedSeries.monomial(3 * i, coeff) * y**j * p**l)
+        if any(e and v == math.inf for e, v in zip((i, j, l), orders)):
+            continue
+        base = sum(e * v for e, v in zip((i, j, l), orders) if e)
+        acc = min([acc] + [value.accuracy + base - v for value, e, v in zip(values, (i, j, l), orders) if e])
+    if g.accuracy != math.inf:
+        ratios = [Fraction(v, w) for v, w in zip(orders, W) if v != math.inf]
+        acc = min(acc, math.ceil(g.accuracy * min(ratios)) if ratios else g.accuracy)
+    return sum(terms, TruncatedSeries.zero(acc))
+
+
+@settings(max_examples=150, deadline=None)
+# y, p and g each at a finite and at an infinite accuracy
+@example(G({(0, 1, 0): 2, (1, 0, 1): -1, (2, 1, 1): Fraction(1, 3)}, 30),
+         TruncatedSeries({1: 1, 4: HUGE}, 12), TruncatedSeries({2: Fraction(-1, 2)}, math.inf))
+@example(G({(0, 0, 0): 5, (3, 0, 0): 1, (0, 0, 2): 7}),
+         TruncatedSeries({3: 1}, math.inf), TruncatedSeries({1: 2, 5: 1}, 9))
+@example(G({(0, 2, 0): 1, (1, 1, 1): HUGE}, 17), TruncatedSeries({}, math.inf), TruncatedSeries({}, 6))
+@given(GERMS, SERIES_VALUES, SERIES_VALUES)
+def test_evaluate_on_series_matches_a_term_by_term_reference(g, y, p):
+    result = evaluate_on_series(g, TruncatedSeries.monomial(3, 1), y, p)
+    expected = reference_restriction(g, y, p)
+    assert (result.num, result.den, result.accuracy) == (expected.num, expected.den, expected.accuracy)
+
+
 # -- the unchecked arithmetic path against the public constructor -------------------
 
 

@@ -29,7 +29,14 @@ from legcurve.oracle import (
     realize_order,
 )
 from legcurve.sampling import random_curve, trial_rng
-from legcurve.semigroups import NumericalSemigroup, generic_semigroup, two_generator_semigroup, weighted_monomial_count
+from legcurve.semigroups import (
+    NumericalSemigroup,
+    free_indices,
+    generic_semigroup,
+    moduli_dimension,
+    two_generator_semigroup,
+    weighted_monomial_count,
+)
 from legcurve.series import TruncatedSeries
 
 
@@ -493,6 +500,10 @@ def _after_cached_y(ctx):
         (lambda: Cyclotomic.from_rational(4, 0.5), "coefficient 0.5 is not rational"),
         (lambda: Cyclotomic.from_rational(4, True), "coefficient True is not rational"),
         (lambda: Cyclotomic.from_rational(4, "x"), "coefficient 'x' is not rational"),
+        (lambda: generic_semigroup(3, None), "m must be an integer greater than n = 3, got None"),
+        (lambda: free_indices(3, None), "m must be an integer greater than n = 3, got None"),
+        (lambda: moduli_dimension(3, None), "m must be an integer greater than n = 3, got None"),
+        (lambda: contact_weights(3, None), "m must be an integer greater than n = 3, got None"),
     ],
     ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
          "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial",
@@ -500,7 +511,8 @@ def _after_cached_y(ctx):
          "series-j", "series-j-cached", "series-j-negative", "family-q", "family-size", "family-row", "minor-low",
          "p-part-value", "p-degree-float", "p-degree-bool", "cyclotomic-float", "cyclotomic-bool-cached",
          "zeta-n", "zeta-power", "from-rational-n", "entry-pair", "series-pair", "closed-form-quadruple",
-         "from-rational-float", "from-rational-bool", "from-rational-str"],
+         "from-rational-float", "from-rational-bool", "from-rational-str",
+         "generic-m-none", "free-indices-m-none", "moduli-dimension-m-none", "weights-m-none"],
 )
 def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
     with pytest.raises(ValidationError) as excinfo:

@@ -53,16 +53,25 @@ def test_the_argument_checks_live_in_errors_alone():
     assert curves_imports == []
 
 
+def _products_outside_call_arguments(node):
+    """The products in an expression, not counting those inside the
+    arguments of a call, which are not what the call returns."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        yield node
+    for child in [node.func] if isinstance(node, ast.Call) else ast.iter_child_nodes(node):
+        yield from _products_outside_call_arguments(child)
+
+
 def test_no_product_is_truncated_after_it_is_formed():
-    # (f * g).truncate(bound) convolves every term up to the product's own
-    # accuracy and then drops those at or above bound; accumulating onto the
-    # zero of accuracy bound (_Truncated._accumulate) stops at the bound
+    # (f * g).truncate(bound), or (h - f * g).truncate(bound), convolves every
+    # term up to the product's own accuracy and then drops those at or above
+    # bound; accumulating onto the zero of accuracy bound, or onto h truncated
+    # there (_Truncated._accumulate), stops at the bound
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "truncate":
-                receiver = node.func.value
-                if isinstance(receiver, ast.BinOp) and isinstance(receiver.op, ast.Mult):
+                if any(_products_outside_call_arguments(node.func.value)):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
