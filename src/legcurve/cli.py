@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .documents import dump_curve, load_curve
+from .documents import curve_to_document, dump_curve, load_curve
 from .errors import (
     InsufficientPrecisionError,
     LegcurveError,
@@ -190,11 +190,7 @@ def cmd_normalize(args) -> int:
         _emit_json(
             {
                 "schema": "legcurve/normalize/1",
-                "curve": {
-                    "n": reduced.curve.n,
-                    "terms": [{"e": e, "c": format_scalar(c)} for e, c in reduced.curve.items()],
-                    "precision": int(reduced.curve.accuracy),
-                },
+                "curve": curve_to_document(reduced.curve),
                 "unit": format_scalar(reduced.unit),
                 "steps": [
                     {"order": step.order, "scale": format_scalar(step.scale)}

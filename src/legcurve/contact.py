@@ -196,7 +196,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     wp = w[2]
     if beta0.weights != w:
         raise ValidationError("alpha and beta0 live in differently weighted rings")
-    if any(mono[2] for mono in beta0.coeffs):
+    if not beta0.partial("p").is_zero():
         raise ValidationError("beta0 must not involve p")
     if not alpha.in_maximal_ideal() or not beta0.in_maximal_ideal():
         raise ValidationError("displacements must vanish at the origin")

@@ -20,6 +20,7 @@ from .series import Accuracy, TruncatedSeries, series_compose, series_nth_root, 
 def default_accuracy(n: int, m: int) -> int:
     """Conductor of the plane semigroup <n, m>, raised just enough to keep
     the leading y-coefficient for very small types."""
+    _check_type(n, m)
     return max((n - 1) * (m - 1), m + 1)
 
 
@@ -90,7 +91,7 @@ class PlaneCurveGerm:
     # -- derived series -------------------------------------------------------
 
     def x_series(self) -> TruncatedSeries:
-        return TruncatedSeries.monomial(self.n, 1)
+        return self._y._unchecked({self.n: 1}, 1, math.inf)
 
     def y_series(self) -> TruncatedSeries:
         return self._y

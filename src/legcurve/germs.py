@@ -5,9 +5,7 @@ these are the orders (n, m, m-n) of x, y and the derivative coordinate p
 along the parametrized curve, so the weighted valuation of a monomial is
 exactly the order of its restriction to the curve.  A germ stores exact
 rational coefficients for monomials of weighted valuation below
-``accuracy``, in the form and with the arithmetic of ``series._Truncated``,
-which builds its results without re-validating keys and with one content
-reduction per result.
+``accuracy``, in the form and with the arithmetic of ``series._Truncated``.
 
 The stored key of x^i y^j p^l of weighted valuation w is the ``int``
 ``(w << 3W) | (i << 2W) | (j << W) | l``, W = ``WIDTH``.  Each exponent is
@@ -27,13 +25,16 @@ y^j p^l shifted by n*i) into one numerator dict and reduces the sum once.
 Its accuracy is read off those entries, as ``_accumulate`` formed them,
 and off the germ's own accuracy; no second rule recomputes it.
 
-Inputs are validated where they enter: ``Germ(...)`` checks the weights
-(a tuple of three ``int``s of at least 1, not ``bool``s), the accuracy,
-every monomial (non-negative ``int``s, valuation below the limit) and
-every value (an ``int`` or a ``Fraction``, not a ``bool``), as do
-``zero``, ``constant`` and ``variable``, which build their one term
-directly; ``coefficient`` checks its monomial and ``truncate`` its
-accuracy.  Products and ``_substitute`` look each key up in the table
+A germ is built as a series is.  Values from outside go through the
+checked constructor ``Germ(...)``; ``zero``, ``constant`` and ``variable``
+are single calls of it.  It checks the weights (a tuple of three ``int``s
+of at least 1, not ``bool``s), the accuracy, that the coefficients are a
+mapping, every monomial (non-negative ``int``s, valuation below the limit)
+and every value (an ``int`` or a ``Fraction``, not a ``bool``).  Every germ
+the library forms from stored numerators, ``from_p_parts``'s join of
+checked parts included, is built by ``_unchecked`` or ``_reduced``.
+``coefficient`` checks its monomial and ``truncate`` its accuracy.
+Products and ``_substitute`` look each key up in the table
 ``_Truncated._KEYS``, so equal monomials of different results share one
 key object; the table holds keys only, so it is bounded by the number of
 distinct monomials that they produce.
@@ -103,14 +104,11 @@ class Germ(_Truncated):
     _LIMIT = VALUATION_LIMIT
 
     def __init__(self, weights: tuple[int, int, int], coeffs: Mapping[Monomial, object], accuracy: Accuracy):
-        self._set_ring(weights, accuracy)
-        self._store(coeffs, self._pack)
-
-    def _set_ring(self, weights: tuple[int, int, int], accuracy: Accuracy) -> None:
         if not isinstance(weights, tuple) or len(weights) != 3 or any(type(w) is not int or w < 1 for w in weights):
             raise ValidationError(f"weights must be three positive integers, got {weights!r}")
         self.weights = tuple(weights)
         self.accuracy = _check_accuracy(accuracy)
+        self._store(coeffs, self._pack)
 
     # -- structure ---------------------------------------------------------
 
@@ -132,27 +130,17 @@ class Germ(_Truncated):
 
     @staticmethod
     def zero(weights: tuple[int, int, int], accuracy: Accuracy = math.inf) -> "Germ":
-        out = object.__new__(Germ)
-        out._set_ring(weights, accuracy)
-        out.num, out.den = {}, 1
-        return out
+        return Germ(weights, {}, accuracy)
 
     @staticmethod
     def constant(weights: tuple[int, int, int], value, accuracy: Accuracy = math.inf) -> "Germ":
-        return Germ._monomial(weights, (0, 0, 0), value, accuracy)
+        return Germ(weights, {(0, 0, 0): value}, accuracy)
 
     @staticmethod
     def variable(weights: tuple[int, int, int], axis: str, accuracy: Accuracy = math.inf) -> "Germ":
         mono = [0, 0, 0]
         mono[_axis_index(axis)] = 1
-        return Germ._monomial(weights, tuple(mono), 1, accuracy)
-
-    @staticmethod
-    def _monomial(weights: tuple[int, int, int], mono: Monomial, value, accuracy: Accuracy) -> "Germ":
-        out = object.__new__(Germ)
-        out._set_ring(weights, accuracy)
-        out._store_term(out._pack(mono), value)
-        return out
+        return Germ(weights, {tuple(mono): 1}, accuracy)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         key = self._pack(mono)
@@ -217,21 +205,27 @@ class Germ(_Truncated):
 
     @staticmethod
     def from_p_parts(weights: tuple[int, int, int], parts: Mapping[int, "Germ"]) -> "Germ":
-        wp = weights[2]
-        coeffs: dict[Monomial, object] = {}
-        acc: Accuracy = math.inf
+        """The sum of p^l times each p-free part l, the inverse of ``p_parts``:
+        each part's keys move by the key of p^l, over the lcm of the parts'
+        denominators."""
+        zero = Germ.zero(weights)
+        wp, den, acc, num = zero.weights[2], 1, math.inf, {}
         for l, part in parts.items():
             _check_int(l, "p-degree", 0)
             if not isinstance(part, Germ):
                 raise ValidationError(f"p-part {l} must be a Germ, got {part!r}")
-            if part.weights != weights:
-                raise ValidationError(f"p-part {l} has weights {part.weights}, not {weights}")
-            acc = min(acc, part.accuracy + l * wp)
-            for (i, j, zero), value in part.coeffs.items():
-                if zero:
-                    raise ValidationError("p-part germs must not contain p")
-                coeffs[(i, j, l)] = value
-        return Germ(weights, coeffs, acc)
+            if part.weights != zero.weights:
+                raise ValidationError(f"p-part {l} has weights {part.weights}, not {zero.weights}")
+            if any(key & _MASK for key in part.num):
+                raise ValidationError("p-part germs must not contain p")
+            if part.num and (max(part.num) >> Germ._SHIFT) + l * wp >= VALUATION_LIMIT:
+                raise ValidationError(f"p-part {l} reaches the limit {VALUATION_LIMIT} of weighted valuations")
+            acc, den = min(acc, part.accuracy + l * wp), math.lcm(den, part.den)
+        bound = acc * (1 << Germ._SHIFT)
+        for l, part in parts.items():
+            step, lift = l * ((wp << Germ._SHIFT) | 1), den // part.den
+            num.update((k + step, v * lift) for k, v in part.num.items() if k + step < bound)
+        return zero._reduced(num, den, acc)
 
 
 # -- unit inversion -----------------------------------------------------------
@@ -245,16 +239,14 @@ def invert_unit(g: Germ) -> Germ:
     if g.in_maximal_ideal():
         raise ValidationError("germ vanishes at the origin; it is not a unit")
     acc = g.accuracy
-    c0 = g._get(0)
-    rest = g - Germ.constant(g.weights, c0, acc)
-    inv_c0 = 1 / c0
-    if rest.is_zero():
-        return Germ.constant(g.weights, inv_c0, acc)
+    inv_c0 = 1 / g._get(0)
+    if g.num.keys() == {0}:
+        return g._unchecked({0: inv_c0.numerator}, inv_c0.denominator, acc)
     if acc == math.inf:
         raise ValidationError("inverting a non-constant unit needs a finite accuracy; truncate first")
-    w = rest.scale(-inv_c0)
-    zero = Germ.zero(g.weights, acc)
-    result = power = Germ.constant(g.weights, 1, acc)
+    w = g._reduced({k: v for k, v in g.num.items() if k}, g.den, acc).scale(-inv_c0)
+    zero = g._unchecked({}, 1, acc)
+    result = power = g._unchecked({0: 1}, 1, acc)
     for _ in range((acc - 1) // w.valuation_lower_bound()):
         power = zero._accumulate(((1, power, w),))
         result = result + power
@@ -348,7 +340,7 @@ def evaluate_on_series(g: Germ, x_series: TruncatedSeries, y_series: TruncatedSe
     The restriction of c x^i y^j p^l is c times y^j p^l shifted by n*i;
     ``_substitute`` sums them."""
     n = min(x_series.num, default=0)
-    if n < 1 or x_series != TruncatedSeries.monomial(n, 1):
+    if n < 1 or x_series != x_series._unchecked({n: 1}, 1, math.inf):
         raise ValidationError(f"evaluate_on_series works in the chart x = t^n, n >= 1; got x = {x_series!r}")
     if min(y_series.order_lower_bound(), p_series.order_lower_bound()) < 1:
         raise ValidationError("triple components must have positive order")

@@ -140,7 +140,8 @@ def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
 
 def _checked_point(point: dict[int, object], n: int, m: int) -> dict[int, object]:
     _check_type(n, m)
-    for v in point.values():
+    for i, v in point.items():
+        _check_int(i, "exponent", 0)
         _check_rational(v)
     return point
 

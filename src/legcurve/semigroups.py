@@ -37,7 +37,7 @@ class NumericalSemigroup:
 
     @staticmethod
     def from_gaps(gaps) -> "NumericalSemigroup":
-        gap_tuple = tuple(sorted(set(gaps)))
+        gap_tuple = tuple(sorted({_check_int(gap, "gap") for gap in gaps}))
         conductor = gap_tuple[-1] + 1 if gap_tuple else 0
         return NumericalSemigroup(conductor, gap_tuple)
 
@@ -45,7 +45,8 @@ class NumericalSemigroup:
     def from_members(members, bound: int) -> "NumericalSemigroup":
         """Canonical semigroup given every member below ``bound``; all of
         [bound, infinity) is assumed to be contained."""
-        member_set = {k for k in members if 0 <= k < bound}
+        _check_int(bound, "bound")
+        member_set = {k for k in members if 0 <= _check_int(k, "member") < bound}
         if 0 not in member_set:
             raise ValidationError("a numerical semigroup contains 0")
         gaps = [k for k in range(bound) if k not in member_set]

@@ -29,19 +29,21 @@ The arithmetic of exact coefficients below an accuracy is the same for
 these series and for the germs of ``germs.py``.  It is written once, in
 ``_Truncated``, over terms keyed by one ``int`` whose bits from ``_SHIFT``
 up hold the weight (here the key is the exponent and ``_SHIFT`` is 0), so
-a product key is the sum of two keys.  The public constructors validate
-every key, every value (an ``int`` or a ``Fraction``, not a ``bool``) and
-the accuracy; ``zero`` and ``monomial`` make the same checks and build
-their one term directly.  Arithmetic results are built by
-``_Truncated._unchecked``, which keeps the numerators it is given, or by
-``_Truncated._reduced``, which first divides out their common content.
+a product key is the sum of two keys.  A value is built one of two ways.
+Values from outside go through the checked constructor
+``TruncatedSeries(...)``; ``zero`` and ``monomial`` are single calls of it.
+It checks the accuracy, that the coefficients are a mapping, and every key
+and value (an ``int`` or a ``Fraction``, not a ``bool``).  Every value the
+library forms from stored numerators is built by ``_Truncated._unchecked``,
+which keeps the numerators it is given, or by ``_Truncated._reduced``,
+which first divides out their common content.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .errors import InsufficientPrecisionError, ValidationError, _check_accuracy, _check_int, _check_rational
 
@@ -87,24 +89,17 @@ class _Truncated:
         and keys of weight at or above the accuracy.  Over the least common
         denominator the numerators need no reduction: each of its prime
         powers divides some value's denominator, and so not its numerator."""
+        if not isinstance(coeffs, Mapping):
+            raise ValidationError(f"coefficients must be a mapping, got {coeffs!r}")
         bound = self.accuracy * (1 << self._SHIFT)  # the least key of that weight, or inf
-        kept = {}
+        kept, den = {}, 1
         for k, v in coeffs.items():
             key = pack(k)
             if _check_rational(v) and key < bound:
                 kept[key] = v
-        den = 1
-        for v in kept.values():  # math.lcm(*generator) raised normalize's peak RSS by 3 MB
-            den = math.lcm(den, v.denominator)
+                den = math.lcm(den, v.denominator)
         self.num = {k: v.numerator * (den // v.denominator) for k, v in kept.items()}
         self.den = den
-
-    def _store_term(self, key: int, value) -> None:
-        """``_store`` of the one ``value`` at the checked ``key``."""
-        if _check_rational(value) and key < self.accuracy * (1 << self._SHIFT):
-            self.num, self.den = {key: value.numerator}, value.denominator
-        else:
-            self.num, self.den = {}, 1
 
     def _unchecked(self, num: dict, den: int, accuracy: Accuracy):
         """A result in the ring of ``self``, built without checks: ``num``
@@ -221,17 +216,16 @@ class _Truncated:
         return self._reduced({k: p * v for k, v in self.num.items()}, q * self.den, self.accuracy)
 
     def __mul__(self, other):
-        return self._accumulate(((1, self, other),), base=False)
+        return self._unchecked({}, 1, math.inf)._accumulate(((1, self, other),))
 
-    def _accumulate(self, terms, base: bool = True):
+    def _accumulate(self, terms):
         """self + the sum of sign*f*g over the triples (sign, f, g) of
-        ``terms`` (the sum alone, in the ring of self, when ``base`` is
-        False): the fold of ``_sum(f * g, sign)`` from self, with one integer
-        accumulation over the lcm of the term denominators and one content
-        reduction.  A term with an exact zero factor (no terms, accuracy inf)
-        adds nothing; any other term bounds the accuracy by that of its
-        product, min(acc f + ord g, acc g + ord f)."""
-        acc, den, products = (self.accuracy, self.den, []) if base else (math.inf, 1, [])
+        ``terms``: the fold of ``_sum(f * g, sign)`` from self, with one
+        integer accumulation over the lcm of the term denominators and one
+        content reduction.  A term with an exact zero factor (no terms,
+        accuracy inf) adds nothing; any other term bounds the accuracy by
+        that of its product, min(acc f + ord g, acc g + ord f)."""
+        acc, den, products = self.accuracy, self.den, []
         for sign, f, g in terms:
             if f is not self:
                 self._check_ring(f)
@@ -250,7 +244,7 @@ class _Truncated:
             products.append((sign, left, right, term_den))
         bound = acc * (1 << self._SHIFT)
         sums = {}
-        if base and self.num:
+        if self.num:
             lift = den // self.den
             sums = {k: v * lift for k, v in self.num.items() if k < bound}
         for sign, left, right, term_den in products:
@@ -259,7 +253,7 @@ class _Truncated:
         return self._reduced({shared(k, k): v for k, v in sums.items() if v}, den, acc)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
+        if _check_int(exponent, "exponent") < 0:
             raise ValidationError("negative powers are not supported")
         result = self._unchecked({0: 1}, 1, math.inf)
         base = self
@@ -288,14 +282,11 @@ class TruncatedSeries(_Truncated):
 
     @staticmethod
     def zero(accuracy: Accuracy = math.inf) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(0, 0, accuracy)
+        return TruncatedSeries({}, accuracy)
 
     @staticmethod
     def monomial(exponent: int, coefficient: object = 1, accuracy: Accuracy = math.inf) -> "TruncatedSeries":
-        out = object.__new__(TruncatedSeries)
-        out.accuracy = _check_accuracy(accuracy)
-        out._store_term(_check_int(exponent, "exponent", 0), coefficient)
-        return out
+        return TruncatedSeries({exponent: coefficient}, accuracy)
 
     # -- inspection --------------------------------------------------------
 
@@ -433,7 +424,7 @@ def series_reverse(g: TruncatedSeries) -> TruncatedSeries:
     while precision < acc:
         precision = min(2 * precision - 1, acc)
         h = h._unchecked(h.num, h.den, precision)
-        residual = series_compose(g.truncate(precision), h) - TruncatedSeries.monomial(1, 1, precision)
+        residual = series_compose(g.truncate(precision), h) - h._unchecked({1: 1}, 1, precision)
         if not residual.is_zero():
             h = h - residual * h.derivative()
     return h

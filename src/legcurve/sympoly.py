@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ValidationError, _check_rational
+from .errors import ValidationError, _check_int, _check_rational
 
 Exponents = tuple[int, ...]
 Coefficient = Fraction | int
@@ -152,7 +152,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
+        if _check_int(exponent, "exponent") < 0:
             raise ValidationError("negative powers are not polynomials")
         result = Poly._unchecked(self.gens, {0: 1})
         base = self

@@ -127,8 +127,11 @@ def test_zero_constant_and_variable_reject_what_the_public_constructor_rejects(d
         (lambda: Germ.variable((3, 10, True), "p"), (3, 10, True)),
         (lambda: Germ(5, {}, 20), 5),
         (lambda: Germ.constant(None, 1), None),
+        (lambda: Germ.from_p_parts((3, 10), {}), (3, 10)),
+        (lambda: Germ.from_p_parts((3, 10, 0.5), {0: Germ.zero(W)}), (3, 10, 0.5)),
     ],
-    ids=["float-weight", "float-weight-zero", "bool-weight", "bool-weight-variable", "an-int", "none"],
+    ids=["float-weight", "float-weight-zero", "bool-weight", "bool-weight-variable", "an-int", "none",
+         "p-parts-two-weights", "p-parts-float-weight"],
 )
 def test_weights_other_than_three_positive_ints_are_named(build, weights):
     message = f"weights must be three positive integers, got {weights!r}"
@@ -479,6 +482,8 @@ def test_monomials_at_the_valuation_limit_are_rejected():
             G({(above, 0, 0): 1}, accuracy)
         with pytest.raises(ValidationError, match=f"limit {VALUATION_LIMIT}"):
             G({}, accuracy).coefficient((above, 0, 0))
+        with pytest.raises(ValidationError, match=f"limit {VALUATION_LIMIT}"):
+            Germ.from_p_parts(W, {above: G({(0, 0, 0): 1}, accuracy)})
 
 
 def test_powers_up_to_the_valuation_limit():
@@ -571,3 +576,27 @@ def test_results_keep_the_canonical_form(a, b, scalar, remainder, constant, accu
     assert (a * b).scale(scalar) == a.scale(scalar) * b
     assert a - b == -(b - a)
     assert (invert_unit(unit) * unit).agrees_with(G({(0, 0, 0): 1}))
+
+
+P_FREE_PARTS = st.dictionaries(
+    st.integers(0, 5),
+    st.builds(lambda coeffs, accuracy: G({(i, j, 0): v for (i, j, _), v in coeffs.items()}, accuracy),
+              st.dictionaries(MONOMIALS, RATIONALS, max_size=5), ACCURACIES),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example({(1, 0, 0): 1, (1, 0, 1): 2, (0, 1, 2): -1}, 40, {})
+@example({(0, 0, 1): Fraction(1, 3), (1, 0, 0): Fraction(-2, 5)}, 8, {0: G({(1, 0, 0): 1}), 2: G({}, 3)})
+@given(st.dictionaries(MONOMIALS, RATIONALS, max_size=8), st.integers(0, 40), P_FREE_PARTS)
+def test_from_p_parts_inverts_p_parts_at_finite_and_infinite_accuracy(coeffs, accuracy, parts):
+    for g in (G(coeffs, accuracy), G(coeffs)):
+        joined = Germ.from_p_parts(W, g.p_parts())
+        assert joined == g
+        assert_canonical(joined)
+    # parts of unequal accuracies, against the public constructor
+    joined = Germ.from_p_parts(W, parts)
+    acc = min((part.accuracy + l * W[2] for l, part in parts.items()), default=math.inf)
+    assert joined == G({(i, j, l): v for l, part in parts.items() for (i, j, _), v in part.coeffs.items()}, acc)
+    assert_canonical(joined)

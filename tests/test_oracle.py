@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legcurve.contact import forget_transform
-from legcurve.curves import PlaneCurveGerm
+from legcurve.curves import PlaneCurveGerm, default_accuracy
 from legcurve.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from legcurve.expansion import ExpansionContext
@@ -38,6 +38,7 @@ from legcurve.semigroups import (
     weighted_monomial_count,
 )
 from legcurve.series import TruncatedSeries
+from legcurve.sympoly import Poly
 
 
 def test_monomial_enumeration():
@@ -465,7 +466,7 @@ def _after_cached_y(ctx):
          "accuracy must be a non-negative integer or infinity, got '20'"),
         (lambda: INTEGER_ARGUMENT_CURVE.as_polynomial("x"),
          "accuracy must be a non-negative integer or infinity, got 'x'"),
-        (lambda: NumericalSemigroup.from_gaps([1.5]), "conductor must be a non-negative integer, got 2.5"),
+        (lambda: NumericalSemigroup.from_gaps([1.5]), "gap must be an integer, got 1.5"),
         (lambda: NumericalSemigroup(-1, ()), "conductor must be a non-negative integer, got -1"),
         (lambda: NumericalSemigroup.from_gaps([1.0, 2]), "gap must be an integer, got 1.0"),
         (lambda: ExpansionContext(3, 10).entry((0, 1, 0), 10.5), "column k must be an integer, got 10.5"),
@@ -504,6 +505,20 @@ def _after_cached_y(ctx):
         (lambda: free_indices(3, None), "m must be an integer greater than n = 3, got None"),
         (lambda: moduli_dimension(3, None), "m must be an integer greater than n = 3, got None"),
         (lambda: contact_weights(3, None), "m must be an integer greater than n = 3, got None"),
+        (lambda: orbit_equivalent({"a": 1}, {"a": 1}, 3, 10), "exponent must be a non-negative integer, got 'a'"),
+        (lambda: canonical_point({"a": 1}, 3, 10), "exponent must be a non-negative integer, got 'a'"),
+        (lambda: rotate_point({11.5: 1}, 3, 10, 1), "exponent must be a non-negative integer, got 11.5"),
+        (lambda: canonical_point({-4: 1}, 3, 10), "exponent must be a non-negative integer, got -4"),
+        (lambda: NumericalSemigroup(2.5, (1,)), "conductor must be a non-negative integer, got 2.5"),
+        (lambda: NumericalSemigroup.from_gaps(["a"]), "gap must be an integer, got 'a'"),
+        (lambda: NumericalSemigroup.from_members([0, 2], 5.5), "bound must be an integer, got 5.5"),
+        (lambda: NumericalSemigroup.from_members([0, 2.5], 5), "member must be an integer, got 2.5"),
+        (lambda: default_accuracy(3, None), "m must be an integer greater than n = 3, got None"),
+        (lambda: default_accuracy("3", 10), "multiplicity n must be an integer at least 2, got '3'"),
+        (lambda: random_curve("3", 10, trial_rng(0, 0)), "multiplicity n must be an integer at least 2, got '3'"),
+        (lambda: TruncatedSeries({1: 1}, 5) ** 1.5, "exponent must be an integer, got 1.5"),
+        (lambda: Germ.variable((3, 10, 7), "x") ** True, "exponent must be an integer, got True"),
+        (lambda: Poly.variable(("mu",), "mu") ** True, "exponent must be an integer, got True"),
     ],
     ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
          "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial",
@@ -512,7 +527,11 @@ def _after_cached_y(ctx):
          "p-part-value", "p-degree-float", "p-degree-bool", "cyclotomic-float", "cyclotomic-bool-cached",
          "zeta-n", "zeta-power", "from-rational-n", "entry-pair", "series-pair", "closed-form-quadruple",
          "from-rational-float", "from-rational-bool", "from-rational-str",
-         "generic-m-none", "free-indices-m-none", "moduli-dimension-m-none", "weights-m-none"],
+         "generic-m-none", "free-indices-m-none", "moduli-dimension-m-none", "weights-m-none",
+         "orbit-key-str", "canonical-key-str", "rotation-key-float", "canonical-key-negative",
+         "conductor-float-direct", "gap-str", "members-bound-float", "member-float",
+         "default-accuracy-m-none", "default-accuracy-n-str", "random-curve-n-str",
+         "series-power-float", "germ-power-bool", "poly-power-bool"],
 )
 def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
     with pytest.raises(ValidationError) as excinfo:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legcurve.series
+from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import InsufficientPrecisionError, ValidationError
 from legcurve.germs import Germ
 from legcurve.series import (
@@ -438,6 +439,14 @@ def assert_canonical(value):
     assert all(type(v) is int and v for v in value.num.values())
     assert math.gcd(value.den, *value.num.values()) == 1
     assert all(k >> value._SHIFT < value.accuracy for k in value.num)  # the weight of a key
+
+
+@pytest.mark.parametrize("coeffs", [[1, 2], [(1, 0, 0)], None, 5])
+def test_coefficients_other_than_a_mapping_are_rejected(coeffs):
+    message = f"^coefficients must be a mapping, got {re.escape(repr(coeffs))}$"
+    for build in (lambda: S(coeffs, 4), lambda: Germ((3, 10, 7), coeffs, 4), lambda: PlaneCurveGerm(3, coeffs)):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, "1", None])

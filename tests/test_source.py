@@ -75,3 +75,14 @@ def test_no_product_is_truncated_after_it_is_formed():
                 if any(_products_outside_call_arguments(node.func.value)):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_the_numeric_core_never_reads_coeffs():
+    # coeffs builds a Fraction per value for readers outside; these modules
+    # form their values from the stored numerators (_unchecked, _reduced)
+    found = []
+    for name in ("series.py", "germs.py", "contact.py", "oracle.py"):
+        tree = ast.parse((SOURCE / name).read_text(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+    assert not found, found
