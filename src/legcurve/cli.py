@@ -32,13 +32,11 @@ from .germs import monomials_in_valuation_range
 from .moduli import equivalent_curves, normal_form
 from .oracle import conormal_semigroup
 from .sampling import random_curve, trial_rng
-from .semigroups import (
-    generic_semigroup_descent,
-    moduli_dimension,
-    try_s_invariant,
-)
+from .semigroups import generic_semigroup, generic_semigroup_descent, moduli_dimension, try_s_invariant
 
 CHECK_FAILED = 5  # exit code of a check that ran and failed
+# exit code of each error, the first class that matches
+_EXIT_CODES = ((NonGenericCurveError, 3), (InsufficientPrecisionError, 4), (LegcurveError, 2))
 
 
 def _emit(text: str) -> None:
@@ -54,12 +52,13 @@ def _format_set(values) -> str:
 
 
 def _read_curve(path: str):
-    if path == "-":
-        return load_curve(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
     return load_curve(text)
 
@@ -117,7 +116,7 @@ def cmd_semigroup(args) -> int:
     n, m = curve.n, curve.m
     generic = None
     if curve.in_strong_generic_position():
-        generic = semigroup == generic_semigroup_descent(n, m)[0]
+        generic = semigroup == generic_semigroup(n, m)
     if args.json:
         _emit_json(
             {
@@ -245,7 +244,7 @@ def cmd_equivalent(args) -> int:
 def cmd_verify_generic(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"--trials must be non-negative, got {args.trials}")
-    expected = generic_semigroup_descent(args.n, args.m)[0]
+    expected = generic_semigroup(args.n, args.m)
     failures = []
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
@@ -293,34 +292,28 @@ def cmd_verify_generic(args) -> int:
 # -- upsilon ---------------------------------------------------------------------------
 
 
-def _upsilon_indices(ctx: ExpansionContext, need_x: bool = False):
-    """Monomial indices with non-negative entries and valuation below the
-    cutoff; need_x restricts to i >= 1 and l >= 1 for the derivative check."""
-    return sorted(
-        (i, j, l)
-        for i, j, l in monomials_in_valuation_range(ctx.n, ctx.m, 0, ctx.cutoff)
-        if not need_x or (i >= 1 and l >= 1)
-    )
+def _check_entries(ctx: ExpansionContext, holds, need_x: bool = False):
+    """Count the entries (index, k) for which ``holds`` until the first that
+    fails: the monomial indices of valuation below the cutoff, in sorted
+    order, by the orders k in [m, cutoff); need_x restricts to i >= 1 and
+    l >= 1 for the derivative check."""
+    checked = 0
+    for index in sorted(monomials_in_valuation_range(ctx.n, ctx.m, 0, ctx.cutoff)):
+        if need_x and (index[0] < 1 or index[2] < 1):
+            continue
+        for k in range(ctx.m, ctx.cutoff):
+            if not holds(index, k):
+                return checked, {"index": list(index), "k": k}
+            checked += 1
+    return checked, None
 
 
 def _check_direct_vs_closed(ctx: ExpansionContext):
-    checked = 0
-    for index in _upsilon_indices(ctx):
-        for k in range(ctx.m, ctx.cutoff):
-            if ctx.entry(index, k) != ctx.entry_closed_form(index, k):
-                return checked, {"index": list(index), "k": k}
-            checked += 1
-    return checked, None
+    return _check_entries(ctx, lambda index, k: ctx.entry(index, k) == ctx.entry_closed_form(index, k))
 
 
 def _check_mu_derivative(ctx: ExpansionContext):
-    checked = 0
-    for index in _upsilon_indices(ctx, need_x=True):
-        for k in range(ctx.m, ctx.cutoff):
-            if not ctx.mu_derivative_matches(index, k):
-                return checked, {"index": list(index), "k": k}
-            checked += 1
-    return checked, None
+    return _check_entries(ctx, ctx.mu_derivative_matches, need_x=True)
 
 
 def _check_det_invariance(ctx: ExpansionContext, seed: int, selections: int = 50):
@@ -472,15 +465,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_expression_flags(list(argv)))
     try:
         return args.handler(args)
-    except NonGenericCurveError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except InsufficientPrecisionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except LegcurveError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -43,8 +43,10 @@ class PlaneCurveGerm:
         y = TruncatedSeries(coefficients, math.inf)
         if accuracy is None:
             accuracy = default_accuracy(n, _chart_order(n, y))
-        y = y._unchecked(y.num, y.den, _check_accuracy(accuracy))
-        _chart_order(n, y)
+            y = y._unchecked(y.num, y.den, accuracy)
+        else:
+            y = y._unchecked(y.num, y.den, _check_accuracy(accuracy))
+            _chart_order(n, y)
         if max(y.num) >= accuracy:
             raise ValidationError("stored exponents must lie below the accuracy")
         self.n = n

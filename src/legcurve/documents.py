@@ -79,6 +79,6 @@ def dump_curve(curve: PlaneCurveGerm) -> str:
 def load_curve(text: str) -> PlaneCurveGerm:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ValidationError(f"document is not valid JSON: {err}") from None
     return curve_from_document(data)

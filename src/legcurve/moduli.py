@@ -24,7 +24,7 @@ from .cyclotomic import Cyclotomic
 from .errors import (ContactDefectError, InsufficientPrecisionError, NonGenericCurveError, _check_int, _check_rational,
                      _check_type)
 from .oracle import conormal_semigroup
-from .semigroups import free_indices, generic_semigroup, try_s_invariant
+from .semigroups import free_indices, generic_semigroup
 from .series import TruncatedSeries
 
 
@@ -58,7 +58,9 @@ class NormalForm:
 
 def normal_form(curve: PlaneCurveGerm) -> NormalForm:
     """Reduce a generic curve to its short form, working throughout at the
-    accuracy keep = max((n-1)(m-1), m+1) the short form is read at.
+    accuracy keep = max((n-1)(m-1), m+1) the short form is read at.  The
+    targets are the orders between m and keep outside ``free_indices``:
+    each non-zero coefficient there is cleared, bottom-up, by one step.
 
     Raises NonGenericCurveError when the conormal semigroup is not the
     generic one, InsufficientPrecisionError when the input is exact below
@@ -75,7 +77,6 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
             f"curve of type ({n}, {m}) has conormal semigroup with gaps "
             f"{actual.gaps}, generic gaps are {expected.gaps}"
         )
-    plane_conductor = (n - 1) * (m - 1)
     keep = default_accuracy(n, m)
     if curve.accuracy < keep:
         raise InsufficientPrecisionError(
@@ -92,15 +93,11 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
         unit = Fraction(1, leading)
         working = working.scale_y(unit)
 
-    s = try_s_invariant(n, m)
     free = free_indices(n, m)
-    targets = [
-        k for k in range(m + 1, plane_conductor) if k in expected and k != s
-    ]
     steps: list[ReductionStep] = []
-    for k in targets:
+    for k in range(m + 1, keep):
         coeff = working.coefficient(k)
-        if not coeff:
+        if k in free or not coeff:
             continue
         phi = forget_transform(working, k, -coeff, accuracy=keep)
         candidate = act_on_curve(phi, working)

@@ -185,15 +185,13 @@ def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
         i, j, l = mono
         lead = curve.coefficient(m) ** (j + l) * Fraction(m, n) ** l
         return Germ(weights, {mono: Fraction(1, lead)}, math.inf)
-    window_low = max(0, order - n + 1)
-    near = monomials_in_valuation_range(n, m, window_low, order + 1)
-    if near:
-        oracle = ConormalOracle(curve, order + 1, near)
+    # the window of the n orders up to the target holds a multiple of n,
+    # the valuation of a power of x, so it is never empty
+    near = monomials_in_valuation_range(n, m, max(0, order - n + 1), order + 1)
+    for monomials in (near, None):
+        oracle = ConormalOracle(curve, order + 1, monomials)
         if order in oracle.rows:
             return Germ(weights, oracle.combination_for(order), math.inf)
-    oracle = ConormalOracle(curve, order + 1)
-    if order in oracle.rows:
-        return Germ(weights, oracle.combination_for(order), math.inf)
     raise NotRealizableError(
         f"order {order} is not the restriction order of any contact polynomial on this curve"
     )

@@ -22,7 +22,7 @@ from .contact import (
     solve_contact,
 )
 from .curves import PlaneCurveGerm, default_accuracy
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .germs import Germ, contact_weights, monomials_in_valuation_range
 
 SEED_STRIDE = 1_000_003
@@ -44,7 +44,7 @@ def random_curve(
     The leading coefficient is fixed to 1; the others are uniform in
     [-spread, spread] with zeros simply left out.
     """
-    if spread < 0:
+    if _check_int(spread, "coefficient spread") < 0:
         raise ValidationError(f"coefficient spread must be non-negative, got {spread}")
     if accuracy is None:
         accuracy = default_accuracy(n, m)
@@ -68,7 +68,7 @@ def random_germ(
     accuracy=None,
 ) -> Germ:
     """Polynomial germ with monomials of weighted valuation in [low, high)."""
-    if spread < 0:
+    if _check_int(spread, "coefficient spread") < 0:
         raise ValidationError(f"coefficient spread must be non-negative, got {spread}")
     weights = contact_weights(n, m)
     coeffs = {}

@@ -88,19 +88,13 @@ class NumericalSemigroup:
 
 
 def two_generator_semigroup(a: int, b: int) -> NumericalSemigroup:
-    """The semigroup <a, b> for coprime positive generators."""
+    """The semigroup <a, b> for coprime positive generators, from its
+    definition: the sums i*a + j*b below its conductor (a-1)(b-1), each of
+    which has i < b and j < a."""
     if type(a) is not int or type(b) is not int or a <= 0 or b <= 0 or math.gcd(a, b) != 1:
         raise ValidationError(f"generators must be coprime positive integers, got ({a!r}, {b!r})")
-    if 1 in (a, b):
-        return NumericalSemigroup(0, ())
-    bound = (a - 1) * (b - 1) + 1
-    reachable = [False] * bound
-    reachable[0] = True
-    for gen in (a, b):
-        for k in range(gen, bound):
-            if reachable[k - gen]:
-                reachable[k] = True
-    return NumericalSemigroup.from_members([k for k in range(bound) if reachable[k]], bound)
+    return NumericalSemigroup.from_members({i * a + j * b for i in range(b) for j in range(a)},
+                                           (a - 1) * (b - 1) + 1)
 
 
 def weighted_monomial_count(value: int, n: int, m: int) -> int:
@@ -166,14 +160,12 @@ def generic_semigroup(n: int, m: int) -> NumericalSemigroup:
 
 def try_s_invariant(n: int, m: int) -> int | None:
     """Least element of the generic semigroup outside the plane semigroup
-    <n, m-n>, or None when the two coincide."""
+    <n, m-n>, or None when the two coincide.  Only the orders below the
+    plane conductor are scanned: every order from there on lies in
+    <n, m-n>."""
     semigroup = generic_semigroup(n, m)
     plane = two_generator_semigroup(n, m - n)
-    bound = max(semigroup.conductor, plane.conductor) + n * (m - n)
-    for k in range(bound):
-        if k in semigroup and k not in plane:
-            return k
-    return None
+    return next((k for k in range(plane.conductor) if k in semigroup and k not in plane), None)
 
 
 def s_invariant(n: int, m: int) -> int:

@@ -106,6 +106,23 @@ def test_semigroup_missing_file(capsys):
     assert err.startswith("error: cannot read")
 
 
+def test_a_curve_that_is_not_utf8_exits_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["semigroup", str(path)])
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: ")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, out, err = run(capsys, ["semigroup", "-"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read -: ")
+
+
+def test_a_curve_document_nested_too_deep_exits_2(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, ["semigroup", str(path)])
+    assert (code, out) == (2, "") and err.startswith("error: document is not valid JSON: ")
+
+
 def test_semigroup_insufficient_precision(capsys, tmp_path):
     path = curve_file(tmp_path, "c.json", 3, {10: 1, 11: 1}, 12)
     code, out, err = run(capsys, ["semigroup", path])
@@ -123,6 +140,18 @@ def test_conormal_table(capsys, tmp_path):
         "  t^8: 22/3",
         "precision: 15",
     ]
+
+
+def test_conormal_json(capsys, tmp_path):
+    path = curve_file(tmp_path, "c.json", 3, {10: 1, 11: 2}, 18)
+    code, out, err = run(capsys, ["conormal", path, "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "schema": "legcurve/conormal/1",
+        "n": 3,
+        "terms": [{"e": 7, "c": "10/3"}, {"e": 8, "c": "22/3"}],
+        "precision": 15,
+    }
 
 
 def test_transform_removes_term(capsys, tmp_path):
@@ -190,6 +219,22 @@ def test_normalize_short_form_passthrough(capsys, tmp_path):
     assert payload["steps"] == []
     assert payload["free"] == [11]
     assert payload["point"] == {"11": "5"}
+
+
+def test_normalize_table_of_a_short_form(capsys, tmp_path):
+    path = curve_file(tmp_path, "c.json", 3, {10: 1, 11: 5}, 18)
+    code, out, err = run(capsys, ["normalize", path])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "short form of the curve of type (3, 10)",
+        "  t^10: 1",
+        "  t^11: 5",
+        "precision: 18",
+        "y-unit applied first: 1",
+        "reduction steps: none",
+        "free exponents: {11}",
+        "moduli coordinate a_11: 5",
+    ]
 
 
 def test_normalize_non_generic_exit(capsys, tmp_path):

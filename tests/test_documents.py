@@ -97,6 +97,11 @@ def test_load_rejects_malformed_json():
         load_curve("{")
 
 
+def test_load_rejects_json_nested_beyond_the_recursion_limit():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_curve("[" * 200_000 + "]" * 200_000)
+
+
 # -- round trip on random curves ------------------------------------------------------
 
 NONZERO = st.one_of(

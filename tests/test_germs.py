@@ -170,6 +170,11 @@ def test_invert_unit_geometric():
     assert (one_plus_x * inv).agrees_with(Germ.constant(W, 1))
 
 
+def test_invert_unit_of_an_exact_non_constant_germ_needs_truncation():
+    with pytest.raises(ValidationError, match="non-constant unit needs a finite accuracy"):
+        invert_unit(Germ.constant(W, 1) + Germ.variable(W, "x"))
+
+
 def test_invert_unit_rejects_non_units():
     with pytest.raises(ValidationError):
         invert_unit(Germ.variable(W, "x").truncate(5))

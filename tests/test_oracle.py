@@ -28,7 +28,7 @@ from legcurve.oracle import (
     monomials_in_valuation_range,
     realize_order,
 )
-from legcurve.sampling import random_curve, trial_rng
+from legcurve.sampling import random_curve, random_germ, trial_rng
 from legcurve.semigroups import (
     NumericalSemigroup,
     free_indices,
@@ -156,6 +156,18 @@ def test_realize_order_scaled_lead():
     assert dict(g.coeffs) == {(0, 0, 2): Fraction(9, 1600)}
     restricted = evaluate_on_series(g, *curve.triple())
     assert restricted.order() == 14 and restricted.coefficient(14) == 1
+
+
+@pytest.mark.parametrize("order", [18, 23])
+def test_realize_order_falls_back_to_the_full_oracle(order):
+    # no monomial has the target valuation for the weights (5, 12, 7), and the
+    # monomials of the window [order - 4, order] leave no row at the target
+    curve = PlaneCurveGerm(5, {12: 1, 18: 1}, 30)
+    assert monomials_in_valuation_range(5, 12, order, order + 1) == []
+    near = monomials_in_valuation_range(5, 12, order - 4, order + 1)
+    assert order not in ConormalOracle(curve, order + 1, near).rows
+    restricted = evaluate_on_series(realize_order(curve, order), *curve.triple())
+    assert restricted.order() == order and restricted.coefficient(order) == 1
 
 
 @pytest.mark.parametrize("bound", [0, -1, True, 5.5, "7"])
@@ -519,6 +531,15 @@ def _after_cached_y(ctx):
         (lambda: TruncatedSeries({1: 1}, 5) ** 1.5, "exponent must be an integer, got 1.5"),
         (lambda: Germ.variable((3, 10, 7), "x") ** True, "exponent must be an integer, got True"),
         (lambda: Poly.variable(("mu",), "mu") ** True, "exponent must be an integer, got True"),
+        (lambda: random_curve(3, 10, trial_rng(0, 0), spread=1.5), "coefficient spread must be an integer, got 1.5"),
+        (lambda: random_curve(3, 10, trial_rng(0, 0), spread="3"), "coefficient spread must be an integer, got '3'"),
+        (lambda: random_curve(3, 10, trial_rng(0, 0), spread=True), "coefficient spread must be an integer, got True"),
+        (lambda: random_germ(3, 10, trial_rng(0, 0), 3, 20, spread=1.5),
+         "coefficient spread must be an integer, got 1.5"),
+        (lambda: random_germ(3, 10, trial_rng(0, 0), 3, 20, spread="3"),
+         "coefficient spread must be an integer, got '3'"),
+        (lambda: random_germ(3, 10, trial_rng(0, 0), 3, 20, spread=True),
+         "coefficient spread must be an integer, got True"),
     ],
     ids=["order-float", "order-str", "order-bool", "forget-order", "valuation-bound", "monomial-count",
          "rotation", "canonical-m", "orbit-m", "truncate", "as-polynomial",
@@ -531,7 +552,9 @@ def _after_cached_y(ctx):
          "orbit-key-str", "canonical-key-str", "rotation-key-float", "canonical-key-negative",
          "conductor-float-direct", "gap-str", "members-bound-float", "member-float",
          "default-accuracy-m-none", "default-accuracy-n-str", "random-curve-n-str",
-         "series-power-float", "germ-power-bool", "poly-power-bool"],
+         "series-power-float", "germ-power-bool", "poly-power-bool",
+         "curve-spread-float", "curve-spread-str", "curve-spread-bool",
+         "germ-spread-float", "germ-spread-str", "germ-spread-bool"],
 )
 def test_a_malformed_integer_argument_is_named_where_it_enters(call, message):
     with pytest.raises(ValidationError) as excinfo:

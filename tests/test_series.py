@@ -217,6 +217,19 @@ def test_nth_root_binomial_fixture():
     }
 
 
+def test_nth_root_of_an_exact_series():
+    # an exact 1 has the exact root 1; any other exact series must be truncated
+    root = series_nth_root(S({0: 1}), 3)
+    assert root == S({0: 1}) and root.accuracy == math.inf
+    with pytest.raises(ValidationError, match="non-trivial polynomial needs a finite accuracy"):
+        series_nth_root(S({0: 1, 1: 2, 2: 1}), 2)
+
+
+def test_negative_powers_are_rejected():
+    with pytest.raises(ValidationError, match="negative powers are not supported"):
+        S({0: 1, 1: 1}, 5) ** -1
+
+
 def test_nth_root_of_perfect_square():
     f = S({0: 1, 1: 2, 2: 1})  # (1+t)^2, exact
     g = series_nth_root(f.truncate(7), 2)

@@ -366,6 +366,11 @@ def test_power_reaching_the_limit_raises():
         Poly.variable(GUARD_GENS, "a10") ** (1 << 15)
 
 
+def test_negative_powers_are_rejected():
+    with pytest.raises(ValidationError, match="negative powers are not polynomials"):
+        Poly.variable(GUARD_GENS, "mu") ** -1
+
+
 @pytest.mark.parametrize("name", GUARD_GENS)
 def test_product_reaching_the_limit_raises(name):
     x = Poly.variable(GUARD_GENS, name)
