@@ -19,7 +19,7 @@ from itertools import chain
 
 from .curves import PlaneCurveGerm, reparametrize
 from .errors import ContactDefectError, InsufficientPrecisionError, ValidationError, _check_accuracy, _check_rational
-from .germs import Germ, _substitute, contact_weights, evaluate_on_series, invert_unit, substitute
+from .germs import Germ, _substitute, _zero_one_p, contact_weights, evaluate_on_series, invert_unit, substitute
 from .oracle import realize_order
 
 X_MONO = (1, 0, 0)
@@ -149,10 +149,8 @@ def verify_contact(phi: ContactMap) -> ContactCheck:
     with multiplier = 1 + d_y(beta) - (p + gamma) * d_y(alpha).
     All equations are tested within the stored accuracy of the germs.
     """
-    w = phi.weights
     alpha, beta, gamma = phi.components()
-    p = Germ.variable(w, "p")
-    one = Germ.constant(w, 1)
+    _, one, p = _zero_one_p(alpha)
     p_shift = p + gamma
     multiplier = (one + beta.partial("y"))._accumulate(((-1, p_shift, alpha.partial("y")),))
     dp_residual = beta.partial("p")._accumulate(((-1, p_shift, alpha.partial("p")),))
@@ -222,10 +220,10 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
         raise ContactDefectError("1 + d_x(alpha) vanishes at the origin; no solution in this chart")
     # one inversion of 1 + d_x(alpha) + p*d_y(alpha) serves gamma, and its
     # p-free part is the inverse of the recursion's unit 1 + d_x(alpha at p=0)
-    p = Germ.variable(w, "p")
+    zero, one, p = _zero_one_p(alpha, target)
     d_x = alpha.partial("x")
     d_y = alpha.partial("y")
-    full_unit_inv = invert_unit((Germ.constant(w, 1, target) + d_x)._accumulate(((1, p, d_y),)))
+    full_unit_inv = invert_unit((one + d_x)._accumulate(((1, p, d_y),)))
     unit_inv = full_unit_inv.p_parts()[0]
 
     # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
@@ -233,7 +231,7 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     # 0*b_0 are never read); for a finite alpha.accuracy >= target, p_parts
     # has a part of every degree up to steps
     steps = (target - 1) // wp  # the k with (k + 1) * wp < target
-    zero, parts_a = Germ.zero(w), alpha.p_parts()
+    parts_a = alpha.p_parts()
     a = [parts_a.get(j, zero) for j in range(steps + 1)]
     ja = [a[j].scale(j) for j in range(steps + 1)]
     u = [zero] + [a[s].partial("x") + a[s - 1].partial("y") for s in range(1, steps)]
@@ -411,10 +409,11 @@ def forget_transform(curve: PlaneCurveGerm, order: int, scale, accuracy=None) ->
     witness = realize_order(curve, order)
     b = witness.scale(scale)
     alpha = -b.partial("p")
-    beta0 = b.p_parts().get(0, Germ.zero(b.weights))
+    zero, _, p = _zero_one_p(b)
+    beta0 = b.p_parts().get(0, zero)
     phi = solve_contact(alpha, beta0, accuracy)
     bound = order + 1
-    moved = phi.beta.truncate(bound)._accumulate(((-1, Germ.variable(phi.weights, "p"), phi.alpha),))
+    moved = phi.beta.truncate(bound)._accumulate(((-1, p, phi.alpha),))
     shift = evaluate_on_series(moved, *curve.triple())
     if not shift.truncate(order).is_zero() or shift.coefficient(order) != scale:
         raise ContactDefectError(

@@ -32,7 +32,8 @@ of at least 1, not ``bool``s), the accuracy, that the coefficients are a
 mapping, every monomial (non-negative ``int``s, valuation below the limit)
 and every value (an ``int`` or a ``Fraction``, not a ``bool``).  Every germ
 the library forms from stored numerators, ``from_p_parts``'s join of
-checked parts included, is built by ``_unchecked`` or ``_reduced``.
+checked parts and the contact solver's 0, 1 and p (``_zero_one_p``)
+included, is built by ``_unchecked`` or ``_reduced``.
 ``coefficient`` checks its monomial and ``truncate`` its accuracy.
 Products and ``_substitute`` look each key up in the table
 ``_Truncated._KEYS``, so equal monomials of different results share one
@@ -226,6 +227,14 @@ class Germ(_Truncated):
             step, lift = l * ((wp << Germ._SHIFT) | 1), den // part.den
             num.update((k + step, v * lift) for k, v in part.num.items() if k + step < bound)
         return zero._reduced(num, den, acc)
+
+
+def _zero_one_p(g: Germ, accuracy: Accuracy = math.inf) -> tuple[Germ, Germ, Germ]:
+    """The exact germs 0 and p and the constant 1 known below the positive
+    ``accuracy``, in the ring of ``g``, built by ``_unchecked``: the
+    constants the contact solver forms on every call."""
+    p_key = (g.weights[2] << Germ._SHIFT) | 1
+    return g._unchecked({}, 1, math.inf), g._unchecked({0: 1}, 1, accuracy), g._unchecked({p_key: 1}, 1, math.inf)
 
 
 # -- unit inversion -----------------------------------------------------------

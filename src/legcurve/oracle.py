@@ -19,7 +19,10 @@ the pivot order with the tail's content divided out, and turned into
 ``Fraction`` values only when read.  Each row records the multipliers and
 contents of its steps, so the monomial combination that witnesses its
 order is replayed from the combinations of its pivots only when
-``combination_for`` asks.
+``combination_for`` asks.  A row whose order is at or above the least
+order from which every order below the bound has a pivot reduces to
+zero, and is dropped on arrival.  ``conormal_semigroup`` recognizes the
+generic semigroup from the orders below its conductor plus n.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from .curves import PlaneCurveGerm
 from .errors import InsufficientPrecisionError, NotRealizableError, _check_int
 from .germs import Germ, Monomial, _powers, check_monomial, contact_weights, monomials_in_valuation_range
-from .semigroups import NumericalSemigroup
+from .semigroups import NumericalSemigroup, generic_semigroup
 from .series import TruncatedSeries
 
 
@@ -64,27 +67,37 @@ class EchelonRow:
         )
 
 
+def _certified_bound(curve: PlaneCurveGerm, bound: int | None = None) -> int:
+    """The oracle bound, by default the conductor (n-1)(m-n-1) of <n, m-n>,
+    at least 1 so that order 0 is counted when m = n+1: above it every
+    order is that of a pure monomial in x and p.  Raises
+    InsufficientPrecisionError unless the curve is known below bound + n,
+    as the restrictions below the bound need."""
+    n, m = curve.n, curve.m
+    if bound is None:
+        bound = max((n - 1) * (m - n - 1), 1)
+    if curve.accuracy < _check_int(bound, "oracle bound", 1) + n:
+        raise InsufficientPrecisionError(
+            f"curve accuracy {curve.accuracy} cannot certify restriction "
+            f"orders below {bound}; need at least {bound + n}"
+        )
+    return bound
+
+
 class ConormalOracle:
     """Echelon basis of monomial restrictions, truncated below ``bound``."""
 
     def __init__(self, curve: PlaneCurveGerm, bound: int | None = None,
                  monomials: list[Monomial] | None = None):
         n, m = curve.n, curve.m
-        if bound is None:
-            # above this everything is an order of a pure monomial in x, p;
-            # at least 1, so that order 0 is counted when m = n+1
-            bound = max((n - 1) * (m - n - 1), 1)
-        if curve.accuracy < _check_int(bound, "oracle bound", 1) + n:
-            raise InsufficientPrecisionError(
-                f"curve accuracy {curve.accuracy} cannot certify restriction "
-                f"orders below {bound}; need at least {bound + n}"
-            )
-        self.bound = bound
+        self.bound = bound = _certified_bound(curve, bound)
         self._n = n
         self._power = _powers((TruncatedSeries.monomial(n, 1, bound), curve.y_series(), curve.p_series()), bound)
         if monomials is None:
             monomials = monomials_in_valuation_range(n, m, 0, bound)
         self.rows: dict[int, EchelonRow] = {}
+        # the least f with a row at every order in [f, bound)
+        self._floor = bound
         # pivot order -> the combination of monomials restricting to its row
         self._combinations: dict[int, dict[Monomial, Fraction]] = {}
         for mono in monomials:
@@ -104,24 +117,26 @@ class ConormalOracle:
         # ((pivot denominator) * row - lead * pivot row) / content on the
         # tail from the pivot order, the entries below it being zero
         restriction = self.restriction(mono)
+        order = min(restriction.num, default=self.bound)
+        if order >= self._floor:
+            # the rows span every series supported in [order, bound), so
+            # this one reduces to zero
+            return
         row = [0] * self.bound
         for k, v in restriction.num.items():
             row[k] = v
         steps = []
-        order = min(restriction.num, default=None)
         while order in self.rows:
             pivot = self.rows[order]
             lead, scale = row[order], pivot.denominator
             row[order:] = [scale * a - lead * b for a, b in zip(row[order:], pivot.numerators[order:])]
-            step, order = order, next((k for k in range(order + 1, self.bound) if row[k]), None)
-            if order is None:
+            step, order = order, next((k for k in range(order + 1, self.bound) if row[k]), self.bound)
+            if order >= self._floor:
                 return
             content = math.gcd(*row[order:])
             if content > 1:
                 row[order:] = [a // content for a in row[order:]]
             steps.append((step, lead, content))
-        if order is None:
-            return
         lead = row[order]
         content = math.gcd(*row[order:])
         if lead < 0:
@@ -129,6 +144,8 @@ class ConormalOracle:
         self.rows[order] = EchelonRow(
             [a // content for a in row], lead // content, mono, restriction.den, steps, lead
         )
+        while self._floor - 1 in self.rows:
+            self._floor -= 1
 
     def orders_below_bound(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
@@ -162,8 +179,26 @@ class ConormalOracle:
 
 
 def conormal_semigroup(curve: PlaneCurveGerm) -> NumericalSemigroup:
-    """Value semigroup of the conormal lift of the curve."""
-    return ConormalOracle(curve).semigroup()
+    """Value semigroup of the conormal lift of the curve.
+
+    The curve must be known below the full oracle bound plus n.  For a
+    type with m >= 2n+1 an oracle truncated at b = c + n, c the conductor
+    of the generic semigroup Γ_gen, runs first (when b is below the full
+    bound).  It finds Γ ∩ [0, b), and n ∈ Γ since x = t^n; so when its
+    orders are those of Γ_gen below b, [c, c + n) lies in Γ, hence all of
+    [c, ∞), and Γ = Γ_gen: the cached ``generic_semigroup(n, m)`` itself is
+    returned.  Otherwise, and for m < 2n+1, the full oracle decides.
+    """
+    n, m = curve.n, curve.m
+    full = _certified_bound(curve)
+    if m >= 2 * n + 1:
+        generic = generic_semigroup(n, m)
+        oracle = ConormalOracle(curve, min(full, generic.conductor + n))
+        if oracle.orders_below_bound() == tuple(generic.members_below(oracle.bound)):
+            return generic
+        if oracle.bound == full:
+            return oracle.semigroup()
+    return ConormalOracle(curve, full).semigroup()
 
 
 def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:

@@ -52,8 +52,11 @@ class NumericalSemigroup:
         gaps = [k for k in range(bound) if k not in member_set]
         return NumericalSemigroup.from_gaps(gaps)
 
-    def __contains__(self, k: int) -> bool:
-        if k < 0 or k % 1:  # a non-integral number is not a member
+    def __contains__(self, k) -> bool:
+        try:
+            if k < 0 or k % 1:  # a non-integral number is not a member
+                return False
+        except TypeError:  # nor, as with range, a value that is not a number
             return False
         if k >= self.conductor:
             return True

@@ -15,6 +15,7 @@ from legcurve.germs import (
     VALUATION_LIMIT,
     Germ,
     _powers,
+    _zero_one_p,
     contact_weights,
     evaluate_on_series,
     invert_unit,
@@ -91,6 +92,19 @@ def test_zero_constant_and_variable_equal_the_public_constructor(value, accuracy
     for axis, mono in zip(AXES, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
         assert Germ.variable(W, axis, accuracy) == G({mono: 1}, accuracy)
     assert_canonical(Germ.constant(W, value, accuracy))
+
+
+@pytest.mark.parametrize("weights", [W, contact_weights(2, 5), contact_weights(5, 22)])
+@pytest.mark.parametrize("accuracy", [1, 11, 40, math.inf])
+def test_the_contact_solvers_zero_one_and_p_equal_the_public_constructor(weights, accuracy):
+    g = Germ(weights, {(1, 0, 0): Fraction(2, 3), (0, 1, 1): -5}, 60)
+    zero, one, p = _zero_one_p(g, accuracy)
+    assert zero == Germ.zero(weights)
+    assert one == Germ.constant(weights, 1, accuracy)
+    assert p == Germ.variable(weights, "p")
+    assert _zero_one_p(g)[1] == Germ.constant(weights, 1)
+    for germ in (zero, one, p):
+        assert_canonical(germ)
 
 
 @pytest.mark.parametrize(

@@ -330,8 +330,14 @@ def oracle_inputs(draw):
     return curve, bound, monomials
 
 
+# at (5, 12) and its full bound 24 one monomial arrives with a restriction
+# order from which every order below the bound already has a row
+ZERO_ROW_EXIT = (random_curve(5, 12, trial_rng(512, 0), accuracy=30), 24, monomials_in_valuation_range(5, 12, 0, 24))
+
+
 @settings(max_examples=100, deadline=None)
 @example((PlaneCurveGerm(3, {10: 1, 11: 1}, 15), 12, monomials_in_valuation_range(3, 10, 0, 12)[::-1]))
+@example(ZERO_ROW_EXIT)
 @given(oracle_inputs())
 def test_echelon_matches_fraction_gaussian_elimination(case):
     curve, bound, monomials = case
@@ -345,6 +351,19 @@ def test_echelon_matches_fraction_gaussian_elimination(case):
         assert all(type(v) is Fraction for v in row.series.coeffs.values())
         assert oracle.combination_for(order) == combination
         assert all(type(v) is Fraction for v in oracle.combination_for(order).values())
+
+
+def test_the_zero_row_exit_example_reaches_the_exit():
+    curve, bound, monomials = ZERO_ROW_EXIT
+    oracle = ConormalOracle(curve, bound, monomials)
+    stored = {row.monomial: order for order, row in oracle.rows.items()}
+    pivots, exits = set(), 0
+    for mono in monomials:
+        if mono in stored:
+            pivots.add(stored[mono])
+        else:
+            exits += set(range(min(oracle.restriction(mono).coeffs, default=bound), bound)) <= pivots
+    assert exits == 1
 
 
 @pytest.mark.parametrize("n, m", [(3, 10), (3, 11), (4, 11), (5, 12), (4, 9)])
@@ -415,6 +434,82 @@ def test_pivot_orders_are_the_rref_pivots_of_the_restriction_matrix(curve):
     monomials = monomials_in_valuation_range(curve.n, curve.m, 0, oracle.bound)
     _, pivots = sympy_restriction_matrix(curve, oracle.bound, monomials).rref()
     assert pivots == oracle.orders_below_bound()
+
+
+# -- the generic semigroup recognized from the orders below c(Γ_gen) + n ---------------
+
+
+STRATA_TYPES = [(n, m) for n in range(2, 6) for m in range(n + 1, 4 * n + 3) if math.gcd(n, m) == 1]
+
+
+@st.composite
+def strata_curves(draw):
+    """A curve of a type with 2 <= n <= 5, n < m <= 4n + 2, known just past
+    the full oracle bound plus n: generic, or in a non-generic stratum (the
+    terms after a_m zeroed up to a drawn order, the monomial curve t^m), or
+    with unrelated denominators."""
+    n, m = draw(st.sampled_from(STRATA_TYPES))
+    accuracy = max(max((n - 1) * (m - n - 1), 1) + n + draw(st.integers(0, 2)), m + 1)
+    kind = draw(st.sampled_from(["generic", "zeroed", "monomial", "unrelated"]))
+    if kind == "generic":
+        return random_curve(n, m, trial_rng(draw(st.integers(0, 10**6)), 0), accuracy=accuracy)
+    if kind == "unrelated":
+        return unrelated_denominator_curve(n, m, accuracy, draw(st.integers(0, 10**6)))
+    coefficients = {m: draw(COEFFICIENTS)}
+    if kind == "zeroed" and accuracy > m + 1:
+        start = draw(st.integers(m + 1, accuracy - 1))  # the terms strictly between m and start are zero
+        for e in draw(st.sets(st.integers(start, accuracy - 1), max_size=12)):
+            coefficients[e] = draw(COEFFICIENTS)
+    return PlaneCurveGerm(n, coefficients, accuracy)
+
+
+@settings(max_examples=100, deadline=None)
+@example(PlaneCurveGerm(5, {22: 1}, 69))
+@example(PlaneCurveGerm(5, {22: 1, 27: 1}, 69))
+@example(PlaneCurveGerm(3, {10: 1, 12: 1}, 15))
+@example(PlaneCurveGerm(3, {5: 1, 6: -2}, 7))
+@example(PlaneCurveGerm(4, {5: 1, 6: 3}, 9))
+@example(random_curve(6, 25, trial_rng(625, 0)))
+@given(strata_curves())
+def test_conormal_semigroup_is_the_full_oracle_semigroup(curve):
+    assert conormal_semigroup(curve) == ConormalOracle(curve).semigroup()
+
+
+@pytest.mark.parametrize("n, m", [(3, 10), (5, 22), (4, 41), (6, 25)])
+def test_a_generic_curve_gets_the_cached_generic_semigroup(n, m):
+    # at (3, 10) the first bound, c(Γ_gen) + n = 9 + 3, is the full bound 12
+    curve = random_curve(n, m, trial_rng(100 * n + m, 2))
+    assert conormal_semigroup(curve) is generic_semigroup(n, m)
+
+
+@pytest.mark.parametrize(
+    "curve, bounds",
+    [
+        (PlaneCurveGerm(3, {10: 1, 12: 1}, 20), [12]),  # c(Γ_gen) + n = 9 + 3 is the full bound
+        (PlaneCurveGerm(5, {22: 1, 27: 1}, 69), [42, 64]),  # not generic: the full oracle decides
+        (random_curve(5, 22, trial_rng(522, 1)), [42]),
+        (PlaneCurveGerm(4, {7: 1, 9: 1}, 12), [6]),  # m < 2n+1: the full oracle alone
+    ],
+)
+def test_each_oracle_bound_is_built_once(curve, bounds, monkeypatch):
+    built = []
+
+    class Counted(ConormalOracle):
+        def __init__(self, curve, bound=None, monomials=None):
+            super().__init__(curve, bound, monomials)
+            built.append(self.bound)
+
+    monkeypatch.setattr("legcurve.oracle.ConormalOracle", Counted)
+    conormal_semigroup(curve)
+    assert built == bounds
+
+
+def test_the_precision_requirement_stays_at_the_full_bound():
+    # c(Γ_gen) + n = 42 would need only 47 terms, but the full bound 64 needs 69
+    curve = random_curve(5, 22, trial_rng(522, 0), accuracy=68)
+    with pytest.raises(InsufficientPrecisionError) as excinfo:
+        conormal_semigroup(curve)
+    assert str(excinfo.value) == "curve accuracy 68 cannot certify restriction orders below 64; need at least 69"
 
 
 @settings(max_examples=60, deadline=None)

@@ -197,6 +197,14 @@ def test_a_non_integral_number_is_not_a_member():
     assert 2.5 not in s and Fraction(21, 2) not in s and 1000.5 not in s
 
 
+def test_a_value_that_is_not_a_number_is_not_a_member():
+    # as with range: 'a' in range(10) is False, where comparing 'a' < 0 raises
+    s = generic_semigroup(3, 10)
+    assert "a" not in s and None not in s and (0, 1) not in s
+    assert 2.5 not in s and Fraction(8, 1) not in s
+    assert Fraction(7, 1) in s
+
+
 @pytest.mark.parametrize("n, m", [(2, 5), (3, 10), (3, 14), (4, 11), (5, 12), (6, 25), (7, 16)])
 def test_membership_agrees_with_members_below(n, m):
     s = generic_semigroup(n, m)
