@@ -183,10 +183,14 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     powers of p turns it into a recursion for the p-coefficients of beta,
     each step dividing by the unit 1 + d_x(alpha at p=0).  Each factor of
     the recursion is built once, and each step's sum of products is one
-    ``_accumulate``, which skips a product only when a factor is an exact
-    zero (no terms, infinite accuracy): zero parts of finite accuracy
-    still bound the accuracy of the sum.  gamma is then
-    determined rationally.  Raises ContactDefectError when that unit
+    ``_accumulate``, in which zero parts of finite accuracy still bound
+    the accuracy of the sum.  When alpha has no p term the recursion is
+    skipped: d_p(beta) = (p + gamma) * d_p(alpha) = 0, so beta = beta0
+    below the target.  The recursion gives the same, as every part b_k,
+    k >= 1, is then zero and known above target - k*wp (by induction on
+    k: each term of its step is zero and known that far), so it neither
+    adds a term nor lowers the accuracy.  gamma is then determined
+    rationally.  Raises ContactDefectError when that unit
     vanishes at the origin, and ValidationError for data no contact
     transformation can have.
     """
@@ -224,29 +228,30 @@ def solve_contact(alpha: Germ, beta0: Germ, accuracy=None) -> ContactMap:
     d_x = alpha.partial("x")
     d_y = alpha.partial("y")
     full_unit_inv = invert_unit((one + d_x)._accumulate(((1, p, d_y),)))
-    unit_inv = full_unit_inv.p_parts()[0]
-
-    # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
-    # d_x b_r and r*b_r for each p-part b_r of beta as it is made (u_0 and
-    # 0*b_0 are never read); for a finite alpha.accuracy >= target, p_parts
-    # has a part of every degree up to steps
-    steps = (target - 1) // wp  # the k with (k + 1) * wp < target
-    parts_a = alpha.p_parts()
-    a = [parts_a.get(j, zero) for j in range(steps + 1)]
-    ja = [a[j].scale(j) for j in range(steps + 1)]
-    u = [zero] + [a[s].partial("x") + a[s - 1].partial("y") for s in range(1, steps)]
-    parts_b, dy_b, dx_b, rb = [beta0], [], [], [zero]
-    for k in range(steps):
-        dy_b.append(parts_b[k].partial("y"))
-        dx_b.append(parts_b[k].partial("x"))
-        total = ja[k]._accumulate(chain(
-            ((1, ja[j], dy_b[k - j]) for j in range(1, k + 1)),
-            ((1, ja[j + 1], dx_b[k - j]) for j in range(k + 1)),
-            ((-1, u[k - r], rb[r + 1]) for r in range(k)),
-        ))
-        rb.append(total * unit_inv)  # (k + 1) * b_(k+1)
-        parts_b.append(rb[k + 1].scale(Fraction(1, k + 1)))
-    beta = Germ.from_p_parts(w, dict(enumerate(parts_b))).truncate(target)
+    beta = beta0.truncate(target)  # the p-recursion's result when alpha has no p term
+    if not alpha.partial("p").is_zero():
+        unit_inv = full_unit_inv.p_parts()[0]
+        # j*a_j and u_s = d_x a_s + d_y a_(s-1) for every step, and d_y b_r,
+        # d_x b_r and r*b_r for each p-part b_r of beta as it is made (u_0 and
+        # 0*b_0 are never read); for a finite alpha.accuracy >= target, p_parts
+        # has a part of every degree up to steps
+        steps = (target - 1) // wp  # the k with (k + 1) * wp < target
+        parts_a = alpha.p_parts()
+        a = [parts_a.get(j, zero) for j in range(steps + 1)]
+        ja = [a[j].scale(j) for j in range(steps + 1)]
+        u = [zero] + [a[s].partial("x") + a[s - 1].partial("y") for s in range(1, steps)]
+        parts_b, dy_b, dx_b, rb = [beta0], [], [], [zero]
+        for k in range(steps):
+            dy_b.append(parts_b[k].partial("y"))
+            dx_b.append(parts_b[k].partial("x"))
+            total = ja[k]._accumulate(chain(
+                ((1, ja[j], dy_b[k - j]) for j in range(1, k + 1)),
+                ((1, ja[j + 1], dx_b[k - j]) for j in range(k + 1)),
+                ((-1, u[k - r], rb[r + 1]) for r in range(k)),
+            ))
+            rb.append(total * unit_inv)  # (k + 1) * b_(k+1)
+            parts_b.append(rb[k + 1].scale(Fraction(1, k + 1)))
+        beta = Germ.from_p_parts(w, dict(enumerate(parts_b))).truncate(target)
 
     gamma = full_unit_inv * (
         beta.partial("x") + p * (beta.partial("y") - d_x - p * d_y)

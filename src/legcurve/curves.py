@@ -164,12 +164,14 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
     if eta is None:
         raise ValidationError(f"cannot renormalize: {lead} admits no exact rational root of degree {n}")
     unit = x_series.shift(-n).scale(1 / lead)
+    inverse = 1 / eta
     if unit.num.keys() == {0}:  # x = lead*t^n below its accuracy
-        t_of_s = TruncatedSeries.monomial(1, 1 / eta, x_series.accuracy - n + 1)
+        t_of_s = unit._unchecked({1: inverse.numerator}, inverse.denominator, x_series.accuracy - n + 1)
     else:
-        t_of_s = series_reverse(TruncatedSeries.monomial(1, eta) * series_nth_root(unit, n))
+        scaled_t = unit._unchecked({1: eta.numerator}, eta.denominator, math.inf)
+        t_of_s = series_reverse(scaled_t * series_nth_root(unit, n))
         x_back = series_compose(x_series, t_of_s)
-        if t_of_s.coefficient(1) != 1 / eta or not x_back.agrees_with(TruncatedSeries.monomial(n, 1)):
+        if t_of_s.coefficient(1) != inverse or not x_back.agrees_with(unit._unchecked({n: 1}, 1, math.inf)):
             raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
     return curve_from_y_series(n, series_compose(y_series, t_of_s))
 

@@ -25,7 +25,6 @@ from .errors import (ContactDefectError, InsufficientPrecisionError, NonGenericC
                      _check_type)
 from .oracle import conormal_semigroup
 from .semigroups import free_indices, generic_semigroup
-from .series import TruncatedSeries
 
 
 def is_generic(curve: PlaneCurveGerm) -> bool:
@@ -109,7 +108,8 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
         # below t^(k+1) the step must clear t^k and move nothing else; as
         # working has a_m and no lower term, that also keeps the type (n, m)
         image = candidate.y_series().truncate(k + 1)
-        wanted = working.y_series().truncate(k + 1) - TruncatedSeries.monomial(k, coeff)
+        y = working.y_series()
+        wanted = y.truncate(k + 1) - y._unchecked({k: coeff.numerator}, coeff.denominator, math.inf)
         if image != wanted:
             moved = [j for j in range(k + 1) if image.coefficient(j) != wanted.coefficient(j)]
             raise ContactDefectError(

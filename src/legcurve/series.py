@@ -222,23 +222,25 @@ class _Truncated:
         """self + the sum of sign*f*g over the triples (sign, f, g) of
         ``terms``: the fold of ``_sum(f * g, sign)`` from self, with one
         integer accumulation over the lcm of the term denominators and one
-        content reduction.  A term with an exact zero factor (no terms,
-        accuracy inf) adds nothing; any other term bounds the accuracy by
-        that of its product, min(acc f + ord g, acc g + ord f)."""
+        content reduction.  Each term bounds the accuracy by that of its
+        product, min(acc f + ord g, acc g + ord f), where an empty factor's
+        order is its accuracy.  That bound is all a term with an empty
+        factor adds: it is not convolved or counted in the lcm.  So one
+        rule covers exact zeros too, whose bound is inf."""
         acc, den, products = self.accuracy, self.den, []
         for sign, f, g in terms:
             if f is not self:
                 self._check_ring(f)
             if g is not self:
                 self._check_ring(g)
-            if (not f.num and f.accuracy == math.inf) or (not g.num and g.accuracy == math.inf):
-                continue
-            left, right = sorted(f.num.items()), sorted(g.num.items())
             term_acc = min(f.accuracy + g._weight_lower_bound(), g.accuracy + f._weight_lower_bound())
-            if term_acc > self._LIMIT and left and right and (left[-1][0] + right[-1][0]) >> self._SHIFT >= self._LIMIT:
-                raise ValidationError(f"a product reaches weight {self._LIMIT}, the limit of stored keys")
             if term_acc < acc:
                 acc = term_acc
+            if not f.num or not g.num:
+                continue
+            left, right = sorted(f.num.items()), sorted(g.num.items())
+            if term_acc > self._LIMIT and (left[-1][0] + right[-1][0]) >> self._SHIFT >= self._LIMIT:
+                raise ValidationError(f"a product reaches weight {self._LIMIT}, the limit of stored keys")
             term_den = f.den * g.den
             den = term_den if den == 1 else math.lcm(den, term_den)
             products.append((sign, left, right, term_den))
@@ -339,12 +341,16 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     derivative (Brent & Kung, J. ACM 25 (1978), section 2).  The sum is
     taken by Horner's rule in delta and stops once j*v reaches the result
     accuracy N; the j-th step keeps terms below t^(N - j*v).  The cost
-    is about N/v products, so it is cheap when delta has high order and a
-    rescaling without products when delta = 0; when c = 0 it is the
-    power ladder sum_k o_k inner^k.  The arithmetic runs on the stored
+    is about N/v products, so it is cheap when delta has high order; when
+    c = 0 it is the power ladder sum_k o_k inner^k.  When delta = 0 below
+    the accuracy of inner, only the j = 0 term is left: each o_k below N
+    is rescaled by c^k, with no Horner step or binomial, and with c = 1 the
+    result is outer truncated at N.  The arithmetic runs on the stored
     numerators with one running denominator, reduced by its content after
     each step.
     """
+    if inner.accuracy == 0:
+        raise InsufficientPrecisionError("inner series is only exact below t^0; its constant term is unknown")
     if inner.order_lower_bound() < 1:
         raise ValidationError("inner series must have positive order")
     if not inner.num:
@@ -364,14 +370,16 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     c = inner._get(1)
     delta = sorted((k, a) for k, a in inner.num.items() if k != 1)
     numerators = outer.num
-    top = max(numerators, default=0)
-    v = delta[0][0] if delta else 0
     if not delta:
-        depth = 0
-    elif acc == math.inf:
-        depth = top
-    else:
-        depth = min(top, (acc - 1) // v)
+        if c == 1:
+            return outer.truncate(acc)
+        p, q = c.numerator, c.denominator
+        kept = [k for k in numerators if k < acc]
+        top = max(kept, default=0)
+        return outer._reduced({k: numerators[k] * p ** k * q ** (top - k) for k in kept}, outer.den * q ** top, acc)
+    top = max(numerators, default=0)
+    v = delta[0][0]
+    depth = top if acc == math.inf else min(top, (acc - 1) // v)
     # c^e = lift[e] / q^top for the denominator q of c
     lift = [c.numerator ** e * c.denominator ** (top - e) for e in range(top + 1)] if c else [1]
     # Horner in delta; the running sum is sums / (outer.den * q^top * scale)

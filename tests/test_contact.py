@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import legcurve.contact
@@ -251,7 +251,22 @@ def _sparse_data(n, m, rng, accuracy):
     return alpha, beta0, accuracy
 
 
+def _given(alpha, beta0):
+    """Data for an @example: this alpha and beta0, at any type and seed."""
+    return lambda n, m, rng, accuracy: (alpha, beta0, accuracy)
+
+
+W411 = contact_weights(4, 11)
+
+
 @settings(max_examples=200, deadline=None)
+# alpha has no p term, so the p-recursion is skipped: alpha = 0 (the witness x^2 y),
+# alpha = 2xy exactly (the witness -2xyp), alpha of finite accuracy, and 0 known below 20
+@example(_given(Germ(W411, {}, math.inf), Germ(W411, {(2, 1, 0): 3}, math.inf)), (4, 11), 0, 30)
+@example(_given(Germ(W411, {(1, 1, 0): 2}, math.inf), Germ(W411, {}, math.inf)), (4, 11), 0, 30)
+@example(_given(Germ(W411, {(1, 1, 0): 2, (0, 1, 0): Fraction(1, 3), (3, 0, 0): Fraction(-1, 5)}, 26),
+                Germ(W411, {(2, 1, 0): 3, (0, 2, 0): 1}, 33)), (4, 11), 0, 40)
+@example(_given(Germ(W411, {}, 20), Germ(W411, {(2, 0, 0): Fraction(1, 7)}, 35)), (4, 11), 0, 40)
 @given(
     st.sampled_from([_solvable_data, _tangent_data, _witness_data, _sparse_data]),
     st.sampled_from([(3, 7), (3, 10), (4, 11), (5, 7)]),

@@ -305,6 +305,7 @@ def naive_product(a, b):
 
 @settings(max_examples=200, deadline=None)
 @example(G({}), G({(1, 0, 0): 2}, 5))
+@example(G({}, 4), G({(1, 0, 0): Fraction(1, 7)}))  # an empty factor of finite accuracy bounds the product
 @example(G({(0, 0, 0): Fraction(3), (0, 1, 0): -HUGE}, 12), G({(1, 0, 0): Fraction(1, HUGE), (0, 0, 1): HUGE}))
 @example(G({(0, 0, 0): 1, (2, 0, 0): -2}, 13), G({(0, 0, 1): Fraction(-2, 3), (1, 0, 1): 7}, 11))
 @given(GERMS, GERMS)

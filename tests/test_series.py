@@ -125,6 +125,25 @@ def test_compose_requires_positive_inner_order():
         series_compose(S({1: 1}), S({0: 1, 1: 1}))
 
 
+def test_compose_with_an_inner_series_unknown_at_t0_names_the_precision():
+    # the order of inner is unknown, not invalid
+    with pytest.raises(InsufficientPrecisionError, match=re.escape("only exact below t^0")):
+        series_compose(S({1: 1}), S({}, 0))
+
+
+@pytest.mark.parametrize("inner_accuracy", [math.inf, 5])
+def test_compose_with_inner_exactly_t_takes_no_horner_step(monkeypatch, inner_accuracy):
+    outer = S({0: Fraction(1, 7), 2: Fraction(-5, 11), 3: HUGE, 6: Fraction(2, 13)}, 9)
+    calls = []
+    convolve, comb = legcurve.series._convolve, math.comb
+    monkeypatch.setattr(legcurve.series, "_convolve", lambda *args: calls.append(args) or convolve(*args))
+    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+    # at inner accuracy 5 an unknown t^5 of inner first moves t^(5 + 2 - 1) of the result
+    expected = outer if inner_accuracy == math.inf else outer.truncate(6)
+    assert_same_stored_form(series_compose(outer, S({1: 1}, inner_accuracy)), expected)
+    assert calls == []
+
+
 def test_compose_accuracy_truncates():
     outer = S({1: 1}, 4)
     inner = S({1: 1, 5: 1})
@@ -290,6 +309,7 @@ def naive_product(a, b):
 
 @settings(max_examples=200, deadline=None)
 @example(S({}), S({1: 2}, 5))
+@example(S({}, 2), S({1: Fraction(1, 7)}))  # an empty factor of finite accuracy bounds the product
 @example(S({0: Fraction(3), 2: -HUGE}, 4), S({1: Fraction(1, HUGE), 3: HUGE}))
 @example(S({0: 1, 5: -2}, 9), S({4: Fraction(-2, 3), 6: 7}, 7))
 @given(SERIES, SERIES)
@@ -393,6 +413,10 @@ def naive_compose(outer, inner):
 @example(S({1: 2, 2: -1, 5: 3}, 14), S({1: 1, 11: 7}))  # delta of high order
 @example(S({}), S({1: 1, 2: 1}, 6))  # zero outer
 @example(S({}, 4), S({1: 2, 3: 1}))
+@example(S({0: Fraction(1, 7), 2: Fraction(5, 11), 3: Fraction(-2, 13)}, 9), S({1: 1}))  # inner exactly t
+@example(S({1: Fraction(1, 7), 2: Fraction(5, 11), 4: Fraction(-2, 13)}), S({1: 1}, 6))
+@example(S({0: Fraction(1, 7), 2: Fraction(5, 11), 3: Fraction(-2, 13)}), S({1: Fraction(3, 2)}))  # exactly 3t/2
+@example(S({1: Fraction(1, 7), 3: Fraction(5, 11), 4: Fraction(-2, 13)}, 10), S({1: Fraction(3, 2)}, 5))
 @example(
     S({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 5), 3: Fraction(1, 7)}),
     S({1: Fraction(1, 11), 2: Fraction(1, 13), 4: Fraction(1, 17)}, 9),
