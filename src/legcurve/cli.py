@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .contact import Y_MONO, act_on_curve, solve_contact
-from .expansion import ExpansionContext, determinant
+from .expansion import ExpansionContext
 from .expressions import format_scalar, parse_germ
 from .germs import monomials_in_valuation_range
 from .moduli import equivalent_curves, normal_form
@@ -328,10 +328,9 @@ def _check_det_invariance(ctx: ExpansionContext, seed: int, selections: int = 50
             if valuation >= 0 and ctx.cutoff - low >= count + 1:
                 break
         columns = sorted(rng.sample(range(low, ctx.cutoff), count + 1))
-        det = ctx.family_determinant(q, count, columns)
-        det_zero = determinant(ctx.family_matrix(q, count, columns, mu_value=0))
-        det_m = determinant(ctx.family_matrix(q, count, columns, mu_value=ctx.m))
-        if det.degree_in("mu") or det != det_zero or det != det_m:
+        # substituting mu = mu0 is a ring homomorphism, so a determinant with
+        # no mu term is also the determinant at every twist mu0
+        if ctx.family_determinant(q, count, columns).degree_in("mu"):
             return checked, {"q": q, "count": count, "columns": columns}
         checked += 1
     return checked, None

@@ -290,7 +290,6 @@ class Classification:
     triangular: bool
     tangent_to_identity: bool
     is_scaling: bool
-    violations: tuple[str, ...]
 
 
 def classify(phi: ContactMap) -> Classification:
@@ -303,21 +302,11 @@ def classify(phi: ContactMap) -> Classification:
     the identity on each coordinate line.  is_scaling: the map is exactly
     a homothety (x, y, p) -> (lam*x, mu*y, (mu/lam)*p) within accuracy.
     """
-    violations = []
-    if phi.beta.coefficient(X_MONO) != 0:
-        violations.append("the y component has a linear x term")
-    if phi.gamma.coefficient(X_MONO) != 0:
-        violations.append("the p component has a linear x term")
-    triangular = not violations
-    tangent = True
-    for comp, axis, mono in (
-        (phi.alpha, "x", X_MONO),
-        (phi.beta, "y", Y_MONO),
-        (phi.gamma, "p", P_MONO),
-    ):
-        if comp.coefficient(mono) != 0:
-            tangent = False
-            violations.append(f"the {axis} component scales the {axis} direction")
+    triangular = phi.beta.coefficient(X_MONO) == 0 and phi.gamma.coefficient(X_MONO) == 0
+    tangent = all(
+        comp.coefficient(mono) == 0
+        for comp, mono in zip(phi.components(), (X_MONO, Y_MONO, P_MONO))
+    )
     lam = 1 + phi.alpha.coefficient(X_MONO)
     mu = 1 + phi.beta.coefficient(Y_MONO)
     # a homothety has no term but (lam - 1) x, (mu - 1) y and (mu/lam - 1) p
@@ -327,12 +316,7 @@ def classify(phi: ContactMap) -> Classification:
             phi.components(), (X_MONO, Y_MONO, P_MONO), (lam, mu, Fraction(mu, lam))
         )
     )
-    return Classification(
-        triangular=triangular,
-        tangent_to_identity=tangent,
-        is_scaling=scaling,
-        violations=tuple(violations),
-    )
+    return Classification(triangular=triangular, tangent_to_identity=tangent, is_scaling=scaling)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,8 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
     t^A term of x first moves it.  Otherwise one explicit check covers the
     root, the rescale and the reversal: x(t(s)) = s^n with [s^1] t(s) =
     1/eta holds only when t(s) reverses s(t) for the root with constant
-    term 1.
+    term 1.  An image whose y-series starts at a multiple of n, which no
+    type (n, m) describes, also raises ``ValidationError``.
     """
     order = x_series.order()
     if order != n:
@@ -173,7 +174,13 @@ def reparametrize(x_series: TruncatedSeries, y_series: TruncatedSeries, n: int) 
         x_back = series_compose(x_series, t_of_s)
         if t_of_s.coefficient(1) != inverse or not x_back.agrees_with(unit._unchecked({n: 1}, 1, math.inf)):
             raise ContactDefectError("reparametrization failed: x(t(s)) is not s^n")
-    return curve_from_y_series(n, series_compose(y_series, t_of_s))
+    y = series_compose(y_series, t_of_s)
+    if y.num and min(y.num) % n == 0:
+        raise ValidationError(
+            f"the image's y-series starts at t^{min(y.num)}, a multiple of n = {n}, "
+            f"so the image leaves the chart's types (n, m) with m coprime to n"
+        )
+    return curve_from_y_series(n, y)
 
 
 def integer_nth_root(value: int, n: int) -> int | None:

@@ -198,14 +198,7 @@ class ExpansionContext:
     def family_valuation(self, q: int, count: int) -> int:
         return self.n * q + self.m * count
 
-    def family_matrix(
-        self,
-        q: int,
-        count: int,
-        columns: list[int],
-        rows: list[int] | None = None,
-        mu_value=None,
-    ) -> list[list[Poly]]:
+    def family_matrix(self, q: int, count: int, columns: list[int], rows: list[int] | None = None) -> list[list[Poly]]:
         indices = self.family_indices(q, count)
         if rows is None:
             rows = list(range(count + 1))
@@ -213,10 +206,7 @@ class ExpansionContext:
         for l in rows:
             if not (0 <= _check_int(l, "row") <= count):
                 raise ValidationError(f"row {l} outside the family 0..{count}")
-            row = [self.entry(indices[l], k) for k in columns]
-            if mu_value is not None:
-                row = [p.substitute({"mu": mu_value}) for p in row]
-            matrix.append(row)
+            matrix.append([self.entry(indices[l], k) for k in columns])
         return matrix
 
     def family_determinant(self, q: int, count: int, columns: list[int], rows: list[int] | None = None) -> Poly:

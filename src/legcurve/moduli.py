@@ -67,6 +67,10 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
     postconditions, including an image exact below keep: the map is built
     at keep from a curve truncated to keep, so no input precision cures
     that.
+
+    The result is a short form with no further test: a step clears its
+    target and moves nothing below it, so every target stays zero once its
+    turn has passed, and the orders below m stay empty.
     """
     n, m = curve.n, curve.m
     expected = generic_semigroup(n, m)
@@ -119,13 +123,7 @@ def normal_form(curve: PlaneCurveGerm) -> NormalForm:
         steps.append(ReductionStep(k, -coeff))
         working = candidate
 
-    final = working.truncate(keep)
-    stray = final.y_series().num.keys() - {m, *free}
-    if stray:
-        raise ContactDefectError(
-            f"short form still carries removable exponents {sorted(stray)}"
-        )
-    return NormalForm(final, unit, tuple(steps), free)
+    return NormalForm(working.truncate(keep), unit, tuple(steps), free)
 
 
 def moduli_point(curve: PlaneCurveGerm) -> dict[int, object]:
@@ -194,14 +192,10 @@ def canonical_point(point: dict[int, object], n: int, m: int) -> dict[int, Cyclo
     points decide orbit equivalence.
     """
     indices = sorted(_checked_point(point, n, m))
-    best = None
-    best_key = None
-    for k in range(n):
-        rotated = rotate_point(point, n, m, k)
-        key = tuple(rotated[i].coeffs for i in indices)
-        if best_key is None or key < best_key:
-            best, best_key = rotated, key
-    return best
+    zetas = [Cyclotomic.zeta(n, e) for e in range(n)]
+    rotations = [{i: zetas[k * (i - m) % n] * v for i, v in point.items()} for k in range(n)]
+    # min keeps the first of equal keys, so the least k wins a tie
+    return min(rotations, key=lambda rotated: tuple(rotated[i].coeffs for i in indices))
 
 
 def equivalent_curves(

@@ -10,6 +10,7 @@ from legcurve import cli
 from legcurve.cli import _join_expression_flags, main
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
+from legcurve.expansion import ExpansionContext
 from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup
 
@@ -189,6 +190,15 @@ def test_transform_validates_beta0(capsys, tmp_path):
     assert code == 2 and "y-derivative of beta0" in err
 
 
+@pytest.mark.parametrize("alpha, beta0, order", [("xp", "x^3", 9), ("0", "x^2", 6)])
+def test_transform_names_an_image_whose_y_order_is_a_multiple_of_n(capsys, tmp_path, alpha, beta0, order):
+    path = curve_file(tmp_path, "c.json", 3, {10: 1, 11: 2}, 20)
+    code, out, err = run(capsys, ["transform", path, "--alpha", alpha, "--beta0", beta0])
+    assert code == 2 and out == ""
+    assert f"the image's y-series starts at t^{order}, a multiple of n = 3" in err
+    assert "must be coprime" not in err and "Traceback" not in err
+
+
 def test_join_expression_flags():
     argv = ["transform", "c.json", "--alpha", "-p", "--beta0", "-x^4", "--json"]
     assert _join_expression_flags(argv) == [
@@ -300,6 +310,23 @@ def test_upsilon_checks(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["pass"] is True and payload["checked"] == 50
+
+
+@pytest.mark.parametrize("first_bad", [0, 3, 49])
+def test_det_invariance_reports_the_first_mu_dependent_draw(monkeypatch, first_bad):
+    ctx = ExpansionContext(3, 10)
+    draws = []
+    symbolic = ExpansionContext.family_determinant
+
+    def from_draw_on(self, q, count, columns, rows=None):
+        draws.append({"q": q, "count": count, "columns": columns})
+        if len(draws) > first_bad:
+            return self.mu() * self.coefficient_symbol(10)
+        return symbolic(self, q, count, columns, rows)
+
+    monkeypatch.setattr(ExpansionContext, "family_determinant", from_draw_on)
+    assert cli._check_det_invariance(ctx, 0) == (first_bad, draws[first_bad])
+    assert len(draws) == first_bad + 1
 
 
 @pytest.mark.parametrize("check", ["direct-vs-closed", "mu-derivative", "det-invariance"])

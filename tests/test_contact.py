@@ -352,13 +352,11 @@ def test_compose_is_associative_on_tangent_transforms(seed, accuracies):
 def test_classify_homothety():
     cls = classify(homothety(3, 10, 2, 3))
     assert cls.triangular and cls.is_scaling and not cls.tangent_to_identity
-    assert "the x component scales the x direction" in cls.violations
 
 
 def test_classify_legendre():
     cls = classify(legendre_transformation(3, 10))
     assert not cls.triangular
-    assert "the p component has a linear x term" in cls.violations
     assert not cls.is_scaling
 
 
@@ -367,7 +365,6 @@ def test_classify_shear_and_identity():
     assert cls.triangular and cls.tangent_to_identity and not cls.is_scaling
     cls = classify(identity_map(3, 10))
     assert cls.triangular and cls.tangent_to_identity and cls.is_scaling
-    assert cls.violations == ()
 
 
 def test_decompose_triangular_round_trip():

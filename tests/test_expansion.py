@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from legcurve.cli import _check_det_invariance
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import ValidationError
 from legcurve.expansion import ExpansionContext, determinant, leading_monomial
@@ -221,6 +222,30 @@ def test_family_determinant_drops_mu(ctx):
     assert ctx.family_determinant(1, 1, [13, 15]) == (
         2 * ctx.coefficient_symbol(10) * ctx.coefficient_symbol(12)
     )
+
+
+@pytest.mark.parametrize("nm", [(3, 10), (4, 9), (4, 11), (5, 9)])
+def test_det_invariance_draws_commute_with_each_twist(nm, monkeypatch):
+    """Substituting mu = v is a ring homomorphism, so the determinant of the
+    entry-wise substituted matrix is the symbolic determinant at v; that is
+    why ``upsilon --check det-invariance`` forms one determinant per draw."""
+    context = ExpansionContext(*nm)
+    draws = []
+    symbolic = context.family_determinant
+
+    def recording(q, count, columns, rows=None):
+        det = symbolic(q, count, columns, rows)
+        draws.append((q, count, columns, det))
+        return det
+
+    monkeypatch.setattr(context, "family_determinant", recording)
+    assert _check_det_invariance(context, 0) == (50, None)
+    assert len(draws) == 50
+    for q, count, columns, det in draws:
+        matrix = context.family_matrix(q, count, columns)
+        for v in (0, context.m):
+            twisted = [[entry.substitute({"mu": v}) for entry in row] for row in matrix]
+            assert determinant(twisted) == det.substitute({"mu": v})
 
 
 def test_family_determinant_shape_check(ctx):

@@ -251,6 +251,31 @@ def test_canonical_point_is_orbit_invariant():
     assert canonical_point({11: 0}, 3, 10) == {11: Cyclotomic.from_rational(3, 0)}
 
 
+@st.composite
+def rational_points(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(n + 1, 4 * n).filter(lambda m: math.gcd(n, m) == 1))
+    indices = draw(st.lists(st.integers(m + 1, m + 2 * n), min_size=1, max_size=4, unique=True))
+    values = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    return n, m, {i: draw(values) for i in indices}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_points())
+@example((3, 10, {11: 0}))  # every rotation ties
+@example((4, 11, {13: 2, 14: 0}))  # k and k + 2 tie
+@example((6, 13, {16: -1, 19: Fraction(1, 2)}))
+@example((2, 5, {7: 1, 9: -1}))
+def test_canonical_point_is_the_first_least_rotation(data):
+    n, m, point = data
+    indices = sorted(point)
+    rotations = [rotate_point(point, n, m, k) for k in range(n)]
+    keys = [tuple(rotated[i].coeffs for i in indices) for rotated in rotations]
+    expected = rotations[keys.index(min(keys))]
+    canonical = canonical_point(point, n, m)
+    assert canonical == expected and list(canonical) == list(point)
+
+
 @pytest.mark.parametrize("n", [0, 1, -3, 3.0, True])
 @pytest.mark.parametrize(
     "call",
