@@ -13,24 +13,28 @@ survives.  Determinants of the arithmetic families (q+l, N-l, l), l = 0..N
 turn out not to depend on mu, which is what makes them usable as
 curve-genericity certificates.
 
-A context memoizes each truncated power y^j p~^l by (j, l, bound), each
-built from the one a factor lower by one convolution.  The closed form
-shares none of that: each multiset alpha of indices gives one a-monomial
-times an integer polynomial in mu built in ``int`` lists, and distinct
-alphas give distinct monomials, so an entry is their disjoint union.
+A context keeps one chain y^j p~^l per (j, l), each power one convolution
+from the power a factor lower, at the largest bound asked for so far: the
+exponents of y and p~ are positive, so a smaller bound reads the same
+chain.  The closed form shares none of that: each multiset alpha of
+indices gives one a-monomial times an integer polynomial in mu, and
+distinct alphas give distinct monomials, so an entry is their disjoint
+union.  The multisets of each (size, weight) and the terms of each
+(alpha, l) are formed once per context.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .errors import ValidationError, _check_int, _check_type
-from .sympoly import Poly, _sum_of_products, pack, unpack
+from .sympoly import EXPONENT_LIMIT, Poly, _sum_of_products, pack, unpack
 
 CUTOFF_CAP = 40
 DIMENSION_CAP = 6
+
+Multiset = tuple[tuple[int, int], ...]  # (index, count) pairs, counts non-zero
 
 
 def _check_index(index) -> tuple[int, int, int]:
@@ -62,7 +66,12 @@ class ExpansionContext:
         self.n, self.m, self.cutoff = n, m, cutoff
         self.gens = ("mu",) + tuple(f"a{s}" for s in range(m, cutoff))
         self._series_memo: dict[tuple[int, int, int], dict[int, Poly]] = {}
-        self._powers: dict[tuple[int, int, int], dict[int, Poly]] = {}
+        # (j, l) -> (bound, y^j p~^l exact below bound)
+        self._powers: dict[tuple[int, int], tuple[float, dict[int, Poly]]] = {
+            (0, 0): (math.inf, {0: Poly.const(self.gens, 1)})
+        }
+        # (size, weight) -> [(alpha, a-monomial key, {l: terms of alpha's twist})]
+        self._multisets: dict[tuple[int, int], list[tuple[Multiset, int, dict[int, dict[int, int]]]]] = {}
         self._y, self._p = self.y_series(), self.twisted_p_series()
         self._a_keys = {s: pack((0,) * (s - m + 1) + (1,)) for s in range(m, cutoff)}
         self._mu_key = pack((1,))
@@ -70,7 +79,7 @@ class ExpansionContext:
     # -- building blocks ------------------------------------------------------
 
     def coefficient_symbol(self, s: int) -> Poly:
-        if not (self.m <= s < self.cutoff):
+        if not (self.m <= _check_int(s, "coefficient index") < self.cutoff):
             raise ValidationError(f"no symbol a_{s}: indices run over [{self.m}, {self.cutoff})")
         return Poly.variable(self.gens, f"a{s}")
 
@@ -100,13 +109,20 @@ class ExpansionContext:
         return {e: c for e, c in out.items() if c}
 
     def _power(self, j: int, l: int, bound: int) -> dict[int, Poly]:
-        """y^j p~^l below ``bound``, from the memoized power one factor lower."""
-        if j == l == 0:
-            return {0: Poly.const(self.gens, 1)}
-        if (j, l, bound) not in self._powers:
-            lower, factor = ((j, l - 1), self._p) if l else ((j - 1, 0), self._y)
-            self._powers[j, l, bound] = self._convolve(self._power(*lower, bound), factor, bound)
-        return self._powers[j, l, bound]
+        """y^j p~^l, exact below ``bound``; terms at or above it may be present.
+
+        One chain per (j, l) is kept, at the largest bound formed so far.
+        The powers the chain lacks at ``bound`` are formed upwards from the
+        highest one it holds, one convolution each."""
+        missing = []
+        while self._powers.get((j, l), (-math.inf,))[0] < bound:
+            missing.append((j, l))
+            j, l = (j, l - 1) if l else (j - 1, 0)
+        series = self._powers[j, l][1]
+        for j, l in reversed(missing):
+            series = self._convolve(series, self._p if l else self._y, bound)
+            self._powers[j, l] = bound, series
+        return series
 
     def monomial_series(self, index: tuple[int, int, int]) -> dict[int, Poly]:
         """t-expansion of x^i y^j p~^l below the cutoff (exponent -> Poly)."""
@@ -127,7 +143,7 @@ class ExpansionContext:
         """Coefficient of t^k in the expansion of x^i y^j p~^l."""
         if not (0 <= _check_int(k, "column k") < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
-        return self.monomial_series(index).get(k) or Poly.const(self.gens, 0)
+        return self.monomial_series(index).get(k) or Poly._unchecked(self.gens, {})
 
     def entry_closed_form(self, index: tuple[int, int, int], k: int) -> Poly:
         """Same entry through the explicit combinatorial sum.
@@ -136,7 +152,8 @@ class ExpansionContext:
         size k - (i-l)*n, and over sub-multisets gamma of size l marking
         which factors came from the twisted series; each choice contributes
         the multinomial j! l! / ((alpha-gamma)! gamma!) times
-        prod a_s^alpha_s * prod (mu + s - m)^gamma_s.
+        prod a_s^alpha_s * prod (mu + s - m)^gamma_s.  The multisets of a
+        (size, weight) and the terms of an (alpha, l) are memoized.
         """
         i, j, l = _check_index(index)
         if not (0 <= _check_int(k, "column k") < self.cutoff):
@@ -145,43 +162,41 @@ class ExpansionContext:
         if self.n * i + self.m * j + (self.m - self.n) * l < 0:
             raise ValidationError(f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
                                   "the negative x-power does not cancel")
-        jl_factor = math.factorial(j) * math.factorial(l)
+        # no exponent of a term exceeds j + l, so no key carries into the next field
+        if j + l >= EXPONENT_LIMIT:
+            raise ValidationError(f"x^{i} y^{j} p^{l}: j + l reaches the exponent limit {EXPONENT_LIMIT}")
+        size_weight = j + l, k - (i - l) * self.n
+        if size_weight not in self._multisets:
+            self._multisets[size_weight] = [
+                (alpha, sum(count * self._a_keys[s] for s, count in alpha), {})
+                for alpha in _multisets(self.m, self.cutoff, *size_weight)
+            ]
         terms: dict[int, int] = {}
+        for alpha, base, twists in self._multisets[size_weight]:
+            if l not in twists:
+                twists[l] = {base + d * self._mu_key: c for d, c in enumerate(self._twist(alpha, j, l)) if c}
+            terms.update(twists[l])
+        return Poly._unchecked(self.gens, terms)
 
-        def walk(s: int, remaining: int, weight_left: int, alpha: list[tuple[int, int]]):
-            if remaining == 0:
-                if weight_left == 0:
-                    base = sum(count * self._a_keys[a] for a, count in alpha)
-                    for d, c in enumerate(self._twist(alpha, l, jl_factor)):
-                        if c:
-                            terms[base + d * self._mu_key] = c
-                return
-            if not remaining * s <= weight_left <= remaining * (self.cutoff - 1):
-                return
-            walk(s + 1, remaining, weight_left, alpha)
-            for count in range(1, min(remaining, weight_left // s) + 1):
-                alpha.append((s, count))
-                walk(s + 1, remaining - count, weight_left - count * s, alpha)
-                alpha.pop()
+    def _twist(self, alpha: Multiset, j: int, l: int) -> list[int]:
+        """The mu-coefficients of the sum over gamma for one multiset alpha.
 
-        walk(self.m, j + l, k - (i - l) * self.n, [])
-        return Poly(self.gens, terms)
-
-    def _twist(self, alpha: list[tuple[int, int]], l: int, jl_factor: int) -> list[int]:
-        """The mu-coefficients of the sum over gamma for one multiset alpha,
-        given as (index, count) pairs with non-zero counts."""
-        twist = [0] * (l + 1)
-        for gamma in itertools.product(*(range(min(count, l) + 1) for _, count in alpha)):
-            if sum(gamma) != l:
-                continue
-            coeff, poly = jl_factor, [1]
-            for (s, count), g in zip(alpha, gamma):
-                coeff //= math.factorial(count - g) * math.factorial(g)
-                for _ in range(g):  # times (mu + s - m)
-                    poly = [low + (s - self.m) * high for low, high in zip([0] + poly, poly + [0])]
-            for d, c in enumerate(poly):
-                twist[d] += coeff * c
-        return twist
+        The sum of prod C(alpha_s, gamma_s) (mu + s - m)^gamma_s over the
+        gamma of size l is the z^l coefficient of prod (1 + z(mu + s - m))^alpha_s,
+        built one factor at a time; times j! l! / alpha! it is the sum of the
+        multinomials, an integer polynomial, so the division is exact."""
+        layers = [[1]] + [[0] * (r + 1) for r in range(1, l + 1)]  # z^r: degree r in mu
+        for s, count in alpha:
+            shift = s - self.m
+            for _ in range(count):
+                for r in range(l, 0, -1):  # times (1 + z(mu + shift)), top layer first
+                    layer = layers[r]
+                    for d, v in enumerate(layers[r - 1]):
+                        layer[d] += shift * v
+                        layer[d + 1] += v
+        scale = math.factorial(j) * math.factorial(l)
+        denominator = math.prod(math.factorial(count) for _, count in alpha)
+        return [scale * v // denominator for v in layers[l]]
 
     # -- arithmetic families ----------------------------------------------------
 
@@ -244,6 +259,28 @@ class ExpansionContext:
         if not det:
             return True
         return bool(det.substitute({"mu": self.m}))
+
+
+def _multisets(low: int, high: int, size: int, weight: int) -> list[Multiset]:
+    """The multisets of ``size`` integers in [low, high) summing to
+    ``weight``, as (value, count) pairs with non-zero counts."""
+    found = []
+
+    def walk(s: int, remaining: int, weight_left: int, alpha: list[tuple[int, int]]):
+        if remaining == 0:
+            if weight_left == 0:
+                found.append(tuple(alpha))
+            return
+        if not remaining * s <= weight_left <= remaining * (high - 1):
+            return
+        walk(s + 1, remaining, weight_left, alpha)
+        for count in range(1, min(remaining, weight_left // s) + 1):
+            alpha.append((s, count))
+            walk(s + 1, remaining - count, weight_left - count * s, alpha)
+            alpha.pop()
+
+    walk(low, size, weight, [])
+    return found
 
 
 def determinant(matrix: list[list[Poly]]) -> Poly:

@@ -214,12 +214,15 @@ def realize_order(curve: PlaneCurveGerm, order: int) -> Germ:
     weights = contact_weights(n, m)
     if _check_int(order, "order") < 0:
         raise NotRealizableError("restriction orders are non-negative")
-    exact = monomials_in_valuation_range(n, m, order, order + 1)
-    if exact:
-        mono = exact[0]
-        i, j, l = mono
-        lead = curve.coefficient(m) ** (j + l) * Fraction(m, n) ** l
-        return Germ(weights, {mono: Fraction(1, lead)}, math.inf)
+    # the least (i, j, l) of this valuation; the j of one i lie in one class mod m - n
+    wx, wy, wp = weights
+    for i in range(order // wx + 1):
+        rest = order - wx * i
+        for j in range(min(rest // wy, wp - 1) + 1):
+            if (rest - wy * j) % wp == 0:
+                l = (rest - wy * j) // wp
+                lead = curve.coefficient(m) ** (j + l) * Fraction(m, n) ** l
+                return Germ(weights, {(i, j, l): Fraction(1, lead)}, math.inf)
     # the window of the n orders up to the target holds a multiple of n,
     # the valuation of a power of x, so it is never empty
     near = monomials_in_valuation_range(n, m, max(0, order - n + 1), order + 1)

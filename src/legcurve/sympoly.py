@@ -17,9 +17,10 @@ evaluated at integers stays in ``int`` arithmetic.  This is deliberately
 small: ring operations, partial derivatives and substitution are all the
 symbolic layer requires.
 
-``Poly(gens, terms)`` validates its keys and coefficients (``bool`` is
-neither) and drops zeros.  Ring results are built unchecked: sums drop
-cancelled terms as they merge.  Products and sums of products (the
+``Poly(gens, terms)`` validates its generators (a tuple of distinct
+names), keys and coefficients (``bool`` is neither) and drops zeros.
+Ring results are built unchecked: sums drop cancelled terms as they
+merge.  Products and sums of products (the
 determinant's cofactors, the expansion's convolutions) go through one
 kernel, ``_sum_of_products``, which adds every term product into one dict
 and filters zeros once at the end.
@@ -69,10 +70,18 @@ def pack(exponents: Iterable[int]) -> int:
     return sum(k << (WIDTH * i) for i, k in enumerate(exponents))
 
 
+def _check_gens(gens) -> tuple[str, ...]:
+    """``gens``, if it is a tuple of distinct ``str`` names."""
+    if type(gens) is not tuple or any(type(name) is not str for name in gens) or len(set(gens)) != len(gens):
+        raise ValidationError(f"generators must be a tuple of distinct names, got {gens!r}")
+    return gens
+
+
 class Poly:
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: tuple[str, ...], terms: Mapping[int, Coefficient]):
+        _check_gens(gens)
         limit, guard = 1 << (WIDTH * len(gens)), _guard_mask(len(gens))
         for e, c in terms.items():
             if type(e) is not int or not 0 <= e < limit or e & guard:
@@ -96,7 +105,7 @@ class Poly:
 
     @staticmethod
     def variable(gens: tuple[str, ...], name: str) -> "Poly":
-        return Poly._unchecked(gens, {1 << _shift(gens, name): 1})
+        return Poly._unchecked(gens, {1 << _shift(_check_gens(gens), name): 1})
 
     # -- ring structure --------------------------------------------------
 

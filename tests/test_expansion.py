@@ -17,12 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legcurve.cli import _check_det_invariance
+from legcurve import expansion
+from legcurve.cli import _check_det_invariance, _check_direct_vs_closed
 from legcurve.curves import PlaneCurveGerm
 from legcurve.errors import ValidationError
 from legcurve.expansion import ExpansionContext, determinant, leading_monomial
-from legcurve.germs import Germ, contact_weights, evaluate_on_series
-from legcurve.sympoly import Poly
+from legcurve.germs import Germ, contact_weights, evaluate_on_series, monomials_in_valuation_range
+from legcurve.sympoly import EXPONENT_LIMIT, Poly
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,12 @@ def test_context_validation():
     for n, m in [(3.0, 10), (3, 10.0), (3, 9), (3, 2)]:
         with pytest.raises(ValidationError):
             ExpansionContext(n, m)
+
+
+@pytest.mark.parametrize("s", [10.0, True, "10", None], ids=repr)
+def test_coefficient_symbol_checks_its_index(ctx, s):
+    with pytest.raises(ValidationError, match="coefficient index must be an integer"):
+        ctx.coefficient_symbol(s)
 
 
 def test_twisted_series(ctx):
@@ -102,6 +109,44 @@ def test_closed_form_has_the_domain_of_entry(ctx):
                 assert "negative t-exponents" in str(error)
                 break
             assert ctx.entry_closed_form(index, k) == direct, (index, k)
+
+
+def test_direct_vs_closed_forms_each_power_and_each_multiset_list_once(monkeypatch):
+    """On a fresh (5, 9) context the check convolves once per power
+    y^j p~^l it visits, and enumerates the multisets of each (size, weight)
+    of its closed-form entries once."""
+    context = ExpansionContext(5, 9)
+    convolutions, enumerations = [], Counter()
+    convolve, multisets = ExpansionContext._convolve, expansion._multisets
+
+    def counting_convolve(self, f, g, bound):
+        convolutions.append(bound)
+        return convolve(self, f, g, bound)
+
+    def counting_multisets(low, high, size, weight):
+        enumerations[size, weight] += 1
+        return multisets(low, high, size, weight)
+
+    monkeypatch.setattr(ExpansionContext, "_convolve", counting_convolve)
+    monkeypatch.setattr(expansion, "_multisets", counting_multisets)
+    assert _check_direct_vs_closed(context) == (1380, None)
+    indices = monomials_in_valuation_range(5, 9, 0, context.cutoff)
+    powers = {(j, l) for _, j, l in indices} - {(0, 0)}
+    assert len(convolutions) == len(powers) == 19
+    sizes_and_weights = {(j + l, k - (i - l) * 5) for i, j, l in indices for k in range(9, context.cutoff)}
+    assert enumerations == Counter(dict.fromkeys(sizes_and_weights, 1))
+    assert len(enumerations) == 304
+
+
+def test_entries_far_above_the_cutoff_are_zero_without_recursion():
+    ctx = ExpansionContext(3, 10)  # fresh: the first power asked for has a negative bound
+    zero = Poly.const(ctx.gens, 0)
+    assert ctx.entry((100, 1, 0), 5) == ctx.entry_closed_form((100, 1, 0), 5) == zero
+    assert ctx.entry((1, 1, 0), 13) == ctx.coefficient_symbol(10)
+    assert ctx.entry((0, 2000, 0), 5) == ctx.entry_closed_form((0, 2000, 0), 5) == zero
+    assert ctx.entry((0, 0, 3000), 17) == zero
+    with pytest.raises(ValidationError, match="exponent limit"):
+        ctx.entry_closed_form((0, EXPONENT_LIMIT - 1, 1), 5)
 
 
 # -- memoized powers against term-by-term products --------------------------------

@@ -8,6 +8,7 @@ order while 8 never is.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from legcurve.curves import PlaneCurveGerm, default_accuracy
 from legcurve.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from legcurve.errors import InsufficientPrecisionError, NotRealizableError, ValidationError
 from legcurve.expansion import ExpansionContext
-from legcurve.germs import Germ, contact_weights, evaluate_on_series
+from legcurve.germs import Germ, contact_weights, evaluate_on_series, monomials_in_valuation_range
 from legcurve.moduli import canonical_point, orbit_equivalent, rotate_point
 from legcurve.oracle import (
     ConormalOracle,
@@ -123,6 +124,26 @@ def test_realize_order_single_monomials():
         (17, {(0, 1, 1): Fraction(3, 10)}),
     ]:
         assert dict(realize_order(curve, order).coeffs) == expected, order
+
+
+@pytest.mark.parametrize("n, m", [(3, 10), (4, 11), (5, 12)])
+def test_realize_order_takes_the_least_monomial_of_the_order(n, m):
+    curve = PlaneCurveGerm(n, {m: 2, m + 1: 1})
+    for order in range(200):
+        exact = monomials_in_valuation_range(n, m, order, order + 1)
+        if exact:
+            i, j, l = exact[0]
+            lead = 2 ** (j + l) * Fraction(m, n) ** l
+            assert dict(realize_order(curve, order).coeffs) == {exact[0]: 1 / lead}, order
+
+
+def test_realize_order_of_a_high_order_lists_no_monomials():
+    curve = PlaneCurveGerm(3, {10: 1, 11: 1}, 30)
+    start = time.perf_counter()
+    witness = realize_order(curve, 10 ** 6)
+    assert time.perf_counter() - start < 1
+    [(i, j, l)] = witness.coeffs
+    assert (i, j) == (0, 5) and 3 * i + 10 * j + 7 * l == 10 ** 6
 
 
 def test_realize_order_needs_cancellation():

@@ -269,6 +269,20 @@ def test_public_constructor_rejects_malformed_terms(terms):
         Poly(("mu", "a10", "a11"), terms)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [("u", "u"), ["u", "v"], ("u", 1), ("u", None), "uv", None],
+    ids=repr,
+)
+def test_constructors_reject_generators_that_are_not_a_tuple_of_distinct_names(gens):
+    with pytest.raises(ValidationError, match="generators must be a tuple of distinct names"):
+        Poly(gens, {})
+    with pytest.raises(ValidationError, match="generators must be a tuple of distinct names"):
+        Poly.const(gens, 1)
+    with pytest.raises(ValidationError, match="generators must be a tuple of distinct names"):
+        Poly.variable(gens, "u")
+
+
 def test_public_constructor_accepts_well_formed_terms():
     gens, top = ("mu", "a10", "a11"), (1 << 15) - 1
     p = Poly(gens, {0: 0, top: Fraction(1, 2), top << 32: -3})
