@@ -7,6 +7,8 @@ matrix of contact monomials along a universal curve, and Legendrian
 normal forms with their moduli coordinates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .contact import (
     Classification,
     ContactCheck,
@@ -77,70 +79,5 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "ContactCheck",
-    "ContactDefectError",
-    "ContactMap",
-    "ConormalOracle",
-    "Cyclotomic",
-    "ExpansionContext",
-    "Germ",
-    "InsufficientPrecisionError",
-    "LegcurveError",
-    "NonGenericCurveError",
-    "NormalForm",
-    "NotRealizableError",
-    "NumericalSemigroup",
-    "PlaneCurveGerm",
-    "TriangularDecomposition",
-    "TruncatedSeries",
-    "ValidationError",
-    "act_on_curve",
-    "canonical_point",
-    "classify",
-    "compose",
-    "contact_weights",
-    "curve_from_document",
-    "curve_from_y_series",
-    "curve_to_document",
-    "decompose_triangular",
-    "default_accuracy",
-    "determinant",
-    "dump_curve",
-    "equivalent_curves",
-    "evaluate_on_series",
-    "forget_transform",
-    "format_germ",
-    "free_indices",
-    "generic_semigroup",
-    "generic_semigroup_descent",
-    "homothety",
-    "identity_map",
-    "is_generic",
-    "is_short_form",
-    "leading_monomial",
-    "legendre_transformation",
-    "linear_symplectic",
-    "linear_symplectic_inverse",
-    "load_curve",
-    "moduli_dimension",
-    "moduli_point",
-    "normal_form",
-    "orbit_equivalent",
-    "parse_germ",
-    "realize_order",
-    "reparametrize",
-    "require_contact",
-    "rotate_point",
-    "s_invariant",
-    "series_compose",
-    "series_nth_root",
-    "series_reverse",
-    "solve_contact",
-    "substitute",
-    "try_s_invariant",
-    "two_generator_semigroup",
-    "verify_contact",
-    "weighted_monomial_count",
-]
+# the public names bound above; importing from a submodule binds it too
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

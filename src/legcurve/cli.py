@@ -323,7 +323,7 @@ def _check_det_invariance(ctx: ExpansionContext, seed: int, selections: int = 50
         while True:
             count = rng.randint(1, 3)
             q = rng.randint(-2, 2)
-            valuation = ctx.n * q + ctx.m * count
+            valuation = ctx.family_valuation(q, count)
             low = max(valuation, ctx.m)
             if valuation >= 0 and ctx.cutoff - low >= count + 1:
                 break

@@ -127,12 +127,11 @@ class ContactCheck:
     """Outcome of testing the contact identity on a map.
 
     ``multiplier`` is the unit by which the map rescales dy - p dx; it is
-    reported even when the check fails, unless the failure is so degenerate
-    the multiplier is meaningless.
+    reported even when the check fails.
     """
 
     ok: bool
-    multiplier: Germ | None
+    multiplier: Germ
     failures: tuple[str, ...]
 
     def __bool__(self) -> bool:

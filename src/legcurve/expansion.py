@@ -8,10 +8,12 @@ coordinate we use the mu-twisted series
 
 which restricts to n*p at mu = m and to the "zero twist" at mu = 0.  The
 entry of index (J, k) is the t^k coefficient of x^i y^j p~^l for
-J = (i, j, l); negative i is allowed whenever no negative t-exponent
-survives.  Determinants of the arithmetic families (q+l, N-l, l), l = 0..N
-turn out not to depend on mu, which is what makes them usable as
-curve-genericity certificates.
+J = (i, j, l).  Both forms of an entry, ``entry`` and
+``entry_closed_form``, share one domain, ``_check_domain``: negative i is
+allowed whenever no negative t-exponent survives, and j + l stays below
+the exponent limit of ``sympoly``.  Determinants of the arithmetic
+families (q+l, N-l, l), l = 0..N turn out not to depend on mu, which is
+what makes them usable as curve-genericity certificates.
 
 A context keeps one chain y^j p~^l per (j, l), each power one convolution
 from the power a factor lower, at the largest bound asked for so far: the
@@ -124,23 +126,33 @@ class ExpansionContext:
             self._powers[j, l] = bound, series
         return series
 
+    def _check_domain(self, i: int, j: int, l: int) -> None:
+        """Raise unless x^i y^j p~^l lies in the domain of both entry forms.
+
+        Its lowest term mu^l a_m^(j+l) t^(n*i + m*j + (m-n)*l) never cancels,
+        so a negative x-power cancels exactly when that order is not negative.
+        No exponent of a term exceeds j + l, so below the exponent limit no
+        key carries into the next field."""
+        if self.n * i + self.m * j + (self.m - self.n) * l < 0:
+            raise ValidationError(f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
+                                  "the negative x-power does not cancel")
+        if j + l >= EXPONENT_LIMIT:
+            raise ValidationError(f"x^{i} y^{j} p^{l}: j + l reaches the exponent limit {EXPONENT_LIMIT}")
+
     def monomial_series(self, index: tuple[int, int, int]) -> dict[int, Poly]:
         """t-expansion of x^i y^j p~^l below the cutoff (exponent -> Poly)."""
         index = i, j, l = _check_index(index)
         if index in self._series_memo:
             return self._series_memo[index]
+        self._check_domain(i, j, l)
         series = self._power(j, l, self.cutoff - self.n * i)
         shifted = {e + self.n * i: c for e, c in series.items() if e + self.n * i < self.cutoff}
-        if any(e < 0 for e in shifted):
-            raise ValidationError(
-                f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
-                "the negative x-power does not cancel"
-            )
         self._series_memo[index] = shifted
         return shifted
 
     def entry(self, index: tuple[int, int, int], k: int) -> Poly:
-        """Coefficient of t^k in the expansion of x^i y^j p~^l."""
+        """Coefficient of t^k in the expansion of x^i y^j p~^l, on the domain
+        of ``_check_domain``."""
         if not (0 <= _check_int(k, "column k") < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
         return self.monomial_series(index).get(k) or Poly._unchecked(self.gens, {})
@@ -158,13 +170,7 @@ class ExpansionContext:
         i, j, l = _check_index(index)
         if not (0 <= _check_int(k, "column k") < self.cutoff):
             raise ValidationError(f"column {k} outside [0, {self.cutoff})")
-        # the lowest term mu^l a_m^(j+l) t^(n*i + m*j + (m-n)*l) never cancels
-        if self.n * i + self.m * j + (self.m - self.n) * l < 0:
-            raise ValidationError(f"x^{i} y^{j} p^{l} has surviving negative t-exponents; "
-                                  "the negative x-power does not cancel")
-        # no exponent of a term exceeds j + l, so no key carries into the next field
-        if j + l >= EXPONENT_LIMIT:
-            raise ValidationError(f"x^{i} y^{j} p^{l}: j + l reaches the exponent limit {EXPONENT_LIMIT}")
+        self._check_domain(i, j, l)
         size_weight = j + l, k - (i - l) * self.n
         if size_weight not in self._multisets:
             self._multisets[size_weight] = [
@@ -206,7 +212,7 @@ class ExpansionContext:
         _check_int(q, "q")
         if _check_int(count, "family size") < 0:
             raise ValidationError("family size must be non-negative")
-        if self.n * q + self.m * count < 0:
+        if self.family_valuation(q, count) < 0:
             raise ValidationError("family valuation must be non-negative")
         return [(q + l, count - l, l) for l in range(count + 1)]
 

@@ -54,14 +54,9 @@ class _Tokens:
             return self.items[self.index]
         return None
 
-    def take(self) -> tuple[str, str, int]:
-        item = self.peek()
-        if item is None:
-            raise ValidationError(
-                f"position {len(self.text)}: unexpected end of expression"
-            )
+    def take(self) -> None:
+        """Step past the token that ``peek`` returned; callers peek first."""
         self.index += 1
-        return item
 
 
 def _parse_natural(tokens: _Tokens, what: str) -> int:

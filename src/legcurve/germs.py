@@ -99,7 +99,7 @@ def monomials_in_valuation_range(n: int, m: int, low: int, high: int) -> list[Mo
 
 
 class Germ(_Truncated):
-    __slots__ = ("weights",)
+    __slots__ = ()
 
     _SHIFT = 3 * WIDTH
     _LIMIT = VALUATION_LIMIT

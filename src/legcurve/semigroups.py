@@ -34,6 +34,14 @@ class NumericalSemigroup:
             raise ValidationError("gaps must lie strictly between 0 and the conductor")
         if self.conductor > 0 and self.conductor - 1 not in self.gaps:
             raise ValidationError("conductor is not minimal: conductor - 1 must be a gap")
+        gap_set = set(self.gaps)
+        members = [k for k in range(1, self.conductor) if k not in gap_set]
+        for pos, a in enumerate(members):
+            for b in members[pos:]:
+                if a + b >= self.conductor:
+                    break
+                if a + b in gap_set:
+                    raise ValidationError(f"the members {a} and {b} add up to the gap {a + b}: not a semigroup")
 
     @staticmethod
     def from_gaps(gaps) -> "NumericalSemigroup":

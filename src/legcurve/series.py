@@ -72,13 +72,14 @@ class _Truncated:
 
     The arithmetic that ``TruncatedSeries`` and ``germs.Germ`` share.  A
     subclass supplies the key bits below the weight (``_SHIFT``), the
-    limit of stored weights (``_LIMIT``), the public form of a key
-    (``_unpack``) and, as its own ``__slots__``, the fields that fix its
-    ring (the weights of a germ): operands must agree on them, and results
-    copy them.  The constant term has key 0 in both rings.
+    limit of stored weights (``_LIMIT``) and the public form of a key
+    (``_unpack``).  The one field that fixes a ring is ``weights``, the
+    variables' weights of a germ and ``None`` for a series: operands must
+    agree on it, and results copy it.  The constant term has key 0 in both
+    rings.
     """
 
-    __slots__ = ("num", "den", "accuracy")
+    __slots__ = ("num", "den", "accuracy", "weights")
 
     # key -> the one key object that every product containing it uses
     _KEYS: dict = {}
@@ -106,8 +107,7 @@ class _Truncated:
         must hold valid keys of weight below ``accuracy`` with non-zero
         ``int`` values, coprime as a whole to the positive ``den``."""
         out = object.__new__(type(self))
-        for name in type(self).__slots__:
-            setattr(out, name, getattr(self, name))
+        out.weights = self.weights
         out.num = num
         out.den = den
         out.accuracy = accuracy
@@ -125,9 +125,8 @@ class _Truncated:
     def _check_ring(self, other: object) -> None:
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        for name in type(self).__slots__:
-            if getattr(self, name) != getattr(other, name):
-                raise ValidationError(f"operands differ in their {name}")
+        if self.weights != other.weights:
+            raise ValidationError("operands differ in their weights")
 
     def _get(self, key: int) -> Fraction:
         """The value at the stored ``key``, 0 when absent, without a precision check."""
@@ -157,7 +156,7 @@ class _Truncated:
             self.num == other.num
             and self.den == other.den
             and self.accuracy == other.accuracy
-            and all(getattr(self, name) == getattr(other, name) for name in type(self).__slots__)
+            and self.weights == other.weights
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -277,6 +276,7 @@ class TruncatedSeries(_Truncated):
     _unpack = int
 
     def __init__(self, coeffs: Mapping[int, object], accuracy: Accuracy):
+        self.weights = None
         self.accuracy = _check_accuracy(accuracy)
         self._store(coeffs, lambda k: _check_int(k, "exponent", 0))
 

@@ -11,6 +11,7 @@ from legcurve.cli import _join_expression_flags, main
 from legcurve.curves import PlaneCurveGerm
 from legcurve.documents import dump_curve
 from legcurve.expansion import ExpansionContext
+from legcurve.germs import monomials_in_valuation_range
 from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup
 
@@ -672,3 +673,21 @@ def test_normalize_stdout_is_pinned(capsys, tmp_path, curve, flags, expected):
     path = tmp_path / "c.json"
     path.write_text(dump_curve(PINNED_CURVES[curve]()))
     assert run(capsys, ["normalize", str(path), *flags]) == (0, expected, "")
+
+
+def test_direct_vs_closed_reports_the_first_entry_whose_forms_differ(capsys, monkeypatch):
+    # the entries run over the sorted indices of valuation below 18, by k in [10, 18)
+    visits = [(index, k) for index in sorted(monomials_in_valuation_range(3, 10, 0, 18)) for k in range(10, 18)]
+    bad_index, bad_k = visits[11]
+    closed_form = ExpansionContext.entry_closed_form
+
+    def one_entry_off(self, index, k):
+        value = closed_form(self, index, k)
+        return value + 1 if (index, k) == (bad_index, bad_k) else value
+
+    monkeypatch.setattr(ExpansionContext, "entry_closed_form", one_entry_off)
+    counterexample = {"index": list(bad_index), "k": bad_k}
+    assert cli._check_direct_vs_closed(ExpansionContext(3, 10)) == (11, counterexample)
+    code, out, err = run(capsys, ["upsilon", "3", "10", "--check", "direct-vs-closed", "--json"])
+    assert code == 5 and err == ""
+    assert json.loads(out)["checked"] == 11 and json.loads(out)["counterexample"] == counterexample

@@ -507,3 +507,19 @@ def test_forget_transform_rejects_a_map_that_does_not_move_the_curve(monkeypatch
     monkeypatch.setattr(legcurve.contact, "solve_contact", still)
     with pytest.raises(ContactDefectError, match="not by 2\\*t\\^14"):
         forget_transform(PlaneCurveGerm(3, {10: 1, 11: 1}), 14, 2)
+
+
+def test_compose_rejects_maps_over_different_weights():
+    with pytest.raises(ValidationError, match="^cannot compose maps over different weight data$"):
+        compose(identity_map(3, 10), identity_map(4, 9))
+
+
+def test_verify_contact_reports_a_multiplier_that_vanishes_at_the_origin():
+    # (x, y, p) -> (x, 0, p): the multiplier 1 + d_y(-y) is 0
+    w = contact_weights(3, 10)
+    phi = ContactMap(Germ.zero(w), Germ(w, {(0, 1, 0): -1}, math.inf), Germ.zero(w))
+    check = verify_contact(phi)
+    assert not check.ok and check.multiplier == Germ.zero(w)
+    assert check.failures[-1] == "the multiplier of dy - p dx vanishes at the origin"
+    with pytest.raises(ContactDefectError, match="the multiplier of dy - p dx vanishes at the origin$"):
+        require_contact(phi)

@@ -10,6 +10,7 @@ hypothesis, and the closed form against an unpruned multiset enumeration.
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -352,3 +353,32 @@ def test_determinant_reads_generators_from_the_first_polynomial_entry():
     assert determinant([[0, Fraction(1, 2)], [2, u]]) == Poly.const(gens, -1)
     with pytest.raises(ValidationError, match="polynomial entry"):
         determinant([[1, 2], [3, 4]])
+
+
+def test_both_entry_forms_share_the_exponent_limit_and_form_no_chain_outside_it(monkeypatch):
+    ctx = ExpansionContext(3, 10)
+    convolutions = []
+    convolve = ExpansionContext._convolve
+    monkeypatch.setattr(ExpansionContext, "_convolve",
+                        lambda self, f, g, bound: convolutions.append(bound) or convolve(self, f, g, bound))
+    message = f"x^0 y^{EXPONENT_LIMIT} p^0: j + l reaches the exponent limit {EXPONENT_LIMIT}"
+    for form in (ctx.entry, ctx.entry_closed_form):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            form((0, EXPONENT_LIMIT, 0), 5)
+    with pytest.raises(ValidationError, match="^x\\^-4 y\\^1 p\\^0 has surviving negative t-exponents"):
+        ctx.entry((-4, 1, 0), 5)
+    assert convolutions == [] and list(ctx._powers) == [(0, 0)]
+    # an index outside both bounds is named by its negative t-exponent first
+    with pytest.raises(ValidationError, match="negative t-exponents"):
+        ctx._check_domain(-4 * EXPONENT_LIMIT, EXPONENT_LIMIT, 0)
+
+
+def test_a_memoized_series_is_not_checked_again(monkeypatch):
+    ctx = ExpansionContext(3, 10)
+    checked = []
+    check_domain = ExpansionContext._check_domain
+    monkeypatch.setattr(ExpansionContext, "_check_domain",
+                        lambda self, *index: checked.append(index) or check_domain(self, *index))
+    first = ctx.monomial_series((1, 1, 1))
+    assert ctx.monomial_series((1, 1, 1)) is first and ctx.entry((1, 1, 1), 13) == first.get(13, 0)
+    assert checked == [(1, 1, 1)]

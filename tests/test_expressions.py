@@ -62,6 +62,8 @@ def test_parse_error_positions():
         parse_germ("1/0", 3, 10)
     with pytest.raises(ValidationError, match="expected a term"):
         parse_germ("x + ", 3, 10)
+    with pytest.raises(ValidationError, match="^position 4: expected a term$"):
+        parse_germ("x + + y", 3, 10)
     with pytest.raises(ValidationError, match="expected '\\+' or '-'"):
         parse_germ("1/2/3", 3, 10)
 

@@ -620,3 +620,27 @@ def test_from_p_parts_inverts_p_parts_at_finite_and_infinite_accuracy(coeffs, ac
     acc = min((part.accuracy + l * W[2] for l, part in parts.items()), default=math.inf)
     assert joined == G({(i, j, l): v for l, part in parts.items() for (i, j, _), v in part.coeffs.items()}, acc)
     assert_canonical(joined)
+
+
+def test_a_germ_that_vanishes_to_its_accuracy_has_no_valuation():
+    with pytest.raises(InsufficientPrecisionError, match="^germ vanishes to stated accuracy; valuation unknown$"):
+        Germ(W, {}, 20).valuation()
+    assert Germ(W, {}, math.inf).valuation() == math.inf
+
+
+def test_from_p_parts_rejects_a_part_that_contains_p():
+    with pytest.raises(ValidationError, match="^p-part germs must not contain p$"):
+        Germ.from_p_parts(W, {0: G({(1, 0, 0): 1, (0, 0, 1): 2})})
+
+
+def test_substitute_rejects_a_value_that_does_not_vanish():
+    x, y, p = (Germ.variable(W, axis) for axis in AXES)
+    with pytest.raises(ValidationError, match="^substituted germs must vanish at the origin$"):
+        substitute(x * y, x, G({(0, 0, 0): 1}) + y, p)
+
+
+def test_evaluate_on_series_rejects_a_y_series_of_order_0():
+    x_series = TruncatedSeries.monomial(3)
+    with pytest.raises(ValidationError, match="^triple components must have positive order$"):
+        evaluate_on_series(G({(1, 0, 0): 1}), x_series, TruncatedSeries({0: 1, 10: 1}, 20),
+                           TruncatedSeries({7: 1}, 20))

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcurve.errors import ValidationError
 from legcurve.oracle import conormal_semigroup
@@ -188,6 +190,8 @@ def test_semigroup_containers():
     assert s.members_below(10) == [0, 3, 6, 7, 9]
     assert s.multiplicity() == 3
     assert s.genus() == 5
+    trivial = NumericalSemigroup(0, ())
+    assert trivial.multiplicity() == 1 and trivial.generators() == (1,)
 
 
 def test_a_non_integral_number_is_not_a_member():
@@ -221,3 +225,30 @@ def test_canonical_form_is_comparable():
     a = NumericalSemigroup.from_members([0, 3, 6, 7, 9, 10], 11)
     b = NumericalSemigroup.from_gaps((1, 2, 4, 5, 8))
     assert a == b
+
+
+def test_gaps_not_closed_under_addition_are_rejected():
+    with pytest.raises(ValidationError, match="^the members 1 and 1 add up to the gap 2: not a semigroup$"):
+        NumericalSemigroup.from_gaps([2, 3])
+    with pytest.raises(ValidationError, match="^the members 2 and 2 add up to the gap 4: not a semigroup$"):
+        NumericalSemigroup.from_gaps([1, 3, 4, 6])
+    with pytest.raises(ValidationError, match="^the members 3 and 5 add up to the gap 8: not a semigroup$"):
+        NumericalSemigroup(9, (1, 2, 4, 7, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@example(frozenset({1}))
+@example(frozenset({3, 6, 7, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19}))
+@example(frozenset({2, 5}))
+@given(st.frozensets(st.integers(1, 19)))
+def test_members_are_accepted_exactly_when_closed_under_addition(members):
+    # every order from 20 on is a member, so only sums below 20 can miss
+    closed = all(a + b in members for a in members for b in members if a + b < 20)
+    try:
+        semigroup = NumericalSemigroup.from_members(members | {0}, 20)
+    except ValidationError as error:
+        assert not closed
+        assert str(error).endswith(": not a semigroup")
+    else:
+        assert closed
+        assert set(semigroup.members_below(20)) == members | {0}

@@ -650,3 +650,16 @@ def test_monomial_and_zero_reject_what_the_public_constructor_rejects(direct, pu
         public()
     with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
         direct()
+
+
+def test_the_ring_is_the_one_weights_field():
+    # a series stores None; results copy the field, and operands must agree on it
+    series, germ = S({0: 1, 2: Fraction(1, 3)}, 9), G({(1, 0, 0): 1}, 20)
+    assert series.weights is None
+    assert (series * series).weights is None and (-series).truncate(4).weights is None
+    assert (germ * germ).weights == germ.partial("x").weights == (3, 10, 7)
+    with pytest.raises(TypeError, match="^cannot combine TruncatedSeries with Germ$"):
+        series + germ
+    with pytest.raises(ValidationError, match="^operands differ in their weights$"):
+        germ - Germ((3, 11, 8), {(0, 1, 0): 1}, 30)
+    assert germ != Germ((3, 11, 8), {(1, 0, 0): 1}, 20)

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import legcurve
 
@@ -35,6 +36,8 @@ def test_every_exported_name_resolves_once():
     names = legcurve.__all__
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     assert [n for n in names if not hasattr(legcurve, n)] == []
+    assert [n for n in names if isinstance(getattr(legcurve, n), ModuleType)] == []
+    assert names == sorted(names) and "conormal_semigroup" in names and len(names) == 66
 
 
 def test_the_argument_checks_live_in_errors_alone():
