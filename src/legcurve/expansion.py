@@ -16,13 +16,13 @@ families (q+l, N-l, l), l = 0..N turn out not to depend on mu, which is
 what makes them usable as curve-genericity certificates.
 
 A context keeps one chain y^j p~^l per (j, l), each power one convolution
-from the power a factor lower, at the largest bound asked for so far: the
-exponents of y and p~ are positive, so a smaller bound reads the same
-chain.  The closed form shares none of that: each multiset alpha of
-indices gives one a-monomial times an integer polynomial in mu, and
-distinct alphas give distinct monomials, so an entry is their disjoint
-union.  The multisets of each (size, weight) and the terms of each
-(alpha, l) are formed once per context.
+from the power a factor lower and known below the bound that the powers
+it feeds need of it: the exponents of y and p~ are positive, so a smaller
+bound reads the same chain.  The closed form shares none of that: each
+multiset alpha of indices gives one a-monomial times an integer
+polynomial in mu, and distinct alphas give distinct monomials, so an
+entry is their disjoint union.  The multisets of each (size, weight) and
+the terms of each (alpha, l) are formed once per context.
 """
 
 from __future__ import annotations
@@ -113,15 +113,16 @@ class ExpansionContext:
     def _power(self, j: int, l: int, bound: int) -> dict[int, Poly]:
         """y^j p~^l, exact below ``bound``; terms at or above it may be present.
 
-        One chain per (j, l) is kept, at the largest bound formed so far.
-        The powers the chain lacks at ``bound`` are formed upwards from the
-        highest one it holds, one convolution each."""
+        One chain per (j, l) is kept.  A power in it is needed only below
+        ``bound`` less the orders of the factors above it, m - n per p~ and
+        m per y; the powers the chain lacks there are formed upwards from
+        the highest one it holds, each at its own bound, one convolution each."""
         missing = []
         while self._powers.get((j, l), (-math.inf,))[0] < bound:
-            missing.append((j, l))
-            j, l = (j, l - 1) if l else (j - 1, 0)
+            missing.append((j, l, bound))
+            j, l, bound = (j, l - 1, bound - self.m + self.n) if l else (j - 1, 0, bound - self.m)
         series = self._powers[j, l][1]
-        for j, l in reversed(missing):
+        for j, l, bound in reversed(missing):
             series = self._convolve(series, self._p if l else self._y, bound)
             self._powers[j, l] = bound, series
         return series
@@ -231,12 +232,7 @@ class ExpansionContext:
         return matrix
 
     def family_determinant(self, q: int, count: int, columns: list[int], rows: list[int] | None = None) -> Poly:
-        matrix = self.family_matrix(q, count, columns, rows)
-        if len(matrix) != len(columns):
-            raise ValidationError(
-                f"determinant needs a square block: {len(matrix)} rows, {len(columns)} columns"
-            )
-        return determinant(matrix)
+        return determinant(self.family_matrix(q, count, columns, rows))
 
     def mu_derivative_matches(self, index: tuple[int, int, int], k: int) -> bool:
         """Check d(entry)/d(mu) = l * entry at index (i-1, j+1, l-1).
@@ -254,14 +250,9 @@ class ExpansionContext:
 
     def minor_survives_twist(self, low: int, count: int, q: int, columns: list[int]) -> bool:
         """Determinant of family rows low..count on the given columns: accept
-        when it is the zero polynomial or does not vanish at mu = m."""
-        if not (0 <= _check_int(low, "low") <= count):
-            raise ValidationError(f"need 0 <= {low} <= {count}")
-        if len(columns) != count - low + 1:
-            raise ValidationError(
-                f"need {count - low + 1} columns for rows {low}..{count}, got {len(columns)}"
-            )
-        det = self.family_determinant(q, count, list(columns), rows=list(range(low, count + 1)))
+        when it is the zero polynomial or does not vanish at mu = m.  The
+        block's shape is checked by ``family_matrix`` and ``determinant``."""
+        det = self.family_determinant(q, count, list(columns), list(range(_check_int(low, "low"), count + 1)))
         if not det:
             return True
         return bool(det.substitute({"mu": self.m}))
@@ -296,8 +287,9 @@ def determinant(matrix: list[list[Poly]]) -> Poly:
     d = len(matrix)
     if d == 0:
         raise ValidationError("empty determinant")
-    if any(len(row) != d for row in matrix):
-        raise ValidationError("matrix is not square")
+    for row in matrix:
+        if len(row) != d:
+            raise ValidationError(f"determinant needs a square block: {d} rows, a row of length {len(row)}")
     if d > DIMENSION_CAP:
         raise ValidationError(f"determinant dimension {d} exceeds cap {DIMENSION_CAP}")
     first = next((entry for row in matrix for entry in row if isinstance(entry, Poly)), None)

@@ -31,10 +31,10 @@ are single calls of it.  It checks the weights (a tuple of three ``int``s
 of at least 1, not ``bool``s), the accuracy, that the coefficients are a
 mapping, every monomial (non-negative ``int``s, valuation below the limit)
 and every value (an ``int`` or a ``Fraction``, not a ``bool``).  Every germ
-the library forms from stored numerators, ``from_p_parts``'s join of
-checked parts and the contact solver's 0, 1 and p (``_zero_one_p``)
-included, is built by ``_unchecked`` or ``_reduced``.
-``coefficient`` checks its monomial and ``truncate`` its accuracy.
+the library forms from stored numerators, ``from_p_parts``'s powers of p
+and the contact solver's 0, 1 and p (``_zero_one_p``) included, is built
+by ``_unchecked`` or ``_reduced``.  ``coefficient`` checks its monomial
+and ``truncate`` its accuracy.
 Products and ``_substitute`` look each key up in the table
 ``_Truncated._KEYS``, so equal monomials of different results share one
 key object; the table holds keys only, so it is bounded by the number of
@@ -206,11 +206,11 @@ class Germ(_Truncated):
 
     @staticmethod
     def from_p_parts(weights: tuple[int, int, int], parts: Mapping[int, "Germ"]) -> "Germ":
-        """The sum of p^l times each p-free part l, the inverse of ``p_parts``:
-        each part's keys move by the key of p^l, over the lcm of the parts'
-        denominators."""
+        """The sum of p^l times each p-free part l, the inverse of ``p_parts``,
+        as one ``_accumulate`` of the products with the exact p^l; so part l
+        bounds the accuracy by its own plus l times the weight of p."""
         zero = Germ.zero(weights)
-        wp, den, acc, num = zero.weights[2], 1, math.inf, {}
+        wp = zero.weights[2]
         for l, part in parts.items():
             _check_int(l, "p-degree", 0)
             if not isinstance(part, Germ):
@@ -221,12 +221,8 @@ class Germ(_Truncated):
                 raise ValidationError("p-part germs must not contain p")
             if part.num and (max(part.num) >> Germ._SHIFT) + l * wp >= VALUATION_LIMIT:
                 raise ValidationError(f"p-part {l} reaches the limit {VALUATION_LIMIT} of weighted valuations")
-            acc, den = min(acc, part.accuracy + l * wp), math.lcm(den, part.den)
-        bound = acc * (1 << Germ._SHIFT)
-        for l, part in parts.items():
-            step, lift = l * ((wp << Germ._SHIFT) | 1), den // part.den
-            num.update((k + step, v * lift) for k, v in part.num.items() if k + step < bound)
-        return zero._reduced(num, den, acc)
+        p = (wp << Germ._SHIFT) | 1  # the key of p
+        return zero._accumulate([(1, zero._unchecked({l * p: 1}, 1, math.inf), part) for l, part in parts.items()])
 
 
 def _zero_one_p(g: Germ, accuracy: Accuracy = math.inf) -> tuple[Germ, Germ, Germ]:

@@ -199,9 +199,7 @@ def moduli_dimension(n: int, m: int) -> int:
 def free_indices(n: int, m: int) -> tuple[int, ...]:
     """Exponents whose coefficients are coordinates on the moduli space:
     the gaps of the generic semigroup above m, plus the extra order s."""
-    semigroup = generic_semigroup(n, m)
-    conductor = (n - 1) * (m - 1)
-    indices = {k for k in range(m + 1, conductor) if k not in semigroup}
+    indices = {g for g in generic_semigroup(n, m).gaps if g > m}
     s = try_s_invariant(n, m)
     if s is not None:
         indices.add(s)

@@ -439,9 +439,15 @@ def series_reverse(g: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """The n-th root f^(1/n) with constant term 1 of a unit series
-    f = 1 + ..., by ``_unit_power``; an exact f other than 1 must be
-    truncated first."""
+    """The n-th root w = f^(1/n) with constant term 1 of a unit series
+    f = 1 + ...; an exact f other than 1 must be truncated first.
+
+    With alpha = 1/n, k w_k = sum_(i=1..k) ((alpha+1) i - k) f_i w_(k-i),
+    w_0 = 1: the t^(k-1) coefficients of f*w' = alpha*f'*w (Knuth, TAOCP
+    Vol. 2, section 4.7).  With f_i = a_i/D over the stored denominator D,
+    each w_j computed so far is b_j/b_0 for coprime integers b_0 > 0, b_1,
+    ..., which are the stored form of the result.
+    """
     _check_int(n, "root index", 1)
     if f.accuracy == 0:
         raise InsufficientPrecisionError("series is only exact below t^0; its constant term is unknown")
@@ -451,22 +457,10 @@ def series_nth_root(f: TruncatedSeries, n: int) -> TruncatedSeries:
         return TruncatedSeries({0: 1}, math.inf)
     if f.accuracy == math.inf:
         raise ValidationError("root of a non-trivial polynomial needs a finite accuracy; truncate first")
-    return _unit_power(f, Fraction(1, n))
-
-
-def _unit_power(f: TruncatedSeries, alpha) -> TruncatedSeries:
-    """w = f^alpha for f = 1 + ... of finite accuracy and rational alpha, by
-    k w_k = sum_(i=1..k) ((alpha+1) i - k) f_i w_(k-i), w_0 = 1: the t^(k-1)
-    coefficients of f*w' = alpha*f'*w (Knuth, TAOCP Vol. 2, section 4.7).
-    With f_i = a_i/D over the stored denominator D, each w_j computed so
-    far is b_j/b_0 for coprime integers b_0 > 0, b_1, ..., which are the
-    stored form of the result.
-    """
-    acc = int(f.accuracy)
     terms = sorted((i, a) for i, a in f.num.items() if i)
-    p, q = (alpha + 1).as_integer_ratio()
+    p, q = n + 1, n  # alpha + 1 = p/q
     b = [1]
-    for k in range(1, acc):
+    for k in range(1, f.accuracy):
         s = 0
         for i, a in terms:
             if i > k:
@@ -479,4 +473,4 @@ def _unit_power(f: TruncatedSeries, alpha) -> TruncatedSeries:
         if g != step:
             b = [x * (step // g) for x in b]
         b.append(s // g)
-    return f._unchecked({k: x for k, x in enumerate(b) if x}, b[0], acc)
+    return f._unchecked({k: x for k, x in enumerate(b) if x}, b[0], f.accuracy)

@@ -385,6 +385,13 @@ def test_decompose_rejects_non_triangular():
         decompose_triangular(legendre_transformation(3, 10))
 
 
+def test_decompose_rejects_a_degenerate_linear_part():
+    """-x in alpha makes the x-scaling lambda = 0: the map is triangular but
+    not invertible."""
+    with pytest.raises(ContactDefectError, match="^degenerate linear part; not a contact transformation$"):
+        decompose_triangular(ContactMap(germ({X: -1}), germ({}), germ({})))
+
+
 def test_act_beta_removes_a_term():
     curve = PlaneCurveGerm(3, {10: 1, 12: 1})
     phi = solve_contact(germ({}), germ({(4, 0, 0): -1}), 24)

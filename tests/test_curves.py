@@ -252,6 +252,15 @@ def test_reparametrize_check_rejects_a_corrupted_composition(monkeypatch, corrup
         reparametrize(x, y, 4)
 
 
+def test_integer_nth_root_of_a_negative_radicand_is_none():
+    assert integer_nth_root(-8, 3) is None
+
+
+def test_a_curve_is_not_equal_to_a_string():
+    curve = PlaneCurveGerm(3, {10: 1})
+    assert curve != "a" and not curve == "a"
+
+
 def test_integer_nth_root():
     assert integer_nth_root(8, 3) == 2
     assert integer_nth_root(10 ** 30, 3) == 10 ** 10

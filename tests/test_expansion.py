@@ -11,6 +11,7 @@ hypothesis, and the closed form against an unpruned multiset enumeration.
 import itertools
 import math
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -305,6 +306,47 @@ def test_minor_survives_twist(ctx):
     assert ctx.minor_survives_twist(0, 1, 1, [0, 1])  # identically zero block
     with pytest.raises(ValidationError):
         ctx.minor_survives_twist(0, 1, 1, [13])
+
+
+def test_the_block_shape_is_checked_once_by_the_determinant(ctx):
+    """Neither ``family_determinant`` nor ``minor_survives_twist`` checks the
+    block's shape: ``family_matrix`` names a row outside the family and
+    ``determinant`` an empty or non-square block."""
+    square = "^determinant needs a square block: 2 rows, a row of length 1$"
+    for reject, message in [
+        (lambda: ctx.family_determinant(1, 1, [13]), square),
+        (lambda: ctx.minor_survives_twist(0, 1, 1, [13]), square),
+        (lambda: ctx.minor_survives_twist(2, 1, 1, []), "^empty determinant$"),
+        (lambda: ctx.minor_survives_twist(-1, 1, 1, [13, 14, 15]), "^row -1 outside the family 0..1$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            reject()
+
+
+def test_input_checks_of_symbols_families_and_determinants(ctx):
+    for reject, message in [
+        (lambda: ctx.coefficient_symbol(9), "no symbol a_9: indices run over [10, 18)"),
+        (lambda: ctx.family_indices(1, -1), "family size must be non-negative"),
+        (lambda: ctx.family_indices(-5, 1), "family valuation must be non-negative"),
+        (lambda: ctx.family_matrix(1, 1, [13], rows=[2]), "row 2 outside the family 0..1"),
+        (lambda: determinant([]), "empty determinant"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            reject()
+
+
+def test_a_far_negative_x_power_forms_each_power_at_its_own_bound():
+    """entry((-80, 25, 0), 17) on (3, 10) needs y^25 below 18 + 240, so
+    y^k only below 8 + 10k, a few terms above its order 10k; formed at the
+    whole bound 258, the chain took seconds and hundreds of MB."""
+    ctx = ExpansionContext(3, 10)
+    start = time.perf_counter()
+    entry = ctx.entry((-80, 25, 0), 17)
+    assert time.perf_counter() - start < 1
+    assert entry == ctx.entry_closed_form((-80, 25, 0), 17) and entry
+    assert {power: bound for power, (bound, _) in ctx._powers.items()} == {
+        (0, 0): math.inf, **{(k, 0): 8 + 10 * k for k in range(1, 26)}
+    }
 
 
 def test_specialize_matches_restriction(ctx):

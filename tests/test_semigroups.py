@@ -252,3 +252,13 @@ def test_members_are_accepted_exactly_when_closed_under_addition(members):
     else:
         assert closed
         assert set(semigroup.members_below(20)) == members | {0}
+
+
+@pytest.mark.parametrize("conductor, gaps, message", [
+    (5, (3, 2, 4), "gaps must be strictly increasing"),
+    (2, (0, 1), "gaps must lie strictly between 0 and the conductor"),
+    (5, (1, 2), "conductor is not minimal: conductor - 1 must be a gap"),
+])
+def test_a_malformed_gap_tuple_is_named(conductor, gaps, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        NumericalSemigroup(conductor, gaps)

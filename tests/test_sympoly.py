@@ -295,6 +295,13 @@ def test_public_constructor_accepts_well_formed_terms():
             value - p
 
 
+def test_a_polynomial_is_not_equal_to_a_string_and_cannot_be_added_to_one():
+    p = Poly.variable(("mu",), "mu")
+    assert p != "a" and not p == "a"
+    with pytest.raises(TypeError):
+        p + "a"
+
+
 # -- determinant against sympy --------------------------------------------------------
 
 DET_GENS = gens_of(3)
