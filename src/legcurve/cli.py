@@ -462,11 +462,19 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_expression_flags(list(argv)))
+    # Python refuses int <-> str conversions past a digit limit (where it has
+    # one); the command reads and prints numbers of any length.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except LegcurveError as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ Moduli points are rational, so orbit equivalence is decided over Q and
 needs none of this; ``canonical_point`` uses it only to order the
 rotations zeta^e * v of a point by these coefficient tuples.  Only that
 is implemented: the reduced powers of zeta, rational values, and
-products with a rational.
+products with a rational.  Every divisor is some Phi_d, monic over Z, so
+division runs on integers with no inverse of a leading coefficient.
 """
 
 from __future__ import annotations
@@ -18,25 +19,20 @@ from fractions import Fraction
 from .errors import ContactDefectError, ValidationError, _check_int, _check_rational
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # Dense low-to-high coefficient lists; den must be non-zero.
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ContactDefectError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = Fraction(1) / den[-1]
+def _divide_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, low to high, of num by the monic den: synthetic
+    division, so integer coefficients stay integers.  The remainder has
+    deg(den) coefficients."""
+    degree = len(den) - 1
+    num = list(num) + [0] * (degree - len(num))
+    quot = [0] * max(0, len(num) - degree)
     for shift in range(len(num) - len(den), -1, -1):
-        factor = num[shift + len(den) - 1] * inv_lead
+        factor = num[shift + degree]
         if factor:
             quot[shift] = factor
             for i, d in enumerate(den):
                 num[shift + i] -= factor * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+    return quot, num[:degree]
 
 
 @functools.lru_cache(maxsize=None, typed=True)  # True must not hit 1
@@ -51,16 +47,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     (1, -1, 1)
     """
     _check_int(n, "n", 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            den = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            num, rem = _poly_divmod(num, den)
-            if rem:
+            num, rem = _divide_monic(num, cyclotomic_polynomial(d))
+            if any(rem):
                 raise ContactDefectError(f"x^{n} - 1 is not divisible by Phi_{d}")
     if num[-1] != 1:
         raise ContactDefectError(f"Phi_{n} is not monic")
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,9 @@ class Cyclotomic:
         >>> Cyclotomic.zeta(3, 3) == Cyclotomic.from_rational(3, 1)
         True
         """
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        raw = [Fraction(0)] * (_check_int(power, "power") % n) + [Fraction(1)]
-        _, rem = _poly_divmod(raw, modulus)
-        degree = len(modulus) - 1
-        return Cyclotomic(n, tuple(rem + [Fraction(0)] * (degree - len(rem))))
+        modulus = cyclotomic_polynomial(n)  # checks n before power
+        _, rem = _divide_monic([0] * (_check_int(power, "power") % n) + [1], modulus)
+        return Cyclotomic(n, tuple(Fraction(c) for c in rem))
 
     def __mul__(self, other: object) -> "Cyclotomic":
         """The product with a rational scalar."""

@@ -81,4 +81,6 @@ def load_curve(text: str) -> PlaneCurveGerm:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         raise ValidationError(f"document is not valid JSON: {err}") from None
+    except ValueError as err:  # an integer with more digits than sys.get_int_max_str_digits()
+        raise ValidationError(f"document: {err}") from None
     return curve_from_document(data)

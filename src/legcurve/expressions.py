@@ -8,7 +8,8 @@ coefficient followed by juxtaposed variable powers:
     var      := "x" | "y" | "p"
     rational := nat ("/" nat)?
 
-Whitespace is ignored everywhere.  Errors carry the character position
+Whitespace may stand between tokens and ends a number: ``1 2x`` is
+rejected, not read as ``12x``.  Errors carry the character position
 they were detected at.  ``format_germ`` prints in a canonical order and
 ``parse_germ(format_germ(g), n, m)`` returns g for every polynomial germ.
 """
@@ -22,115 +23,75 @@ from fractions import Fraction
 from .errors import ValidationError
 from .germs import AXES, Germ, contact_weights, format_monomial
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xyp])|([+\-^/])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\d+|[xyp+\-^/])|(\S))")
 
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN.match(text, pos)
-            if match is None:
-                break
-            number, name, symbol, junk = match.groups()
-            at = match.end() - 1
-            if junk is not None:
-                raise ValidationError(f"position {at}: unexpected character {junk!r}")
-            if number is not None:
-                self.items.append(("number", number, match.start(1)))
-            elif name is not None:
-                self.items.append(("name", name, at))
-            else:
-                self.items.append(("symbol", symbol, at))
-            pos = match.end()
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.items):
-            return self.items[self.index]
-        return None
-
-    def take(self) -> None:
-        """Step past the token that ``peek`` returned; callers peek first."""
-        self.index += 1
+def _tokenize(text: str) -> list[tuple[str | None, int]]:
+    """The tokens of text with their positions, closed by ``(None, len(text))``."""
+    tokens: list[tuple[str | None, int]] = []
+    for match in _TOKEN.finditer(text):
+        token, junk = match.groups()
+        if junk is not None:
+            raise ValidationError(f"position {match.start(2)}: unexpected character {junk!r}")
+        tokens.append((token, match.start(1)))
+    tokens.append((None, len(text)))
+    return tokens
 
 
-def _parse_natural(tokens: _Tokens, what: str) -> int:
-    item = tokens.peek()
-    if item is None or item[0] != "number":
-        at = len(tokens.text) if item is None else item[2]
+def _natural(token: str | None, at: int, what: str) -> int:
+    """The value of a number token; any other token is reported as not ``what``."""
+    if token is None or not token.isdigit():
         raise ValidationError(f"position {at}: expected {what}")
-    tokens.take()
-    return int(item[1])
-
-
-def _parse_rational(tokens: _Tokens) -> Fraction:
-    value = Fraction(_parse_natural(tokens, "an integer"))
-    item = tokens.peek()
-    if item is not None and item[:2] == ("symbol", "/"):
-        slash_at = item[2]
-        tokens.take()
-        denominator = _parse_natural(tokens, "an integer after '/'")
-        if denominator == 0:
-            raise ValidationError(f"position {slash_at}: division by zero")
-        value /= denominator
-    return value
-
-
-def _parse_term(tokens: _Tokens) -> tuple[tuple[int, int, int], Fraction]:
-    coeff = Fraction(1)
-    exponents = [0, 0, 0]
-    item = tokens.peek()
-    if item is None:
-        raise ValidationError(f"position {len(tokens.text)}: expected a term")
-    seen = False
-    if item[0] == "number":
-        coeff = _parse_rational(tokens)
-        seen = True
-    while True:
-        item = tokens.peek()
-        if item is None or item[0] != "name":
-            break
-        tokens.take()
-        power = 1
-        nxt = tokens.peek()
-        if nxt is not None and nxt[:2] == ("symbol", "^"):
-            tokens.take()
-            power = _parse_natural(tokens, "an exponent after '^'")
-        exponents[AXES.index(item[1])] += power
-        seen = True
-    if not seen:
-        at = tokens.peek()[2]
-        raise ValidationError(f"position {at}: expected a term")
-    return tuple(exponents), coeff
+    try:
+        return int(token)
+    except ValueError as err:  # more digits than sys.get_int_max_str_digits()
+        raise ValidationError(f"position {at}: {err}") from None
 
 
 def parse_germ(text: str, n: int, m: int) -> Germ:
     """Parse an expression into an exact polynomial germ with weights (n, m)."""
-    tokens = _Tokens(text)
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    sign = 1
-    item = tokens.peek()
-    if item is None:
+    tokens = _tokenize(text)
+    if tokens[0][0] is None:
         raise ValidationError("position 0: empty expression")
-    if item[0] == "symbol" and item[1] in "+-":
-        tokens.take()
-        sign = -1 if item[1] == "-" else 1
+    coeffs: dict[tuple[int, int, int], Fraction] = {}
+    sign = -1 if tokens[0][0] == "-" else 1
+    i = 1 if tokens[0][0] in ("+", "-") else 0
     while True:
-        mono, coeff = _parse_term(tokens)
+        start = i
+        coeff = Fraction(1)
+        token, at = tokens[i]
+        if token is not None and token.isdigit():
+            coeff = Fraction(_natural(token, at, "an integer"))
+            i += 1
+            if tokens[i][0] == "/":
+                slash_at = tokens[i][1]
+                denominator = _natural(*tokens[i + 1], "an integer after '/'")
+                if denominator == 0:
+                    raise ValidationError(f"position {slash_at}: division by zero")
+                coeff /= denominator
+                i += 2
+        exponents = [0, 0, 0]
+        while tokens[i][0] in AXES:
+            axis = AXES.index(tokens[i][0])
+            power = 1
+            i += 1
+            if tokens[i][0] == "^":
+                power = _natural(*tokens[i + 1], "an exponent after '^'")
+                i += 2
+            exponents[axis] += power
+        if i == start:
+            raise ValidationError(f"position {at}: expected a term")
+        mono = tuple(exponents)
         coeffs[mono] = coeffs.get(mono, Fraction(0)) + sign * coeff
-        item = tokens.peek()
-        if item is None:
+        token, at = tokens[i]
+        if token is None:
             break
-        if item[0] == "symbol" and item[1] in "+-":
-            tokens.take()
-            sign = -1 if item[1] == "-" else 1
-            continue
-        raise ValidationError(f"position {item[2]}: expected '+' or '-', got {item[1]!r}")
+        if token not in ("+", "-"):
+            raise ValidationError(f"position {at}: expected '+' or '-', got {token!r}")
+        sign = -1 if token == "-" else 1
+        i += 1
     return Germ(contact_weights(n, m), coeffs, math.inf)  # which drops the zeros
 
 
@@ -143,7 +104,10 @@ def parse_scalar(text: str) -> Fraction:
     """Strict rational-string reader for document fields."""
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise ValidationError(f"not an integer-over-integer rational with denominator > 0: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as err:  # more digits than sys.get_int_max_str_digits()
+        raise ValidationError(str(err)) from None
 
 
 def format_germ(germ: Germ) -> str:

@@ -343,11 +343,10 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     accuracy N; the j-th step keeps terms below t^(N - j*v).  The cost
     is about N/v products, so it is cheap when delta has high order; when
     c = 0 it is the power ladder sum_k o_k inner^k.  When delta = 0 below
-    the accuracy of inner, only the j = 0 term is left: each o_k below N
-    is rescaled by c^k, with no Horner step or binomial, and with c = 1 the
-    result is outer truncated at N.  The arithmetic runs on the stored
-    numerators with one running denominator, reduced by its content after
-    each step.
+    the accuracy of inner, only the j = 0 step runs, rescaling each o_k
+    below N by c^k; with c = 1 the result is outer truncated at N.  The
+    arithmetic runs on the stored numerators with one running denominator,
+    reduced by its content after each step.
     """
     if inner.accuracy == 0:
         raise InsufficientPrecisionError("inner series is only exact below t^0; its constant term is unknown")
@@ -370,16 +369,14 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     c = inner._get(1)
     delta = sorted((k, a) for k, a in inner.num.items() if k != 1)
     numerators = outer.num
-    if not delta:
-        if c == 1:
-            return outer.truncate(acc)
-        p, q = c.numerator, c.denominator
-        kept = [k for k in numerators if k < acc]
-        top = max(kept, default=0)
-        return outer._reduced({k: numerators[k] * p ** k * q ** (top - k) for k in kept}, outer.den * q ** top, acc)
+    if not delta and c == 1:
+        return outer.truncate(acc)
     top = max(numerators, default=0)
-    v = delta[0][0]
-    depth = top if acc == math.inf else min(top, (acc - 1) // v)
+    if delta:
+        v = delta[0][0]
+        depth = top if acc == math.inf else min(top, (acc - 1) // v)
+    else:
+        v = depth = 0
     # c^e = lift[e] / q^top for the denominator q of c
     lift = [c.numerator ** e * c.denominator ** (top - e) for e in range(top + 1)] if c else [1]
     # Horner in delta; the running sum is sums / (outer.den * q^top * scale)

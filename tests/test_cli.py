@@ -1,17 +1,22 @@
 """End-to-end command line tests, run in-process through main()."""
 
+import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from legcurve import cli
 from legcurve.cli import _join_expression_flags, main
+from legcurve.contact import act_on_curve, solve_contact
 from legcurve.curves import PlaneCurveGerm
-from legcurve.documents import dump_curve
+from legcurve.documents import curve_from_document, dump_curve, load_curve
 from legcurve.expansion import ExpansionContext
+from legcurve.expressions import parse_germ, parse_scalar
 from legcurve.germs import monomials_in_valuation_range
+from legcurve.moduli import normal_form
 from legcurve.sampling import random_curve, trial_rng
 from legcurve.semigroups import NumericalSemigroup
 
@@ -167,9 +172,6 @@ def test_transform_removes_term(capsys, tmp_path):
 
 
 def test_transform_agrees_with_library(capsys, tmp_path):
-    from legcurve.contact import act_on_curve, solve_contact
-    from legcurve.expressions import parse_germ
-
     curve = PlaneCurveGerm(3, {10: 1, 11: 1}, 24)
     path = tmp_path / "c.json"
     path.write_text(dump_curve(curve))
@@ -424,6 +426,50 @@ def test_zero_denominator_in_a_document_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["semigroup", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: terms[0].c: ") and "'1/0'" in err
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+needs_int_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+
+
+@needs_int_digit_limit
+def test_numbers_past_the_int_digit_limit_are_read_and_printed(capsys, tmp_path):
+    # a (3, 10) curve with a 3000-digit a_11: a normal-form step's scale has more than 4300 digits
+    curve = PlaneCurveGerm(3, {10: 1, 11: int("7" + "3" * 2999), 13: 1}, 20)
+    path = tmp_path / "c.json"
+    path.write_text(dump_curve(curve))
+    with int_digit_limit(4300):
+        normalize = run(capsys, ["normalize", str(path), "--json"])
+        transform = run(capsys, ["transform", str(path), "--alpha", "xp", "--beta0", "x^4"])
+        text = run(capsys, ["normalize", str(path)])
+    assert normalize[0] == transform[0] == text[0] == 0
+    assert normalize[2] == transform[2] == text[2] == ""
+    reduced = normal_form(curve)
+    image = act_on_curve(solve_contact(parse_germ("xp", 3, 10), parse_germ("x^4", 3, 10), 20), curve)
+    with int_digit_limit(0):
+        payload = json.loads(normalize[1])
+        assert max(len(step["scale"]) for step in payload["steps"]) > 4300
+        assert curve_from_document(payload["curve"]) == reduced.curve
+        assert [parse_scalar(step["scale"]) for step in payload["steps"]] == [step.scale for step in reduced.steps]
+        assert load_curve(transform[1]) == image
+        assert transform[1] == dump_curve(image)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("argv", [["gamma", "3", "10"], ["normalize", "missing.json"]], ids=["success", "error"])
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    with int_digit_limit(5000):
+        run(capsys, argv)
+        assert sys.get_int_max_str_digits() == 5000
 
 
 @pytest.mark.parametrize(

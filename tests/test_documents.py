@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,24 @@ def test_load_rejects_malformed_json():
 def test_load_rejects_json_nested_beyond_the_recursion_limit():
     with pytest.raises(ValidationError, match="not valid JSON"):
         load_curve("[" * 200_000 + "]" * 200_000)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit")
+@pytest.mark.parametrize(
+    "template, pattern",
+    [
+        ('{"n": %s, "terms": [{"e": 10, "c": "1"}], "precision": 20}', r"^document: Exceeds the limit"),
+        ('{"n": 3, "terms": [{"e": 10, "c": "1"}], "precision": %s}', r"^document: Exceeds the limit"),
+        ('{"n": 3, "terms": [{"e": %s, "c": "1"}], "precision": 20}', r"^document: Exceeds the limit"),
+        ('{"n": 3, "terms": [{"e": 10, "c": "%s"}], "precision": 20}', r"^terms\[0\]\.c: Exceeds the limit"),
+        ('{"n": 3, "terms": [{"e": 10, "c": "1/%s"}], "precision": 20}', r"^terms\[0\]\.c: Exceeds the limit"),
+    ],
+    ids=["n", "precision", "exponent", "coefficient", "denominator"],
+)
+def test_a_number_past_the_int_digit_limit_is_a_validation_error(template, pattern):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValidationError, match=pattern):
+        load_curve(template % digits)
 
 
 # -- round trip on random curves ------------------------------------------------------

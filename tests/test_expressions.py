@@ -1,6 +1,8 @@
 """Germ expression parsing and canonical printing."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,3 +120,68 @@ def test_format_then_parse_returns_the_germ(nm, coeffs):
     n, m = nm
     g = Germ(contact_weights(n, m), coeffs, math.inf)
     assert parse_germ(format_germ(g), n, m) == g
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit")
+def test_a_number_past_the_int_digit_limit_is_a_validation_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValidationError, match="^Exceeds the limit"):
+        parse_scalar(digits)
+    for text, at in [(digits + "x", 0), ("x^" + digits, 2), ("y - 1/" + digits, 6), ("p + " + digits + "/3", 4)]:
+        with pytest.raises(ValidationError, match=f"^position {at}: Exceeds the limit"):
+            parse_germ(text, 3, 10)
+
+
+# -- parsing against the grammar ---------------------------------------------------
+
+SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def expressions(draw):
+    """An expression built term by term from the grammar, with the coefficients it denotes."""
+    text = draw(SPACE)
+    expected: dict[tuple[int, int, int], Fraction] = {}
+    for index in range(draw(st.integers(1, 5))):
+        sign = "+"
+        if index > 0 or draw(st.booleans()):  # the leading sign is optional
+            sign = draw(st.sampled_from("+-"))
+            text += sign + draw(SPACE)
+        factors = draw(st.lists(st.tuples(st.sampled_from("xyp"), st.none() | st.integers(0, 12)), max_size=4))
+        coeff = Fraction(1)
+        if not factors or draw(st.booleans()):
+            numerator = draw(st.integers(0, 10**20))
+            text += "0" * draw(st.integers(0, 2)) + str(numerator) + draw(SPACE)
+            coeff = Fraction(numerator)
+            if draw(st.booleans()):
+                denominator = draw(st.integers(1, 10**6))
+                text += "/" + draw(SPACE) + str(denominator) + draw(SPACE)
+                coeff /= denominator
+        exponents = [0, 0, 0]
+        for var, power in factors:
+            text += var + draw(SPACE)
+            if power is not None:
+                text += "^" + draw(SPACE) + str(power) + draw(SPACE)
+            exponents["xyp".index(var)] += 1 if power is None else power
+        mono = tuple(exponents)
+        expected[mono] = expected.get(mono, Fraction(0)) + (coeff if sign == "+" else -coeff)
+    return text, {mono: c for mono, c in expected.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_parse_matches_the_grammar(case):
+    text, expected = case
+    assert dict(parse_germ(text, 3, 10).coeffs) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789xyp+-^/ z*.\u0663", max_size=20))
+def test_any_string_parses_or_names_a_position(text):
+    try:
+        germ = parse_germ(text, 3, 10)
+    except ValidationError as err:
+        match = re.match(r"position (\d+): ", str(err))
+        assert match and 0 <= int(match.group(1)) <= len(text)
+    else:
+        assert isinstance(germ, Germ)

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
-from legcurve.cyclotomic import Cyclotomic, _poly_divmod, cyclotomic_polynomial
-from legcurve.errors import ContactDefectError, ValidationError
+from legcurve.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from legcurve.errors import ValidationError
 from legcurve.sympoly import Poly
 
 
@@ -38,6 +39,23 @@ def test_third_root_relation():
     assert _coefficient_sum(Cyclotomic.zeta(3, k) for k in range(3)) == (0, 0)
 
 
+def _sympy_coeffs(expr, x, length):
+    """Low-to-high coefficients of a sympy polynomial in x, as Fractions padded to length."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sp.Poly(expr, x).all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (length - len(coeffs)))
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    x = sp.Symbol("x")
+    for n in range(1, 61):
+        phi = sp.cyclotomic_poly(n, x)
+        assert cyclotomic_polynomial(n) == _sympy_coeffs(phi, x, 0), n
+        if n <= 24:
+            degree = sp.degree(phi, x)
+            for e in range(2 * n):
+                assert Cyclotomic.zeta(n, e).coeffs == _sympy_coeffs(sp.rem(x**e, phi, x), x, degree), (n, e)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -49,11 +67,6 @@ def test_third_root_relation():
 def test_bad_arguments_raise_validation_error(make):
     with pytest.raises(ValidationError):
         make()
-
-
-def test_internal_division_by_zero_is_a_defect():
-    with pytest.raises(ContactDefectError):
-        _poly_divmod([Fraction(1), Fraction(1)], [Fraction(0)])
 
 
 def test_rational_scalars_mix_in():
